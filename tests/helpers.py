@@ -75,6 +75,19 @@ def parity_by_inversions(p: perms.Perm) -> int:
     return inv % 2
 
 
+def square_roots_by_scan(m: int, g: perms.Perm) -> list[perms.Perm]:
+    """Every x in S_m with x*x = g, by scanning all of S_m in lexicographic
+    image order."""
+    roots = []
+    for x in perms.all_perms_lex(m):
+        for i in range(m):
+            if x[x[i]] != g[i]:
+                break
+        else:
+            roots.append(x)
+    return roots
+
+
 def _double_factorial(n: int) -> int:
     out = 1
     while n > 1:

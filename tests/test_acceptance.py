@@ -98,6 +98,21 @@ def test_criterion_4_universe_lower_bound():
         ok = ok and not below
         ok = ok and (t_m < 60.0)
         detail += f"; p=7 m={m} roots {rep7.root_count}, below-196 {len(below)}, {t_m:.2f}s"
+
+    # m = 14 tiles two heptagons, so the reflection has six transpositions
+    # and real square roots: the only check of p = 7 that is not vacuous
+    t0 = time.perf_counter()
+    rep14 = min_overgroup_search(7, 14, kind="natural", cap=197)
+    t_m = time.perf_counter() - t0
+    ok = ok and rep14.root_count == 240
+    ok = ok and rep14.exact_counts == {196: 6} and rep14.capped_count == 234
+    ok = ok and rep14.minimum == 196
+    ok = ok and rep14.verdict == "bound holds in universe"
+    ok = ok and (t_m < 60.0)
+    detail += (
+        f"; p=7 m=14 roots {rep14.root_count}, min {rep14.minimum} "
+        f"x{rep14.exact_counts.get(196, 0)}, {t_m:.2f}s"
+    )
     elapsed = time.perf_counter() - started
     report(4, "exhaustive ambient searches respect the 4p^2 bound", ok,
            f"{detail}; total {elapsed:.2f}s")

@@ -135,6 +135,17 @@ def test_search_csv(capsys):
     assert lines[1] == "36,2"
 
 
+def test_search_non_positive_cap_exits_2(capsys):
+    # (7, 9) has no roots, so no capped closure ever runs to reject the cap
+    for cap in ("0", "-5"):
+        code, out, err = run(
+            capsys, "search", "--p", "7", "--m", "9", "--cap", cap, "--workers", "1"
+        )
+        assert code == 2
+        assert "cap must be positive" in err
+        assert out == ""
+
+
 def test_element_parse_roundtrip_via_cli(capsys):
     report = run_json(capsys, "prop1-embed", "--group", "D7", "--element", "s*r^3")
     assert report["result"]["element"] == "s*r^3"

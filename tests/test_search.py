@@ -12,7 +12,7 @@ from groupsmith.search import (
     square_roots_in_Sm,
 )
 
-from helpers import sqrt_count_by_cycle_type
+from helpers import square_roots_by_scan, sqrt_count_by_cycle_type
 
 
 # -- embeddings ------------------------------------------------------------------
@@ -102,20 +102,31 @@ def test_square_roots_transposition_empty():
 
 
 def test_square_roots_squared_and_counted():
-    for m in range(1, 6):
+    for m in range(1, 7):
         for g in perms.all_perms_lex(m):
             roots = list(square_roots_in_Sm(m, g))
             for x in roots:
                 assert perms.compose(x, x) == g
+            assert roots == square_roots_by_scan(m, g)
             assert len(roots) == sqrt_count_by_cycle_type(g)
 
 
 def test_square_roots_count_sampled_larger_degrees():
     rng = random.Random(9)
-    for m in (6, 7):
-        for _ in range(12):
-            g = tuple(rng.sample(range(m), m))
-            assert len(list(square_roots_in_Sm(m, g))) == sqrt_count_by_cycle_type(g)
+    cases = [
+        (m, tuple(rng.sample(range(m), m))) for m in (7, 8, 9) for _ in range(12)
+    ]
+    cases += [
+        (m, embed_dihedral(p, m, kind).reflection)
+        for p, m, kinds in ((3, 8, ("natural", "regular")),
+                            (5, 10, ("natural", "regular")),
+                            (7, 9, ("natural",)))
+        for kind in kinds
+    ]
+    for m, g in cases:
+        roots = list(square_roots_in_Sm(m, g))
+        assert roots == square_roots_by_scan(m, g)
+        assert len(roots) == sqrt_count_by_cycle_type(g)
 
 
 # -- capped closure ----------------------------------------------------------------
@@ -173,6 +184,15 @@ def test_search_p7_vacuous():
         assert rep.minimum is None
 
 
+def test_search_p7_m14_checks_bound():
+    rep = min_overgroup_search(7, 14, cap=197)
+    assert rep.root_count == 240 == sqrt_count_by_cycle_type(rep.reflection)
+    assert rep.exact_counts == {196: 6}
+    assert rep.capped_count == 234
+    assert rep.minimum == 196
+    assert rep.verdict == "bound holds in universe"
+
+
 def test_search_p5_reports_without_verdict():
     rep = min_overgroup_search(5, 6, cap=1000)
     assert rep.verdict.startswith("not-applicable")
@@ -198,12 +218,13 @@ def test_minimum_identical_across_reflections():
 
 
 def test_search_parallel_matches_serial():
-    serial = min_overgroup_search(3, 6, cap=1000, workers=1)
-    parallel = min_overgroup_search(3, 6, cap=1000, workers=2)
-    assert serial.exact_counts == parallel.exact_counts
-    assert serial.capped_count == parallel.capped_count
-    assert serial.minimum == parallel.minimum
-    assert serial.min_witness == parallel.min_witness
+    for p, m, cap in ((3, 6, 1000), (7, 14, 197)):
+        serial = min_overgroup_search(p, m, cap=cap, workers=1)
+        parallel = min_overgroup_search(p, m, cap=cap, workers=2)
+        assert serial.exact_counts == parallel.exact_counts
+        assert serial.capped_count == parallel.capped_count
+        assert serial.minimum == parallel.minimum
+        assert serial.min_witness == parallel.min_witness
 
 
 def test_search_histogram_rows_and_dict():
