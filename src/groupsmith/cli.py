@@ -3,7 +3,8 @@
 Every subcommand emits one report: text for reading, json for tooling
 (schema: tool_version, command, params, result, assertions, timing_ms),
 csv where a histogram or table is the natural payload. Exit codes: 0 ok,
-1 falsified mathematical assertion, 2 usage error, 3 resource cap.
+1 falsified mathematical assertion, 2 usage error, 3 resource cap,
+4 internal error.
 """
 
 from __future__ import annotations
@@ -457,6 +458,10 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"groupsmith: resource-cap: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # a bug, or an error no groupsmith check anticipated
+        detail = " ".join(str(exc).split())
+        print(f"groupsmith: internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return 4
     report = {
         "tool_version": __version__,
         "command": args.command,

@@ -329,8 +329,10 @@ def lemma7_subgroup(G: Group, g: Element) -> Lemma7Result:
 
     The element set {(f,0): f0*f1^-1 in C} u {(f,1): f0*f1^-1 in g*C} with
     C = [<<g>>, G] is built directly and then verified, as sets, against
-    the breadth-first closure of diag(G) and the root. A mismatch is a hard
-    error, not a degraded result.
+    the breadth-first closure of diag(G) and the root. The closure starts
+    from the diagonal images of G's generators (all of G when it lists
+    none), which generate diag(G). A mismatch is a hard error, not a
+    degraded result.
     """
     G._check(g)
     W = wreath_cyclic(G, 2)
@@ -343,7 +345,7 @@ def lemma7_subgroup(G: Group, g: Element) -> Lemma7Result:
             members.append(Element(W, ((G._mul(G._mul(gp, c), f1), f1), 1)))
     formula_set = Subgroup(W, members, _trusted=True)
     root = levin_root(W, g)
-    gens = [W.diag_embed(a) for a in G.elements()]
+    gens = [W.diag_embed(a) for a in G.generators or tuple(G.elements())]
     gens.append(root)
     closed = subgroup_generated(W, gens)
     if formula_set.payload_set != closed.payload_set:

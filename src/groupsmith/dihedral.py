@@ -54,6 +54,13 @@ class DihedralShape:
     rotations: Subgroup
     reflections: tuple[Element, ...]
 
+    @property
+    def rotation(self) -> Element:
+        """The first non-identity rotation in canonical order; with any
+        reflection it generates the whole copy."""
+        idp = self.subgroup.parent._id()
+        return next(r for r in self.rotations.elements if r.payload != idp)
+
 
 def dihedral_shape(G: Subgroup) -> DihedralShape:
     """Check that a subgroup is dihedral of order 2p, p an odd prime, and
@@ -126,17 +133,31 @@ def normalizer_in(universe: Subgroup, H: Subgroup) -> Subgroup:
     return Subgroup(parent, members, _trusted=True)
 
 
-def conjugates_in(universe: Subgroup, H: Subgroup) -> list[Subgroup]:
-    """All distinct conjugates of H by elements of the universe."""
+def conjugates_in(universe: Subgroup, H: Subgroup, conjugators=None) -> list[Subgroup]:
+    """The orbit of H under conjugation, breadth first from H.
+
+    `conjugators` must generate the universe (default: all its elements);
+    the orbit under a generating set is the full conjugacy class, since
+    the inverse of each conjugator is one of its positive powers. All of
+    the universe reaches every conjugate from H in one step.
+    """
     parent = universe.parent
-    seen: dict[frozenset, Subgroup] = {}
-    for y in universe.payloads:
-        yinv = parent._inv(y)
-        pays = frozenset(
-            parent._mul(parent._mul(yinv, h), y) for h in H.payloads
-        )
-        if pays not in seen:
-            seen[pays] = Subgroup(parent, [Element(parent, q) for q in pays], _trusted=True)
+    ys = universe.payloads if conjugators is None else [y.payload for y in conjugators]
+    pairs = [(parent._inv(y), y) for y in ys]
+    seen: dict[frozenset, Subgroup] = {H.payload_set: H}
+    frontier = [H]
+    while frontier:
+        level = []
+        for K in frontier:
+            for yinv, y in pairs:
+                pays = frozenset(
+                    parent._mul(parent._mul(yinv, h), y) for h in K.payloads
+                )
+                if pays not in seen:
+                    sub = Subgroup(parent, [Element(parent, q) for q in pays], _trusted=True)
+                    seen[pays] = sub
+                    level.append(sub)
+        frontier = level if conjugators is not None else []
     return list(seen.values())
 
 
@@ -168,7 +189,7 @@ def lemma2_check(gtilde, G: Subgroup, x: Element) -> Lemma2Verdict:
         raise PreconditionError(
             f"x^2 = {parent.render(g)} is not a reflection of the dihedral copy"
         )
-    generated = subgroup_generated(parent, list(G.elements) + [x])
+    generated = subgroup_generated(parent, [shape.rotation, x])
     if generated.payload_set != universe.payload_set:
         raise PreconditionError(
             f"<G, x> has order {generated.order}, ambient has {universe.order}: "
@@ -261,15 +282,30 @@ class ConjugateGraph:
             images.append(self._index_of[pays])
         return tuple(images)
 
+    def colors_preserved_by(self, conjugators) -> bool:
+        """Whether conjugation by each given element maps every edge to an
+        edge of the same color. Conjugation acts on the vertices as a
+        homomorphism and color automorphisms compose, so a generating set
+        of the ambient group decides the question for all of it."""
+        K = len(self.vertices)
+        for y in conjugators:
+            pi = self.vertex_perm(y)
+            for i in range(K):
+                for j in range(i + 1, K):
+                    if self.color(pi[i], pi[j]) != self.color(i, j):
+                        return False
+        return True
 
-def build_conjugate_graph(gtilde, G: Subgroup) -> ConjugateGraph:
+
+def build_conjugate_graph(gtilde, G: Subgroup, conjugators=None) -> ConjugateGraph:
+    """The conjugate graph of G; `conjugators` is passed to `conjugates_in`."""
     universe = as_subgroup(gtilde)
     parent = universe.parent
     shape = dihedral_shape(G)
     if not G.payload_set <= universe.payload_set:
         raise PreconditionError("the dihedral copy must lie inside the ambient group")
     p = shape.p
-    vertices = sorted(conjugates_in(universe, G), key=lambda s: s.key())
+    vertices = sorted(conjugates_in(universe, G, conjugators), key=lambda s: s.key())
     index_of = {v.payload_set: i for i, v in enumerate(vertices)}
     colors: dict[tuple[int, int], str] = {}
     for i in range(len(vertices)):
@@ -496,7 +532,8 @@ def theorem1_trace(gtilde, G: Subgroup, x: Element) -> Theorem1Report:
         raise PreconditionError("the dihedral copy must lie inside the ambient group")
     if x.payload not in universe0.payload_set:
         raise PreconditionError("x must lie inside the ambient group")
-    universe = subgroup_generated(parent, list(G.elements) + [x])
+    gens = (shape.rotation, x)  # x^2 is a reflection, so these generate <G, x>
+    universe = subgroup_generated(parent, gens)
     closure_note = None
     if universe.payload_set != universe0.payload_set:
         closure_note = (
@@ -525,7 +562,7 @@ def theorem1_trace(gtilde, G: Subgroup, x: Element) -> Theorem1Report:
             "G is normal yet the no-square scan passed despite x^2 being a reflection"
         )
 
-    graph = build_conjugate_graph(universe, G)
+    graph = build_conjugate_graph(universe, G, gens)
     K = len(graph.vertices)
     census = graph.census()
 
@@ -545,19 +582,7 @@ def theorem1_trace(gtilde, G: Subgroup, x: Element) -> Theorem1Report:
     )
     check("lemma4-bound", universe.order >= K * G.order)
 
-    automorphic = True
-    for y in universe.elements:
-        pi = graph.vertex_perm(y)
-        for i in range(K):
-            for j in range(i + 1, K):
-                if graph.color(pi[i], pi[j]) != graph.color(i, j):
-                    automorphic = False
-                    break
-            if not automorphic:
-                break
-        if not automorphic:
-            break
-    check("conjugation-preserves-colors", automorphic)
+    check("conjugation-preserves-colors", graph.colors_preserved_by(gens))
 
     parity_records = [conjugation_parity(graph, g), conjugation_parity(graph, x)]
     check(

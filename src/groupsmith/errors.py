@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all groupsmith modules.
 
 The CLI maps these onto exit codes: Falsification -> 1, ParseError and
-PreconditionError -> 2, CapExceeded -> 3.
+PreconditionError -> 2, CapExceeded -> 3; any other exception is an
+internal error and exits 4.
 """
 
 

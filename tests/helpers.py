@@ -3,7 +3,8 @@
 Everything here is deliberately written against different algorithms than
 the production code: pairwise-product fixed points instead of generator
 BFS, counting formulas instead of enumeration, inversion counts instead of
-cycle types.
+cycle types, and scans over every group element where production code
+acts by generators only.
 """
 
 from collections import Counter
@@ -64,6 +65,32 @@ def all_subgroups(G: Group) -> list[Subgroup]:
                     nxt.append(bigger)
         frontier = nxt
     return sorted(found.values(), key=lambda s: s.key())
+
+
+def conjugates_by_scan(universe: Subgroup, H: Subgroup) -> list[Subgroup]:
+    """Every distinct conjugate of H, by conjugating with each element of
+    the universe in turn."""
+    parent = universe.parent
+    seen: dict[frozenset, Subgroup] = {}
+    for y in universe.payloads:
+        yinv = parent._inv(y)
+        pays = frozenset(parent._mul(parent._mul(yinv, h), y) for h in H.payloads)
+        if pays not in seen:
+            seen[pays] = Subgroup(parent, [Element(parent, q) for q in pays], _trusted=True)
+    return list(seen.values())
+
+
+def colors_preserved_by_scan(graph) -> bool:
+    """Whether conjugation by every element of a conjugate graph's ambient
+    group maps each edge to an edge of the same color."""
+    K = len(graph.vertices)
+    for y in graph.ambient.elements:
+        pi = graph.vertex_perm(y)
+        for i in range(K):
+            for j in range(i + 1, K):
+                if graph.color(pi[i], pi[j]) != graph.color(i, j):
+                    return False
+    return True
 
 
 def parity_by_inversions(p: perms.Perm) -> int:

@@ -198,6 +198,19 @@ def test_falsification_exits_1(capsys, monkeypatch):
     assert "falsified" in err
 
 
+def test_unexpected_error_exits_4(capsys, monkeypatch):
+    from groupsmith import cli
+
+    def broken(args):
+        raise RuntimeError("synthetic\nbug")
+
+    monkeypatch.setitem(cli.HANDLERS, "construct", broken)
+    code, out, err = run(capsys, "construct", "--group", "S3")
+    assert code == 4
+    assert out == ""
+    assert err == "groupsmith: internal error: RuntimeError: synthetic bug\n"
+
+
 def test_json_reports_are_stable(capsys):
     a = run_json(capsys, "search", "--p", "3", "--m", "6", "--cap", "1000", "--workers", "1")
     b = run_json(capsys, "search", "--p", "3", "--m", "6", "--cap", "1000", "--workers", "1")

@@ -8,7 +8,7 @@ from groupsmith.constructions import (
     prop1_embedding,
     wreath_cyclic,
 )
-from groupsmith.core import subgroup_generated
+from groupsmith.core import TableGroup, subgroup_generated, table_from_generators
 from groupsmith.errors import CapExceeded, ParseError, PreconditionError
 
 
@@ -153,14 +153,26 @@ def test_lemma7_order_formula_everywhere(s3, d5):
             assert res.order == 2 * G.order * res.commutator_part.order
 
 
-def test_lemma7_matches_independent_closure(s3):
-    g = s3.parse("(1 2 3)")
-    res = lemma7_subgroup(s3, g)
-    regenerated = subgroup_generated(
-        res.wreath,
-        [res.wreath.diag_embed(a) for a in s3.elements()] + [res.root],
+def test_lemma7_matches_independent_closure(s3, z6):
+    # S3 lists generators; a bare table lists none (the all-elements
+    # fallback); a lemma 8 quotient lists the images of the wreath's.
+    cases = [(s3, s3.parse("(1 2 3)"))]
+    table = table_from_generators([(1, 0, 2), (1, 2, 0)])
+    bare = TableGroup(
+        [[table._mul(i, j) for j in range(table.order)] for i in range(table.order)]
     )
-    assert regenerated.payload_set == res.subgroup.payload_set
+    assert bare.generators == ()
+    cases += [(bare, g) for g in bare.elements()]
+    quot = lemma8_construct(z6, subgroup_generated(z6, [z6.parse("2")])).quotient
+    assert quot.generators
+    cases += [(quot, g) for g in quot.elements()]
+    for G, g in cases:
+        res = lemma7_subgroup(G, g)
+        regenerated = subgroup_generated(
+            res.wreath,
+            [res.wreath.diag_embed(a) for a in G.elements()] + [res.root],
+        )
+        assert regenerated.payload_set == res.subgroup.payload_set
 
 
 # -- the inversion subgroup and its quotient ---------------------------------------

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from groupsmith import dihedral, perms
 from groupsmith.constructions import lemma7_subgroup, named_group, wreath_cyclic
 from groupsmith.core import Subgroup, subgroup_generated
 from groupsmith.dihedral import (
@@ -23,7 +24,7 @@ from groupsmith.dihedral import (
 )
 from groupsmith.errors import Falsification, PreconditionError
 
-from helpers import parity_by_inversions
+from helpers import colors_preserved_by_scan, conjugates_by_scan, parity_by_inversions
 
 
 def diag_copy(W, G):
@@ -244,6 +245,35 @@ def test_parity_matches_inversion_oracle_on_vertex_perms():
         assert rec.parity == parity_by_inversions(rec.vertex_perm)
 
 
+def assert_generator_checks_match_scans(universe, H, x):
+    gens = (dihedral_shape(H).rotation, x)
+    graph = build_conjugate_graph(universe, H, gens)
+    scanned = sorted(conjugates_by_scan(universe, H), key=lambda s: s.key())
+    assert list(graph.vertices) == scanned
+    assert graph.colors == build_conjugate_graph(universe, H).colors
+    assert graph.colors_preserved_by(gens) is colors_preserved_by_scan(graph) is True
+
+
+def test_generator_checks_match_scan_oracles():
+    for p in (3, 7):
+        G, W, H, diag, root = lemma7_setup(p)
+        assert_generator_checks_match_scans(H, diag, root)
+
+
+def test_vertex_perm_is_a_homomorphism():
+    # conjugation acts on the right: v^(ab) = (v^a)^b
+    G, W, H, diag, root = lemma7_setup(7)
+    graph = build_conjugate_graph(H, diag)
+    rng = random.Random(5)
+    members = list(H.elements)
+    for _ in range(40):
+        a = members[rng.randrange(len(members))]
+        b = members[rng.randrange(len(members))]
+        assert graph.vertex_perm(a * b) == perms.compose(
+            graph.vertex_perm(b), graph.vertex_perm(a)
+        )
+
+
 def test_vertex_perm_is_color_automorphism():
     G, W, H, diag, root = lemma7_setup(3)
     graph = build_conjugate_graph(H, diag)
@@ -282,6 +312,33 @@ def test_trace_d7():
     assert all(a["status"] == "pass" for a in report.assertions)
 
 
+def test_trace_d19():
+    G, W, H, diag, root = lemma7_setup(19)
+    report = theorem1_trace(H, diag, root)
+    assert report.case == "v2-up"
+    assert report.bound_line() == "1444 >= 1444"
+    assert all(a["status"] == "pass" for a in report.assertions)
+
+
+@pytest.mark.parametrize("p", [3, 7])
+def test_trace_catches_recolored_edge(monkeypatch, p):
+    G, W, H, diag, root = lemma7_setup(p)
+    real = dihedral.build_conjugate_graph
+    built = []
+
+    def recolored(*args):
+        graph = real(*args)
+        edge = next(k for k, c in graph.colors.items() if c == YELLOW)
+        graph.colors[edge] = GREEN
+        built.append(graph)
+        return graph
+
+    monkeypatch.setattr(dihedral, "build_conjugate_graph", recolored)
+    with pytest.raises(Falsification, match="conjugation-preserves-colors"):
+        theorem1_trace(H, diag, root)
+    assert colors_preserved_by_scan(built[0]) is False
+
+
 def test_trace_restricts_to_generated_subgroup():
     G, W, H, diag, root = lemma7_setup(3)
     report = theorem1_trace(W, diag, root)  # whole wreath of order 72
@@ -314,6 +371,8 @@ def test_trace_every_search_overgroup():
         report = theorem1_trace(s6, copy, x)
         assert report.bound_ok
         assert report.ambient_order in (36, 120)
+        universe = subgroup_generated(s6, list(copy.elements) + [x])
+        assert_generator_checks_match_scans(universe, copy, x)
 
 
 def test_trace_report_serializes():
