@@ -28,8 +28,7 @@ from .constructions import (
 from .core import (
     Element,
     Subgroup,
-    find_odd_abelian_normal,
-    find_odd_central,
+    odd_abelian_normal_candidates,
     subgroup_generated,
     verify_group_axioms,
 )
@@ -263,12 +262,13 @@ def cmd_lemma8_check(args):
         if not isinstance(N, Subgroup):
             raise PreconditionError("generated subgroup outgrew the cap")
     else:
-        N = find_odd_central(G) or find_odd_abelian_normal(G)
-        if N is None:
+        candidates = odd_abelian_normal_candidates(G)
+        if not candidates:
             raise PreconditionError(
                 f"{G.name} has no nontrivial odd abelian normal subgroup; "
                 "pass --normal-gens"
             )
+        N = candidates[0]
     res = lemma8_construct(G, N)
     result = {
         "group": G.name,

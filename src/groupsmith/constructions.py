@@ -26,8 +26,8 @@ from .core import (
     Subgroup,
     TableGroup,
     IntegerNamer,
+    TABLE_ORDER_LIMIT,
     direct_product,
-    find_odd_central,
     mutual_commutator,
     normal_closure,
     odd_abelian_normal_candidates,
@@ -75,6 +75,10 @@ class DihedralNamer:
 def cyclic_group(n: int) -> TableGroup:
     if n < 1:
         raise PreconditionError(f"cyclic order must be positive, got {n}")
+    if n > TABLE_ORDER_LIMIT:
+        raise CapExceeded(
+            f"table group order {n} exceeds the 16-bit table limit {TABLE_ORDER_LIMIT}", n
+        )
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return TableGroup(
         table,
@@ -266,7 +270,7 @@ class WreathGroup(Group):
     def _generator_payloads(self) -> tuple:
         idp = self._base_id
         gens = []
-        for g in self.base._generator_payloads():
+        for g in self.base._generating_payloads():
             f = [idp] * self.arity
             f[0] = g
             gens.append((tuple(f), 0))
@@ -330,9 +334,8 @@ def lemma7_subgroup(G: Group, g: Element) -> Lemma7Result:
     The element set {(f,0): f0*f1^-1 in C} u {(f,1): f0*f1^-1 in g*C} with
     C = [<<g>>, G] is built directly and then verified, as sets, against
     the breadth-first closure of diag(G) and the root. The closure starts
-    from the diagonal images of G's generators (all of G when it lists
-    none), which generate diag(G). A mismatch is a hard error, not a
-    degraded result.
+    from the diagonal images of G's generating set, which generate
+    diag(G). A mismatch is a hard error, not a degraded result.
     """
     G._check(g)
     W = wreath_cyclic(G, 2)
@@ -345,7 +348,7 @@ def lemma7_subgroup(G: Group, g: Element) -> Lemma7Result:
             members.append(Element(W, ((G._mul(G._mul(gp, c), f1), f1), 1)))
     formula_set = Subgroup(W, members, _trusted=True)
     root = levin_root(W, g)
-    gens = [W.diag_embed(a) for a in G.generators or tuple(G.elements())]
+    gens = [W.diag_embed(Element(G, a)) for a in G._generating_payloads()]
     gens.append(root)
     closed = subgroup_generated(W, gens)
     if formula_set.payload_set != closed.payload_set:
@@ -410,17 +413,11 @@ def lemma8_construct(G: Group, N: Subgroup) -> Lemma8Result:
     W = wreath_cyclic(G, 2)
     k_members = [Element(W, ((x, G._inv(x)), 0)) for x in N.payloads]
     K = Subgroup(W, k_members)
-    witness = None
-    for member in K.elements:
-        for w in W.generators:
-            if member.conj(w) not in K:
-                witness = (member, w)
-                break
-        if witness is not None:
-            break
+    witness = W.normality_witness(K)
     if witness is not None:
+        conjugator, member = witness
         return Lemma8Result(
-            wreath=W, subgroup_k=K, normal=False, witness=witness, quotient=None
+            wreath=W, subgroup_k=K, normal=False, witness=(member, conjugator), quotient=None
         )
     quot, project = W.quotient(K)
     expected = 2 * G.order**2 // N.order
@@ -484,14 +481,7 @@ def prop1_embedding(G: Group, g: Element) -> Prop1Result:
         )
 
     # (ii) quotient over an odd abelian normal subgroup, central ones first
-    candidates = []
-    central = find_odd_central(G)
-    if central is not None:
-        candidates.append(central)
     for N in odd_abelian_normal_candidates(G):
-        if all(N.payload_set != c.payload_set for c in candidates):
-            candidates.append(N)
-    for N in candidates:
         res8 = lemma8_construct(G, N)
         if not res8.normal:
             continue

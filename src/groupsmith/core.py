@@ -25,6 +25,7 @@ from . import perms
 from .errors import CapExceeded, Falsification, ParseError, PreconditionError
 
 DEFAULT_CAP = 10_000
+TABLE_ORDER_LIMIT = 1 << 16  # dense table entries are stored as array("H")
 
 
 def default_cap() -> int:
@@ -160,6 +161,10 @@ class Group:
     def _generator_payloads(self) -> tuple:
         return ()
 
+    def _generating_payloads(self) -> tuple:
+        """The listed generators, or every element when the group lists none."""
+        return self._generator_payloads() or tuple(self._iter_payloads())
+
     # -- uniform element-level API --
 
     def _check(self, a: Element) -> None:
@@ -249,7 +254,7 @@ class Group:
         return self._whole
 
     def is_abelian(self) -> bool:
-        gens = self._generator_payloads() or tuple(self._iter_payloads())
+        gens = self._generating_payloads()
         for p in gens:
             for q in gens:
                 if self._mul(p, q) != self._mul(q, p):
@@ -260,7 +265,7 @@ class Group:
 
     def center(self) -> "Subgroup":
         if self._center is None:
-            gens = self._generator_payloads() or tuple(self._iter_payloads())
+            gens = self._generating_payloads()
             members = [
                 Element(self, p)
                 for p in self._iter_payloads()
@@ -270,8 +275,7 @@ class Group:
         return self._center
 
     def conjugacy_classes(self) -> list[tuple[Element, ...]]:
-        gens = self._generator_payloads() or tuple(self._iter_payloads())
-        gen_pairs = [(g, self._inv(g)) for g in gens]
+        gen_pairs = [(g, self._inv(g)) for g in self._generating_payloads()]
         seen: set = set()
         classes = []
         for p in self._iter_payloads():
@@ -290,32 +294,30 @@ class Group:
             classes.append(tuple(sorted((Element(self, q) for q in orbit), key=lambda e: e.key)))
         return classes
 
-    def normality_witness(self, H: "Subgroup"):
-        """None if H is normal, else a violating (conjugator, member) pair."""
+    def normality_witness(self, H: "Subgroup", conjugators=None):
+        """None if H is normal, else a violating (conjugator, member) pair.
+
+        `conjugators` must generate the group H is asked to be normal in
+        (default: this group's generating set); a finite H mapped into
+        itself by each generator is normal. Members are scanned in
+        canonical order, each against every conjugator in turn, so the
+        witness is the first member that leaves H.
+        """
         if H.parent is not self:
             raise PreconditionError("subgroup belongs to a different group")
-        conjugators = self._generator_payloads() or tuple(self._iter_payloads())
-        for y in conjugators:
-            yinv = self._inv(y)
-            for h in H.payloads:
+        if conjugators is None:
+            ys = self._generating_payloads()
+        else:
+            ys = [y.payload for y in conjugators]
+        pairs = [(self._inv(y), y) for y in ys]
+        for h in H.payloads:
+            for yinv, y in pairs:
                 if self._mul(self._mul(yinv, h), y) not in H.payload_set:
                     return Element(self, y), Element(self, h)
         return None
 
     def is_normal(self, H: "Subgroup") -> bool:
         return self.normality_witness(H) is None
-
-    def normalizer(self, H: "Subgroup") -> "Subgroup":
-        if H.parent is not self:
-            raise PreconditionError("subgroup belongs to a different group")
-        members = []
-        for y in self._iter_payloads():
-            yinv = self._inv(y)
-            if all(
-                self._mul(self._mul(yinv, h), y) in H.payload_set for h in H.payloads
-            ):
-                members.append(Element(self, y))
-        return Subgroup(self, members, _trusted=True)
 
     def intersection(self, H1: "Subgroup", H2: "Subgroup") -> "Subgroup":
         if H1.parent is not self or H2.parent is not self:
@@ -546,8 +548,9 @@ class CycleNamer:
 class TableGroup(Group):
     """Group given by a dense multiplication table on indices 0..n-1.
 
-    Entries are stored 16-bit; the constructor refuses orders above the
-    configured cap (quotients and products stay well below it).
+    Entries are stored 16-bit; the constructor refuses orders above
+    TABLE_ORDER_LIMIT or the configured cap (quotients and products stay
+    well below both).
     """
 
     backend = "dense-table"
@@ -563,6 +566,10 @@ class TableGroup(Group):
     ):
         super().__init__(name)
         n = len(table)
+        if n > TABLE_ORDER_LIMIT:
+            raise CapExceeded(
+                f"table group order {n} exceeds the 16-bit table limit {TABLE_ORDER_LIMIT}", n
+            )
         limit = cap if cap is not None else default_cap()
         if n > limit:
             raise CapExceeded(f"table group order {n} exceeds cap {limit}", n)
@@ -816,6 +823,22 @@ def normal_closure(G: Group, g: Element) -> Subgroup:
     return result
 
 
+def normalizer_in(universe: Subgroup, H: Subgroup) -> Subgroup:
+    """Elements of `universe` that conjugate H onto itself, by exhaustive
+    scan, so that it can cross-check orbits built from generators."""
+    parent = universe.parent
+    if H.parent is not parent:
+        raise PreconditionError("subgroups live in different parent groups")
+    members = []
+    for y in universe.payloads:
+        yinv = parent._inv(y)
+        if all(
+            parent._mul(parent._mul(yinv, h), y) in H.payload_set for h in H.payloads
+        ):
+            members.append(Element(parent, y))
+    return Subgroup(parent, members, _trusted=True)
+
+
 def mutual_commutator(G: Group, A: Subgroup, B: Subgroup) -> Subgroup:
     """Subgroup generated by all commutators [a, b], a in A, b in B."""
     if A.parent is not G or B.parent is not G:
@@ -866,7 +889,8 @@ def internal_odd_sqrt(G: Group, g: Element) -> Element:
 
 def odd_abelian_normal_candidates(G: Group) -> list[Subgroup]:
     """Nontrivial abelian normal subgroups of odd order, found as normal
-    closures of odd-order elements; sorted by (size, canonical set)."""
+    closures of odd-order elements: the central ones first, then the rest,
+    each part sorted by (size, canonical set)."""
     found: dict = {}
     for g in G.elements():
         if g.payload == G._id():
@@ -876,21 +900,8 @@ def odd_abelian_normal_candidates(G: Group) -> list[Subgroup]:
         N = normal_closure(G, g)
         if N.order > 1 and N.order % 2 == 1 and N.is_abelian():
             found[N.payload_set] = N
-    return sorted(found.values(), key=lambda s: s.key())
-
-
-def find_odd_abelian_normal(G: Group) -> Subgroup | None:
-    candidates = odd_abelian_normal_candidates(G)
-    return candidates[0] if candidates else None
-
-
-def find_odd_central(G: Group) -> Subgroup | None:
-    """Like find_odd_abelian_normal but restricted to central subgroups."""
     centre = G.center().payload_set
-    for N in odd_abelian_normal_candidates(G):
-        if N.payload_set <= centre:
-            return N
-    return None
+    return sorted(found.values(), key=lambda s: (not s.payload_set <= centre, s.key()))
 
 
 # -- axiom verification ------------------------------------------------------

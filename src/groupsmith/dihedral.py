@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from . import perms
-from .core import Element, Group, Subgroup, subgroup_generated
+from .core import Element, Group, Subgroup, normalizer_in, subgroup_generated
 from .errors import Falsification, PreconditionError
 
 GREEN, YELLOW, RED = "green", "yellow", "red"
@@ -105,34 +105,6 @@ def as_subgroup(universe) -> Subgroup:
     raise PreconditionError(f"expected a Group or Subgroup, got {type(universe)!r}")
 
 
-def normality_witness_in(universe: Subgroup, H: Subgroup):
-    """None if H is normal inside the given subgroup, else (conjugator,
-    member) showing the failure."""
-    parent = universe.parent
-    if H.parent is not parent:
-        raise PreconditionError("subgroups live in different parent groups")
-    for y in universe.payloads:
-        yinv = parent._inv(y)
-        for h in H.payloads:
-            if parent._mul(parent._mul(yinv, h), y) not in H.payload_set:
-                return Element(parent, y), Element(parent, h)
-    return None
-
-
-def normalizer_in(universe: Subgroup, H: Subgroup) -> Subgroup:
-    parent = universe.parent
-    if H.parent is not parent:
-        raise PreconditionError("subgroups live in different parent groups")
-    members = []
-    for y in universe.payloads:
-        yinv = parent._inv(y)
-        if all(
-            parent._mul(parent._mul(yinv, h), y) in H.payload_set for h in H.payloads
-        ):
-            members.append(Element(parent, y))
-    return Subgroup(parent, members, _trusted=True)
-
-
 def conjugates_in(universe: Subgroup, H: Subgroup, conjugators=None) -> list[Subgroup]:
     """The orbit of H under conjugation, breadth first from H.
 
@@ -195,7 +167,7 @@ def lemma2_check(gtilde, G: Subgroup, x: Element) -> Lemma2Verdict:
             f"<G, x> has order {generated.order}, ambient has {universe.order}: "
             "they must coincide"
         )
-    normal = normality_witness_in(universe, G) is None
+    normal = parent.normality_witness(G, (shape.rotation, x)) is None
     conj = parent.conjugate_subgroup(G, x)
     inter = G.payload_set & conj.payload_set
     pair = frozenset((parent._id(), g.payload))
@@ -221,7 +193,7 @@ def lemma3_check(gtilde, G: Subgroup) -> bool:
         raise PreconditionError(
             f"p = {shape.p} is not 3 mod 4; the no-square criterion does not apply"
         )
-    if normality_witness_in(universe, G) is not None:
+    if parent.normality_witness(G, universe.elements) is not None:
         raise PreconditionError("the dihedral copy must be normal in the ambient group")
     reflection_pays = {s.payload for s in shape.reflections}
     for y in universe.payloads:

@@ -200,6 +200,54 @@ def test_lemma8_s3_fails_with_witness(s3):
     assert member.conj(conjugator) not in res.subgroup_k
 
 
+@pytest.mark.parametrize(
+    "spec, normal_gens, member, conjugator",
+    [
+        ("S3", ["(1 2 3)"], "[(1 2 3),(1 3 2);0]", "[(1 2),();0]"),
+        (
+            "S4",
+            ["(1 2)(3 4)", "(1 3)(2 4)"],
+            "[(1 2)(3 4),(1 2)(3 4);0]",
+            "[(1 2 3 4),();0]",
+        ),
+        (
+            "D3xD3",
+            ["(r^1|r^0)", "(r^0|r^1)"],
+            "[(r^0|r^1),(r^0|r^2);0]",
+            "[(r^0|s*r^0),(r^0|r^0);0]",
+        ),
+    ],
+)
+def test_lemma8_witness_is_first_failing_member(spec, normal_gens, member, conjugator):
+    # members of K in canonical order, each against the wreath generators
+    # in order: scanning conjugators first reports other pairs for S4 and D3xD3
+    G = named_group(spec)
+    res = lemma8_construct(G, subgroup_generated(G, [G.parse(s) for s in normal_gens]))
+    W = res.wreath
+    assert res.normal is False
+    assert (W.render(res.witness[0]), W.render(res.witness[1])) == (member, conjugator)
+
+
+def test_lemma8_on_a_table_group_listing_no_generators(s3):
+    # with no listed base generators the wreath product falls back to every
+    # base element; the shift alone would make K look normal in S3 wr Z2
+    table = table_from_generators([(1, 0, 2), (1, 2, 0)])
+    bare = TableGroup(
+        [[table._mul(i, j) for j in range(table.order)] for i in range(table.order)],
+        namer=table._namer,
+    )
+    assert bare.generators == ()
+    W = wreath_cyclic(bare, 2)
+    assert subgroup_generated(W, W.generators).order == 72
+    res = lemma8_construct(bare, subgroup_generated(bare, [bare.parse("(1 2 3)")]))
+    assert res.normal is False and res.quotient is None
+    member, conjugator = res.witness
+    assert (res.wreath.render(member), res.wreath.render(conjugator)) == (
+        "[(1 2 3),(1 3 2);0]",
+        "[(1 2),();0]",
+    )
+
+
 def test_lemma8_trivial_n(z4):
     N = subgroup_generated(z4, [])
     res = lemma8_construct(z4, N)

@@ -1,20 +1,27 @@
+import random
+
 import pytest
 
-from groupsmith.constructions import named_group, wreath_cyclic
+from groupsmith.constructions import cyclic_group, named_group, wreath_cyclic
 from groupsmith.core import (
+    TABLE_ORDER_LIMIT,
     AtLeast,
+    Exact,
+    PermGroup,
     Subgroup,
-    find_odd_abelian_normal,
-    find_odd_central,
+    TableGroup,
     internal_odd_sqrt,
     mutual_commutator,
     normal_closure,
+    normalizer_in,
+    odd_abelian_normal_candidates,
     roots_in_group,
     subgroup_generated,
     table_from_generators,
     verify_group_axioms,
 )
 from groupsmith.errors import CapExceeded, ParseError, PreconditionError
+from groupsmith.search import closure_order_capped
 
 from helpers import (
     all_subgroups,
@@ -133,7 +140,65 @@ def test_table_cap_carries_partial_count():
     assert err.value.partial_count >= 3
 
 
+class _UnbuiltTable:
+    """A table that reports its length but fails if a row is ever read."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        raise AssertionError("the table was read")
+
+
+def test_table_order_above_16_bits_is_a_cap():
+    # entries are stored as array("H"): order 65537 would overflow them
+    assert TABLE_ORDER_LIMIT == 65536
+    with pytest.raises(CapExceeded) as err:
+        TableGroup(_UnbuiltTable(TABLE_ORDER_LIMIT + 1), cap=70_000)
+    assert err.value.partial_count == TABLE_ORDER_LIMIT + 1
+    with pytest.raises(CapExceeded):
+        cyclic_group(TABLE_ORDER_LIMIT + 1)
+
+
 # -- subgroup machinery -------------------------------------------------------
+
+
+def _random_generators(rng, m):
+    """One to three permutations of degree m, each moving a random subset
+    of points, so that the generated orders range from 1 to m!."""
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        support = rng.sample(range(m), rng.randint(2, m))
+        images = support[:]
+        rng.shuffle(images)
+        g = list(range(m))
+        for src, dst in zip(support, images):
+            g[src] = dst
+        gens.append(tuple(g))
+    return gens
+
+
+def test_orders_match_sympy_schreier_sims():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    rng = random.Random(20111)
+    orders = set()
+    for m in (5, 6, 7, 8):
+        transposition, cycle = (1, 0) + tuple(range(2, m)), tuple(range(1, m)) + (0,)
+        Sm = PermGroup(m, [transposition, cycle], cap=40320)
+        for _ in range(4):
+            gens = _random_generators(rng, m)
+            want = combinatorics.PermutationGroup(
+                [combinatorics.Permutation(list(g)) for g in gens]
+            ).order()
+            orders.add(want)
+            assert PermGroup(m, gens, cap=40320).order == want
+            assert subgroup_generated(Sm, [Sm.element(g) for g in gens]).order == want
+            assert closure_order_capped(gens, want + 1) == Exact(want)
+            assert closure_order_capped(gens, want) == AtLeast(want)
+    assert len(orders) >= 6  # the seeded sets are not all one group
 
 
 def test_subgroup_generated_examples(d7, s3):
@@ -258,7 +323,7 @@ def test_conjugate_subgroup_and_normalizer(s3):
     hx = s3.conjugate_subgroup(h, x)
     assert hx != h
     assert hx.order == 2
-    norm = s3.normalizer(h)
+    norm = normalizer_in(s3.whole(), h)
     assert norm.payload_set == h.payload_set
 
 
@@ -272,7 +337,11 @@ def test_orbit_stabilizer_for_all_subgroups():
             conjugates = {
                 G.conjugate_subgroup(H, x).payload_set for x in G.elements()
             }
-            assert G.order == len(conjugates) * G.normalizer(H).order
+            normalizer = normalizer_in(G.whole(), H)
+            assert G.order == len(conjugates) * normalizer.order
+            normal = G.is_normal(H)
+            assert normal == (normalizer.order == G.order)
+            assert normal == (G.normality_witness(H, G.elements()) is None)
 
 
 def test_product_bound_for_all_subgroup_pairs():
@@ -347,29 +416,37 @@ def test_internal_odd_sqrt_everywhere_odd(d7):
 # -- odd abelian normal subgroups ----------------------------------------------
 
 
-def test_find_odd_abelian_normal(s3, z6):
-    N = find_odd_abelian_normal(s3)
-    assert N is not None and N.order == 3
-    assert {s3.render(e) for e in N} == {"()", "(1 2 3)", "(1 3 2)"}
-
-    M = find_odd_central(z6)
-    assert M is not None and M.order == 3
-    assert {z6.render(e) for e in M} == {"0", "2", "4"}
-
-    z2 = named_group("Z2")
-    assert find_odd_abelian_normal(z2) is None
-    assert find_odd_central(s3) is None  # the center of S3 is trivial
+def test_odd_abelian_normal_candidates(s3, z6):
+    assert [{s3.render(e) for e in N} for N in odd_abelian_normal_candidates(s3)] == [
+        {"()", "(1 2 3)", "(1 3 2)"}
+    ]
+    assert [{z6.render(e) for e in N} for N in odd_abelian_normal_candidates(z6)] == [
+        {"0", "2", "4"}
+    ]
+    assert odd_abelian_normal_candidates(named_group("Z2")) == []
 
 
-def test_find_odd_abelian_normal_properties():
-    for spec in ("S3", "Z6", "Z15", "A4", "D7"):
+def test_odd_abelian_normal_candidates_properties():
+    for spec in ("S3", "Z6", "Z15", "A4", "D7", "Z3xS3", "D3xD3"):
         G = named_group(spec)
-        N = find_odd_abelian_normal(G)
-        if N is None:
-            continue
-        assert N.order > 1 and N.order % 2 == 1
-        assert N.is_abelian()
-        assert G.is_normal(N)
+        candidates = odd_abelian_normal_candidates(G)
+        for N in candidates:
+            assert N.order > 1 and N.order % 2 == 1
+            assert N.is_abelian()
+            assert G.is_normal(N)
+        # central subgroups first, each part in (size, canonical set) order
+        centre = G.center().payload_set
+        central = [N for N in candidates if N.payload_set <= centre]
+        assert candidates[: len(central)] == central
+        rest = candidates[len(central) :]
+        assert central == sorted(central, key=Subgroup.key)
+        assert rest == sorted(rest, key=Subgroup.key)
+    # Z3xS3: the central Z3 comes before the non-central A3 of equal size,
+    # although the A3 has the smaller canonical set
+    G = named_group("Z3xS3")
+    centre = G.center().payload_set
+    shape = [(N.order, N.payload_set <= centre) for N in odd_abelian_normal_candidates(G)]
+    assert shape == [(3, True), (3, False), (9, False)]
 
 
 # -- rendering / parsing ---------------------------------------------------------
