@@ -338,8 +338,12 @@ def lemma7_subgroup(G: Group, g: Element) -> Lemma7Result:
     diag(G). A mismatch is a hard error, not a degraded result.
     """
     G._check(g)
+    return _lemma7_from(G, g, mutual_commutator(G, normal_closure(G, g), G.whole()))
+
+
+def _lemma7_from(G: Group, g: Element, C: Subgroup) -> Lemma7Result:
+    """`lemma7_subgroup` with C = [<<g>>, G] already computed."""
     W = wreath_cyclic(G, 2)
-    C = mutual_commutator(G, normal_closure(G, g), G.whole())
     gp = g.payload
     members = []
     for f1 in G._iter_payloads():
@@ -469,7 +473,7 @@ def prop1_embedding(G: Group, g: Element) -> Prop1Result:
     # (i) the closed-form subgroup, whenever it is small enough
     C = mutual_commutator(G, normal_closure(G, g), G.whole())
     if 2 * G.order * C.order <= target:
-        res = lemma7_subgroup(G, g)
+        res = _lemma7_from(G, g, C)
         _check_root(res.embed, res.root, g)
         return Prop1Result(
             strategy="lemma7",

@@ -319,12 +319,6 @@ class Group:
     def is_normal(self, H: "Subgroup") -> bool:
         return self.normality_witness(H) is None
 
-    def intersection(self, H1: "Subgroup", H2: "Subgroup") -> "Subgroup":
-        if H1.parent is not self or H2.parent is not self:
-            raise PreconditionError("subgroups belong to a different group")
-        common = H1.payload_set & H2.payload_set
-        return Subgroup(self, [Element(self, p) for p in common], _trusted=True)
-
     def conjugate_subgroup(self, H: "Subgroup", x: Element) -> "Subgroup":
         if H.parent is not self:
             raise PreconditionError("subgroup belongs to a different group")
@@ -382,7 +376,7 @@ class Group:
 class Subgroup:
     """Subgroup as a canonical sorted element set with its parent group."""
 
-    __slots__ = ("parent", "elements", "_eset", "_pset")
+    __slots__ = ("parent", "elements", "_pset")
 
     def __init__(self, parent: Group, elements: Iterable[Element], *, _trusted: bool = False):
         elems = list(elements)
@@ -397,7 +391,6 @@ class Subgroup:
         self.parent = parent
         self.elements = ordered
         self._pset = frozenset(uniq)
-        self._eset = frozenset(ordered)
         if not _trusted:
             self._validate()
         if parent.order % len(ordered) != 0:
@@ -460,9 +453,6 @@ class Subgroup:
                 if mul(p, q) != mul(q, p):
                     return False
         return True
-
-    def is_trivial(self) -> bool:
-        return len(self.elements) == 1
 
     def describe(self) -> str:
         shown = ",".join(self.parent._render(p) for p in self.payloads[:4])
@@ -853,38 +843,7 @@ def mutual_commutator(G: Group, A: Subgroup, B: Subgroup) -> Subgroup:
     return result
 
 
-# -- roots and odd-order helpers -------------------------------------------
-
-
-def roots_in_group(G: Group, g: Element, n: int) -> tuple[Element, ...]:
-    """All x in G with x^n = g, by exhaustive scan in canonical order."""
-    G._check(g)
-    if n < 2:
-        raise PreconditionError(f"root degree must be at least 2, got {n}")
-    target = g.payload
-    idp = G._id()
-    out = []
-    for p in G._iter_payloads():
-        q = idp
-        for _ in range(n):
-            q = G._mul(q, p)
-        if q == target:
-            out.append(Element(G, p))
-    return tuple(out)
-
-
-def internal_odd_sqrt(G: Group, g: Element) -> Element:
-    """Square root of an odd-order element inside G itself: g^((k+1)/2)."""
-    G._check(g)
-    k = G.element_order(g)
-    if k % 2 == 0:
-        raise PreconditionError(
-            f"no internal root by this method: element has even order {k}"
-        )
-    root = G.power(g, (k + 1) // 2)
-    if root * root != g:
-        raise Falsification("odd-order square root failed to square back")
-    return root
+# -- odd abelian normal subgroups ------------------------------------------
 
 
 def odd_abelian_normal_candidates(G: Group) -> list[Subgroup]:

@@ -2,8 +2,10 @@
 root of a reflection: the conjugate-subgroup graph with its green/yellow/
 red coloring, the individual lemma checks, and a full proof-replay trace.
 
-Everything here recomputes its numbers from the groups it is handed;
-nothing is trusted from the caller.
+Everything here recomputes its numbers from the groups it is handed. The
+one input taken as given is a `DihedralShape`, which `dihedral_shape`
+builds only after verifying the copy; the lemma checks take it in place of
+a raw subgroup, so the copy is verified once per replay.
 """
 
 from __future__ import annotations
@@ -138,6 +140,7 @@ def conjugates_in(universe: Subgroup, H: Subgroup, conjugators=None) -> list[Sub
 
 @dataclass
 class Lemma2Verdict:
+    universe: Subgroup  # <G, x>, closed over (r, x)
     normal: bool
     intersection_order: int
     intersection_is_root_pair: bool
@@ -147,31 +150,29 @@ class Lemma2Verdict:
         return self.normal or self.intersection_is_root_pair
 
 
-def lemma2_check(gtilde, G: Subgroup, x: Element) -> Lemma2Verdict:
+def lemma2_check(shape: DihedralShape, x: Element) -> Lemma2Verdict:
     """Dichotomy for a dihedral copy with an adjoined root: either G is
-    normal in <G, x>, or G meets its x-conjugate exactly in <x^2>."""
-    universe = as_subgroup(gtilde)
-    parent = universe.parent
-    shape = dihedral_shape(G)
+    normal in <G, x>, or G meets its x-conjugate exactly in <x^2>.
+
+    x^2 must be a reflection, so the rotation r and x generate <G, x>;
+    that closure is returned as the verdict's universe.
+    """
+    G = shape.subgroup
+    parent = G.parent
     parent._check(x)
-    if x.payload not in universe.payload_set:
-        raise PreconditionError("x lies outside the ambient group")
     g = x * x
     if g not in set(shape.reflections):
         raise PreconditionError(
             f"x^2 = {parent.render(g)} is not a reflection of the dihedral copy"
         )
-    generated = subgroup_generated(parent, [shape.rotation, x])
-    if generated.payload_set != universe.payload_set:
-        raise PreconditionError(
-            f"<G, x> has order {generated.order}, ambient has {universe.order}: "
-            "they must coincide"
-        )
-    normal = parent.normality_witness(G, (shape.rotation, x)) is None
+    gens = (shape.rotation, x)
+    universe = subgroup_generated(parent, gens)
+    normal = parent.normality_witness(G, gens) is None
     conj = parent.conjugate_subgroup(G, x)
     inter = G.payload_set & conj.payload_set
     pair = frozenset((parent._id(), g.payload))
     verdict = Lemma2Verdict(
+        universe=universe,
         normal=normal,
         intersection_order=len(inter),
         intersection_is_root_pair=inter == pair,
@@ -183,17 +184,16 @@ def lemma2_check(gtilde, G: Subgroup, x: Element) -> Lemma2Verdict:
     return verdict
 
 
-def lemma3_check(gtilde, G: Subgroup) -> bool:
+def lemma3_check(gtilde, shape: DihedralShape) -> bool:
     """For a normal dihedral copy with p = 3 mod 4, confirm by exhaustive
     scan that no reflection is a square in the ambient group."""
     universe = as_subgroup(gtilde)
     parent = universe.parent
-    shape = dihedral_shape(G)
     if shape.p % 4 != 3:
         raise PreconditionError(
             f"p = {shape.p} is not 3 mod 4; the no-square criterion does not apply"
         )
-    if parent.normality_witness(G, universe.elements) is not None:
+    if parent.normality_witness(shape.subgroup, universe.elements) is not None:
         raise PreconditionError("the dihedral copy must be normal in the ambient group")
     reflection_pays = {s.payload for s in shape.reflections}
     for y in universe.payloads:
@@ -213,9 +213,8 @@ class ConjugateGraph:
     by intersection size: 2 green, p yellow, 1 red."""
 
     ambient: Subgroup
-    base: Subgroup
+    shape: DihedralShape
     base_index: int
-    p: int
     vertices: tuple[Subgroup, ...]
     colors: dict[tuple[int, int], str]
     _index_of: dict[frozenset, int] = field(repr=False, default_factory=dict)
@@ -235,9 +234,6 @@ class ConjugateGraph:
         return sum(
             1 for j in range(len(self.vertices)) if j != i and self.color(i, j) == GREEN
         )
-
-    def vertex_index(self, sub: Subgroup) -> int:
-        return self._index_of[sub.payload_set]
 
     def vertex_perm(self, y: Element) -> perms.Perm:
         """The permutation of vertex indices induced by conjugation by y."""
@@ -269,11 +265,13 @@ class ConjugateGraph:
         return True
 
 
-def build_conjugate_graph(gtilde, G: Subgroup, conjugators=None) -> ConjugateGraph:
-    """The conjugate graph of G; `conjugators` is passed to `conjugates_in`."""
+def build_conjugate_graph(
+    gtilde, shape: DihedralShape, conjugators=None
+) -> ConjugateGraph:
+    """The conjugate graph of the dihedral copy; `conjugators` is passed to
+    `conjugates_in`."""
     universe = as_subgroup(gtilde)
-    parent = universe.parent
-    shape = dihedral_shape(G)
+    G = shape.subgroup
     if not G.payload_set <= universe.payload_set:
         raise PreconditionError("the dihedral copy must lie inside the ambient group")
     p = shape.p
@@ -296,9 +294,8 @@ def build_conjugate_graph(gtilde, G: Subgroup, conjugators=None) -> ConjugateGra
                 )
     return ConjugateGraph(
         ambient=universe,
-        base=G,
+        shape=shape,
         base_index=index_of[G.payload_set],
-        p=p,
         vertices=tuple(vertices),
         colors=colors,
         _index_of=index_of,
@@ -319,6 +316,7 @@ def lemma5_lemma6_checks(graph: ConjugateGraph) -> Lemma56Result:
     green degrees positive multiples of p; gated on the absence of red
     edges, exactly like the case split it supports."""
     n = len(graph.vertices)
+    p = graph.shape.p
     if any(c == RED for c in graph.colors.values()):
         return Lemma56Result(red_edges_present=True)
     checks = []
@@ -363,9 +361,9 @@ def lemma5_lemma6_checks(graph: ConjugateGraph) -> Lemma56Result:
     checks.append("green-degree-uniform")
     deg = degrees.pop()
     if deg > 0:
-        if deg % graph.p != 0:
+        if deg % p != 0:
             raise Falsification(
-                f"green degree {deg} is not a positive multiple of p = {graph.p}"
+                f"green degree {deg} is not a positive multiple of p = {p}"
             )
         checks.append("green-degree-multiple-of-p")
         if deg != (v - 1) * u:
@@ -373,9 +371,9 @@ def lemma5_lemma6_checks(graph: ConjugateGraph) -> Lemma56Result:
                 f"green degree {deg} != (v-1)*u = {(v - 1) * u}; graph is inconsistent"
             )
         checks.append("green-degree-matches-components")
-        if deg == graph.p and graph.p != (v - 1) * u:
-            raise Falsification(f"p = {graph.p} != (v-1)*u = {(v - 1) * u}")
-        if deg == graph.p:
+        if deg == p and p != (v - 1) * u:
+            raise Falsification(f"p = {p} != (v-1)*u = {(v - 1) * u}")
+        if deg == p:
             checks.append("p-equals-v1-times-u")
 
     return Lemma56Result(
@@ -414,14 +412,12 @@ def conjugation_parity(graph: ConjugateGraph, y: Element) -> ParityRecord:
     )
     n = len(graph.vertices)
     all_green = n >= 2 and all(c == GREEN for c in graph.colors.values())
-    base_reflections = {
-        s.payload for s in dihedral_shape(graph.base).reflections
-    }
+    p = graph.shape.p
     if (
         all_green
-        and n == graph.p + 1
-        and y.payload in base_reflections
-        and graph.p % 4 == 3
+        and n == p + 1
+        and y in graph.shape.reflections
+        and p % 4 == 3
     ):
         if record.fixed_points != 2 or record.parity != 1:
             raise Falsification(
@@ -495,17 +491,16 @@ def theorem1_trace(gtilde, G: Subgroup, x: Element) -> Theorem1Report:
     p = shape.p
     if p % 4 != 3:
         raise PreconditionError(f"p = {p} is not 3 mod 4; the bound does not apply")
-    g = x * x
-    if g not in set(shape.reflections):
-        raise PreconditionError("x^2 must be a reflection of the dihedral copy")
 
     universe0 = as_subgroup(gtilde)
     if not G.payload_set <= universe0.payload_set:
         raise PreconditionError("the dihedral copy must lie inside the ambient group")
     if x.payload not in universe0.payload_set:
         raise PreconditionError("x must lie inside the ambient group")
-    gens = (shape.rotation, x)  # x^2 is a reflection, so these generate <G, x>
-    universe = subgroup_generated(parent, gens)
+    verdict = lemma2_check(shape, x)
+    universe = verdict.universe
+    gens = (shape.rotation, x)  # lemma2_check closed <G, x> over these
+    g = x * x
     closure_note = None
     if universe.payload_set != universe0.payload_set:
         closure_note = (
@@ -523,18 +518,17 @@ def theorem1_trace(gtilde, G: Subgroup, x: Element) -> Theorem1Report:
         if not ok:
             raise Falsification(f"{name} failed" + (f": {witness}" if witness else ""))
 
-    verdict = lemma2_check(universe, G, x)
     check("lemma2-dichotomy", verdict.holds)
 
     if verdict.normal:
         # x itself squares to a reflection, so the exhaustive no-square scan
         # must trip; reaching this branch at all means broken input data.
-        lemma3_check(universe, G)
+        lemma3_check(universe, shape)
         raise Falsification(
             "G is normal yet the no-square scan passed despite x^2 being a reflection"
         )
 
-    graph = build_conjugate_graph(universe, G, gens)
+    graph = build_conjugate_graph(universe, shape, gens)
     K = len(graph.vertices)
     census = graph.census()
 

@@ -1,5 +1,6 @@
 import pytest
 
+from groupsmith import constructions
 from groupsmith.constructions import (
     lemma7_subgroup,
     lemma8_construct,
@@ -300,6 +301,25 @@ def test_prop1_lemma7_cases(s3, z6, d7):
 
     res = prop1_embedding(d7, d7.parse("s"))
     assert res.strategy == "lemma7" and res.overgroup_order == 196
+
+
+def test_prop1_computes_the_commutator_part_once(monkeypatch, s3, d7):
+    real = constructions.mutual_commutator
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(constructions, "mutual_commutator", counted)
+    for G, g in ((s3, s3.parse("(1 2)")), (d7, d7.parse("s"))):
+        calls.clear()
+        res = prop1_embedding(G, g)
+        assert res.strategy == "lemma7"
+        assert len(calls) == 1
+        alone = lemma7_subgroup(G, g)
+        assert res.lemma7.subgroup.payload_set == alone.subgroup.payload_set
+        assert res.lemma7.commutator_part == alone.commutator_part
 
 
 def test_prop1_root_verified(s3):

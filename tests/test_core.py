@@ -10,12 +10,10 @@ from groupsmith.core import (
     PermGroup,
     Subgroup,
     TableGroup,
-    internal_odd_sqrt,
     mutual_commutator,
     normal_closure,
     normalizer_in,
     odd_abelian_normal_candidates,
-    roots_in_group,
     subgroup_generated,
     table_from_generators,
     verify_group_axioms,
@@ -311,12 +309,6 @@ def test_conjugacy_classes(s3, d7):
     assert sum(sizes7) == 14
 
 
-def test_intersection(s3):
-    h1 = subgroup_generated(s3, [s3.parse("(1 2)")])
-    h2 = subgroup_generated(s3, [s3.parse("(1 3)")])
-    assert s3.intersection(h1, h2).order == 1
-
-
 def test_conjugate_subgroup_and_normalizer(s3):
     h = subgroup_generated(s3, [s3.parse("(1 2)")])
     x = s3.parse("(1 2 3)")
@@ -362,55 +354,6 @@ def test_latin_square_property(s3, d7):
         for a in elems:
             assert {(a * x).payload for x in elems} == full
             assert {(x * a).payload for x in elems} == full
-
-
-# -- roots ---------------------------------------------------------------------
-
-
-def test_roots_examples(d7, z6):
-    z7 = named_group("Z7")
-    assert roots_in_group(d7, d7.parse("s"), 2) == ()
-    roots = roots_in_group(z7, z7.parse("1"), 2)
-    assert [z7.render(e) for e in roots] == ["4"]
-    assert z6.identity in roots_in_group(z6, z6.identity, 2)
-    with pytest.raises(PreconditionError):
-        roots_in_group(z6, z6.identity, 1)
-
-
-def test_roots_against_power_loop(s3, z6, d5):
-    for G in (s3, z6, d5):
-        for g in G.elements():
-            for n in (2, 3):
-                expected = []
-                for x in G.elements():
-                    acc = G.identity
-                    for _ in range(n):
-                        acc = acc * x
-                    if acc == g:
-                        expected.append(x)
-                assert list(roots_in_group(G, g, n)) == expected
-
-
-def test_internal_odd_sqrt():
-    z5 = named_group("Z5")
-    g = z5.parse("3")
-    root = internal_odd_sqrt(z5, g)
-    assert z5.render(root) == "4"
-    assert root * root == g
-
-    d7 = named_group("D7")
-    assert internal_odd_sqrt(d7, d7.identity) == d7.identity
-    with pytest.raises(PreconditionError):
-        internal_odd_sqrt(d7, d7.parse("s"))
-
-
-def test_internal_odd_sqrt_everywhere_odd(d7):
-    z9 = named_group("Z9")
-    for G in (z9, d7):
-        for g in G.elements():
-            if g.order() % 2 == 1:
-                root = internal_odd_sqrt(G, g)
-                assert root * root == g
 
 
 # -- odd abelian normal subgroups ----------------------------------------------

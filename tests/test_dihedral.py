@@ -90,7 +90,8 @@ def test_dihedral_shape_of_diagonal_copy(d7):
 
 def test_lemma2_on_lemma7_overgroup():
     G, W, H, diag, root = lemma7_setup(7)
-    verdict = lemma2_check(H, diag, root)
+    verdict = lemma2_check(dihedral_shape(diag), root)
+    assert verdict.universe == H
     assert verdict.holds
     assert verdict.normal is False
     assert verdict.intersection_order == 2
@@ -99,7 +100,7 @@ def test_lemma2_on_lemma7_overgroup():
 
 def test_lemma2_over_d3():
     G, W, H, diag, root = lemma7_setup(3)
-    verdict = lemma2_check(H, diag, root)
+    verdict = lemma2_check(dihedral_shape(diag), root)
     assert verdict.holds and not verdict.normal
 
 
@@ -107,9 +108,7 @@ def test_lemma2_preconditions():
     G, W, H, diag, root = lemma7_setup(3)
     r = G.parse("r^1")
     with pytest.raises(PreconditionError):
-        lemma2_check(H, diag, W.diag_embed(r))  # square is a rotation
-    with pytest.raises(PreconditionError):
-        lemma2_check(W, diag, root)  # <G, x> is smaller than the whole wreath
+        lemma2_check(dihedral_shape(diag), W.diag_embed(r))  # square is a rotation
 
 
 # -- lemma 3 ------------------------------------------------------------------------
@@ -119,29 +118,29 @@ def test_lemma3_in_product(d7):
     P = named_group("D7xZ2")
     emb = subgroup_generated(P, [P.parse("(r^1|0)"), P.parse("(s*r^0|0)")])
     assert emb.order == 14
-    assert lemma3_check(P, emb) is True
+    assert lemma3_check(P, dihedral_shape(emb)) is True
 
 
 def test_lemma3_self(d7):
-    assert lemma3_check(d7, d7.whole()) is True
+    assert lemma3_check(d7, dihedral_shape(d7.whole())) is True
 
 
 def test_lemma3_refuses_one_mod_four(d5):
     with pytest.raises(PreconditionError):
-        lemma3_check(d5, d5.whole())
+        lemma3_check(d5, dihedral_shape(d5.whole()))
 
 
 def test_lemma3_requires_normal():
     G, W, H, diag, root = lemma7_setup(3)
     with pytest.raises(PreconditionError):
-        lemma3_check(H, diag)  # diag copy is not normal there
+        lemma3_check(H, dihedral_shape(diag))  # diag copy is not normal there
 
 
 # -- the conjugate graph --------------------------------------------------------------
 
 
 def test_graph_single_vertex(d7):
-    graph = build_conjugate_graph(d7, d7.whole())
+    graph = build_conjugate_graph(d7, dihedral_shape(d7.whole()))
     assert len(graph.vertices) == 1
     assert graph.colors == {}
     res = lemma5_lemma6_checks(graph)
@@ -151,13 +150,13 @@ def test_graph_single_vertex(d7):
 def test_graph_normal_in_product():
     P = named_group("D7xZ2")
     emb = subgroup_generated(P, [P.parse("(r^1|0)"), P.parse("(s*r^0|0)")])
-    graph = build_conjugate_graph(P, emb)
+    graph = build_conjugate_graph(P, dihedral_shape(emb))
     assert len(graph.vertices) == 1
 
 
 def test_graph_on_lemma7_overgroup():
     G, W, H, diag, root = lemma7_setup(7)
-    graph = build_conjugate_graph(H, diag)
+    graph = build_conjugate_graph(H, dihedral_shape(diag))
     K = len(graph.vertices)
     norm = normalizer_in(H, diag)
     assert K == H.order // norm.order
@@ -173,7 +172,7 @@ def test_graph_on_lemma7_overgroup():
 
 def test_graph_transitive_orbit():
     G, W, H, diag, root = lemma7_setup(3)
-    graph = build_conjugate_graph(H, diag)
+    graph = build_conjugate_graph(H, dihedral_shape(diag))
     # conjugation reaches every vertex from the base copy
     reached = {graph.vertex_perm(y)[graph.base_index] for y in H.elements}
     assert reached == set(range(len(graph.vertices)))
@@ -182,7 +181,7 @@ def test_graph_transitive_orbit():
 def test_lemma56_on_lemma7_overgroup():
     for p in (3, 7):
         G, W, H, diag, root = lemma7_setup(p)
-        graph = build_conjugate_graph(H, diag)
+        graph = build_conjugate_graph(H, dihedral_shape(diag))
         res = lemma5_lemma6_checks(graph)
         assert not res.red_edges_present
         assert res.green_degree == p
@@ -192,7 +191,7 @@ def test_lemma56_on_lemma7_overgroup():
 
 def test_lemma56_detects_recolored_graph():
     G, W, H, diag, root = lemma7_setup(3)
-    graph = build_conjugate_graph(H, diag)
+    graph = build_conjugate_graph(H, dihedral_shape(diag))
     yellow_edge = next(k for k, c in graph.colors.items() if c == YELLOW)
     broken = dict(graph.colors)
     broken[yellow_edge] = GREEN
@@ -203,7 +202,7 @@ def test_lemma56_detects_recolored_graph():
 
 def test_lemma56_red_edge_tag():
     G, W, H, diag, root = lemma7_setup(3)
-    graph = build_conjugate_graph(H, diag)
+    graph = build_conjugate_graph(H, dihedral_shape(diag))
     edge = next(iter(graph.colors))
     broken = dict(graph.colors)
     broken[edge] = RED
@@ -218,7 +217,7 @@ def test_lemma56_red_edge_tag():
 
 def test_parity_identity_fixes_everything():
     G, W, H, diag, root = lemma7_setup(3)
-    graph = build_conjugate_graph(H, diag)
+    graph = build_conjugate_graph(H, dihedral_shape(diag))
     rec = conjugation_parity(graph, W.identity)
     assert rec.parity == 0
     assert rec.fixed_points == len(graph.vertices)
@@ -227,7 +226,7 @@ def test_parity_identity_fixes_everything():
 
 def test_parity_outside_ambient_rejected(d7):
     G, W, H, diag, root = lemma7_setup(3)
-    graph = build_conjugate_graph(H, diag)
+    graph = build_conjugate_graph(H, dihedral_shape(diag))
     stray = W.element(((G.parse("s").payload, G.identity.payload), 0))
     assert stray.payload not in H.payload_set
     with pytest.raises(PreconditionError):
@@ -236,7 +235,7 @@ def test_parity_outside_ambient_rejected(d7):
 
 def test_parity_matches_inversion_oracle_on_vertex_perms():
     G, W, H, diag, root = lemma7_setup(7)
-    graph = build_conjugate_graph(H, diag)
+    graph = build_conjugate_graph(H, dihedral_shape(diag))
     rng = random.Random(2)
     members = list(H.elements)
     for _ in range(25):
@@ -246,11 +245,12 @@ def test_parity_matches_inversion_oracle_on_vertex_perms():
 
 
 def assert_generator_checks_match_scans(universe, H, x):
-    gens = (dihedral_shape(H).rotation, x)
-    graph = build_conjugate_graph(universe, H, gens)
+    shape = dihedral_shape(H)
+    gens = (shape.rotation, x)
+    graph = build_conjugate_graph(universe, shape, gens)
     scanned = sorted(conjugates_by_scan(universe, H), key=lambda s: s.key())
     assert list(graph.vertices) == scanned
-    assert graph.colors == build_conjugate_graph(universe, H).colors
+    assert graph.colors == build_conjugate_graph(universe, shape).colors
     assert graph.colors_preserved_by(gens) is colors_preserved_by_scan(graph) is True
 
 
@@ -263,7 +263,7 @@ def test_generator_checks_match_scan_oracles():
 def test_vertex_perm_is_a_homomorphism():
     # conjugation acts on the right: v^(ab) = (v^a)^b
     G, W, H, diag, root = lemma7_setup(7)
-    graph = build_conjugate_graph(H, diag)
+    graph = build_conjugate_graph(H, dihedral_shape(diag))
     rng = random.Random(5)
     members = list(H.elements)
     for _ in range(40):
@@ -276,7 +276,7 @@ def test_vertex_perm_is_a_homomorphism():
 
 def test_vertex_perm_is_color_automorphism():
     G, W, H, diag, root = lemma7_setup(3)
-    graph = build_conjugate_graph(H, diag)
+    graph = build_conjugate_graph(H, dihedral_shape(diag))
     n = len(graph.vertices)
     for y in H.elements:
         pi = graph.vertex_perm(y)
@@ -337,6 +337,21 @@ def test_trace_catches_recolored_edge(monkeypatch, p):
     with pytest.raises(Falsification, match="conjugation-preserves-colors"):
         theorem1_trace(H, diag, root)
     assert colors_preserved_by_scan(built[0]) is False
+
+
+@pytest.mark.parametrize("p", [3, 7])
+def test_trace_verifies_the_copy_and_closes_the_universe_once(monkeypatch, p):
+    G, W, H, diag, root = lemma7_setup(p)
+    calls = {"dihedral_shape": 0, "subgroup_generated": 0}
+    for name in calls:
+
+        def counted(*args, _real=getattr(dihedral, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(dihedral, name, counted)
+    theorem1_trace(H, diag, root)
+    assert calls == {"dihedral_shape": 1, "subgroup_generated": 1}
 
 
 def test_trace_restricts_to_generated_subgroup():
