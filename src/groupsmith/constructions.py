@@ -27,6 +27,7 @@ from .core import (
     TableGroup,
     IntegerNamer,
     TABLE_ORDER_LIMIT,
+    _split_top,
     direct_product,
     mutual_commutator,
     normal_closure,
@@ -156,24 +157,6 @@ def named_group(spec: str) -> Group:
 # -- wreath products ---------------------------------------------------------
 
 
-def _split_top(s: str, sep: str) -> list[str]:
-    parts = []
-    depth = 0
-    current = []
-    for ch in s:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
-    return parts
-
-
 class WreathGroup(Group):
     """Wreath product of a base group with the cyclic shift of n coordinates.
 
@@ -281,9 +264,6 @@ class WreathGroup(Group):
         """The diagonal copy of a base element: constant tuple, zero shift."""
         self.base._check(g)
         return Element(self, ((g.payload,) * self.arity, 0))
-
-    def shift_element(self) -> Element:
-        return Element(self, ((self._base_id,) * self.arity, 1))
 
 
 def wreath_cyclic(G: Group, n: int, *, order_cap: int | None = None) -> WreathGroup:

@@ -10,6 +10,11 @@ render/parse) over three element representations:
 
 Subgroups are explicit sorted element sets; at desk scale set semantics
 beat generator-only laziness and keep fixtures stable.
+
+Conjugation has one path: `Group._conjugate_set` maps a payload set
+through one conjugator, and every orbit (the class of an element, the
+conjugates of a subgroup) is the breadth-first walk of `closure_payloads`
+under a generating set.
 """
 
 from __future__ import annotations
@@ -234,13 +239,6 @@ class Group:
         yp = y.payload
         return Element(self, self._mul(self._mul(self._inv(yp), a.payload), yp))
 
-    def commutator(self, a: Element, b: Element) -> Element:
-        self._check(a)
-        self._check(b)
-        pa, pb = a.payload, b.payload
-        left = self._mul(self._inv(pa), self._inv(pb))
-        return Element(self, self._mul(self._mul(left, pa), pb))
-
     def render(self, a: Element) -> str:
         self._check(a)
         return self._render(a.payload)
@@ -274,24 +272,31 @@ class Group:
             self._center = Subgroup(self, members, _trusted=True)
         return self._center
 
+    def _class_payloads(self, p) -> list:
+        """The conjugacy class of payload p, walked breadth first under the
+        generating set; the inverse of a generator is one of its powers,
+        so the walk reaches the whole class."""
+        mul = self._mul
+        pairs = [(self._inv(y), y) for y in self._generating_payloads()]
+        orbit, _ = closure_payloads(
+            p, pairs, lambda q, pair: mul(mul(pair[0], q), pair[1]), key=self._key
+        )
+        return orbit
+
+    def _conjugate_set(self, payloads, y) -> frozenset:
+        """{y^-1 h y : h in payloads}, for a payload y."""
+        mul, yinv = self._mul, self._inv(y)
+        return frozenset(mul(mul(yinv, h), y) for h in payloads)
+
     def conjugacy_classes(self) -> list[tuple[Element, ...]]:
-        gen_pairs = [(g, self._inv(g)) for g in self._generating_payloads()]
+        """The classes in order of their least member, each sorted."""
         seen: set = set()
         classes = []
         for p in self._iter_payloads():
-            if p in seen:
-                continue
-            orbit = {p}
-            frontier = [p]
-            while frontier:
-                q = frontier.pop()
-                for g, ginv in gen_pairs:
-                    c = self._mul(self._mul(ginv, q), g)
-                    if c not in orbit:
-                        orbit.add(c)
-                        frontier.append(c)
-            seen |= orbit
-            classes.append(tuple(sorted((Element(self, q) for q in orbit), key=lambda e: e.key)))
+            if p not in seen:
+                orbit = self._class_payloads(p)
+                seen.update(orbit)
+                classes.append(tuple(Element(self, q) for q in sorted(orbit, key=self._key)))
         return classes
 
     def normality_witness(self, H: "Subgroup", conjugators=None):
@@ -323,10 +328,7 @@ class Group:
         if H.parent is not self:
             raise PreconditionError("subgroup belongs to a different group")
         self._check(x)
-        xp, xinv = x.payload, self._inv(x.payload)
-        members = [
-            Element(self, self._mul(self._mul(xinv, h), xp)) for h in H.payloads
-        ]
+        members = [Element(self, q) for q in self._conjugate_set(H.payloads, x.payload)]
         return Subgroup(self, members, _trusted=True)
 
     def quotient(self, N: "Subgroup") -> tuple["TableGroup", Callable[[Element], Element]]:
@@ -704,32 +706,35 @@ class PermGroup(Group):
 
 
 def closure_payloads(
-    identity_payload,
-    generator_payloads: Sequence,
-    mul: Callable,
+    start,
+    generators: Sequence,
+    act: Callable,
     *,
     abort_at: int | None = None,
     key: Callable | None = None,
 ) -> tuple[list, bool]:
-    """Breadth-first product closure from the identity.
+    """Breadth-first orbit of `start` under `act(point, generator)`.
 
-    Returns (ordered list, completed). Discovery is level by level with new
-    elements of each level sorted (by `key`, default natural order), which
-    pins a deterministic numbering. When `abort_at` is given the walk stops
-    as soon as the partial set reaches that size, returning completed=False.
+    With the identity as start and the multiplication as action this is
+    the product closure; with an element or a subgroup and a conjugation
+    action it is a conjugacy class. Returns (ordered list, completed).
+    Discovery is level by level with new points of each level sorted (by
+    `key`, default natural order), which pins a deterministic numbering.
+    When `abort_at` is given the walk stops as soon as the partial set
+    reaches that size, returning completed=False.
     """
     sort_key = key if key is not None else (lambda p: p)
-    seen = {identity_payload}
-    ordered = [identity_payload]
-    frontier = [identity_payload]
-    gens = list(generator_payloads)
+    seen = {start}
+    ordered = [start]
+    frontier = [start]
+    gens = list(generators)
     if abort_at is not None and len(seen) >= abort_at:
         return ordered, False
     while frontier:
         level = set()
         for p in frontier:
             for g in gens:
-                q = mul(p, g)
+                q = act(p, g)
                 if q not in seen and q not in level:
                     level.add(q)
         if not level:
@@ -802,31 +807,56 @@ def subgroup_generated(G: Group, S: Iterable[Element], cap: int | None = None):
 
 
 def normal_closure(G: Group, g: Element) -> Subgroup:
-    """Least normal subgroup of G containing g."""
+    """Least normal subgroup of G containing g: the closure of its class."""
     G._check(g)
-    conjugates = set()
-    gp = g.payload
-    for y in G._iter_payloads():
-        conjugates.add(G._mul(G._mul(G._inv(y), gp), y))
-    result = subgroup_generated(G, [Element(G, p) for p in conjugates])
+    result = subgroup_generated(G, [Element(G, p) for p in G._class_payloads(g.payload)])
     assert isinstance(result, Subgroup)
     return result
 
 
 def normalizer_in(universe: Subgroup, H: Subgroup) -> Subgroup:
     """Elements of `universe` that conjugate H onto itself, by exhaustive
-    scan, so that it can cross-check orbits built from generators."""
+    scan, so that it can cross-check orbits built from generators. Each
+    element is tried on the members of H outside the span of the members
+    before them in canonical order; they generate H."""
     parent = universe.parent
     if H.parent is not parent:
         raise PreconditionError("subgroups live in different parent groups")
-    members = []
-    for y in universe.payloads:
-        yinv = parent._inv(y)
-        if all(
-            parent._mul(parent._mul(yinv, h), y) in H.payload_set for h in H.payloads
-        ):
-            members.append(Element(parent, y))
+    idp = parent._id()
+    gens, span = [], {idp}
+    for h in H.payloads:
+        if h not in span:
+            gens.append(h)
+            span = set(closure_payloads(idp, gens, parent._mul, key=parent._key)[0])
+    members = [
+        Element(parent, y)
+        for y in universe.payloads
+        if parent._conjugate_set(gens, y) <= H.payload_set
+    ]
     return Subgroup(parent, members, _trusted=True)
+
+
+def conjugates_in(universe: Subgroup, H: Subgroup, conjugators=None) -> list[Subgroup]:
+    """The orbit of H under conjugation, breadth first from H.
+
+    `conjugators` must generate the universe (default: all its elements);
+    the orbit under a generating set is the full conjugacy class, since
+    the inverse of each conjugator is one of its positive powers.
+    """
+    parent = universe.parent
+    if H.parent is not parent:
+        raise PreconditionError("subgroups live in different parent groups")
+    ys = universe.elements if conjugators is None else conjugators
+    orbit, _ = closure_payloads(
+        H.payload_set,
+        [y.payload for y in ys],
+        parent._conjugate_set,
+        key=sorted,
+    )
+    return [
+        Subgroup(parent, [Element(parent, q) for q in pays], _trusted=True)
+        for pays in orbit
+    ]
 
 
 def mutual_commutator(G: Group, A: Subgroup, B: Subgroup) -> Subgroup:
@@ -848,13 +878,12 @@ def mutual_commutator(G: Group, A: Subgroup, B: Subgroup) -> Subgroup:
 
 def odd_abelian_normal_candidates(G: Group) -> list[Subgroup]:
     """Nontrivial abelian normal subgroups of odd order, found as normal
-    closures of odd-order elements: the central ones first, then the rest,
-    each part sorted by (size, canonical set)."""
+    closures of odd-order elements, one per conjugacy class: the central
+    ones first, then the rest, each part sorted by (size, canonical set)."""
     found: dict = {}
-    for g in G.elements():
-        if g.payload == G._id():
-            continue
-        if G.element_order(g) % 2 == 0:
+    for cls in G.conjugacy_classes():
+        g = cls[0]  # conjugates share their order and their normal closure
+        if g.payload == G._id() or G.element_order(g) % 2 == 0:
             continue
         N = normal_closure(G, g)
         if N.order > 1 and N.order % 2 == 1 and N.is_abelian():
@@ -958,6 +987,25 @@ def verify_group_axioms(
     )
 
 
+def _split_top(s: str, sep: str) -> list[str]:
+    """Split at every `sep` outside (...) and [...] brackets."""
+    parts = []
+    depth = 0
+    current = []
+    for ch in s:
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            depth -= 1
+        if ch == sep and depth == 0:
+            parts.append("".join(current))
+            current = []
+        else:
+            current.append(ch)
+    parts.append("".join(current))
+    return parts
+
+
 def direct_product(A: Group, B: Group, *, name: str | None = None, cap: int | None = None) -> TableGroup:
     """Direct product as a dense-table group with "(a|b)" element names."""
     limit = cap if cap is not None else default_cap()
@@ -989,7 +1037,6 @@ def direct_product(A: Group, B: Group, *, name: str | None = None, cap: int | No
     class _PairNamer:
         def __init__(self):
             self.names = names
-            self._lookup = {nm: i for i, nm in enumerate(names)}
 
         def render(self, i: int) -> str:
             return self.names[i]
@@ -998,22 +1045,10 @@ def direct_product(A: Group, B: Group, *, name: str | None = None, cap: int | No
             text = s.strip()
             if not (text.startswith("(") and text.endswith(")")):
                 raise ParseError(s, "product elements look like (a|b)")
-            body = text[1:-1]
-            depth = 0
-            split_at = -1
-            for i, ch in enumerate(body):
-                if ch in "([":
-                    depth += 1
-                elif ch in ")]":
-                    depth -= 1
-                elif ch == "|" and depth == 0:
-                    split_at = i
-                    break
-            if split_at < 0:
+            head, *tail = _split_top(text[1:-1], "|")
+            if not tail:
                 raise ParseError(s, "missing top-level '|'")
-            pa = A._parse(body[:split_at])
-            pb = B._parse(body[split_at + 1 :])
-            return index[(pa, pb)]
+            return index[(A._parse(head), B._parse("|".join(tail)))]
 
     return TableGroup(
         table,

@@ -5,7 +5,9 @@ red coloring, the individual lemma checks, and a full proof-replay trace.
 Everything here recomputes its numbers from the groups it is handed. The
 one input taken as given is a `DihedralShape`, which `dihedral_shape`
 builds only after verifying the copy; the lemma checks take it in place of
-a raw subgroup, so the copy is verified once per replay.
+a raw subgroup, so the copy is verified once per replay. Ambient groups are
+passed as subgroups (`G.whole()` for a whole group), and every conjugation
+goes through `core`: the conjugates are `core.conjugates_in`'s orbit.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from . import perms
-from .core import Element, Group, Subgroup, normalizer_in, subgroup_generated
+from .core import Element, Subgroup, conjugates_in, normalizer_in, subgroup_generated
 from .errors import Falsification, PreconditionError
 
 GREEN, YELLOW, RED = "green", "yellow", "red"
@@ -99,42 +101,6 @@ def dihedral_shape(G: Subgroup) -> DihedralShape:
     return DihedralShape(subgroup=G, p=p, rotations=rotations, reflections=tuple(refl))
 
 
-def as_subgroup(universe) -> Subgroup:
-    if isinstance(universe, Subgroup):
-        return universe
-    if isinstance(universe, Group):
-        return universe.whole()
-    raise PreconditionError(f"expected a Group or Subgroup, got {type(universe)!r}")
-
-
-def conjugates_in(universe: Subgroup, H: Subgroup, conjugators=None) -> list[Subgroup]:
-    """The orbit of H under conjugation, breadth first from H.
-
-    `conjugators` must generate the universe (default: all its elements);
-    the orbit under a generating set is the full conjugacy class, since
-    the inverse of each conjugator is one of its positive powers. All of
-    the universe reaches every conjugate from H in one step.
-    """
-    parent = universe.parent
-    ys = universe.payloads if conjugators is None else [y.payload for y in conjugators]
-    pairs = [(parent._inv(y), y) for y in ys]
-    seen: dict[frozenset, Subgroup] = {H.payload_set: H}
-    frontier = [H]
-    while frontier:
-        level = []
-        for K in frontier:
-            for yinv, y in pairs:
-                pays = frozenset(
-                    parent._mul(parent._mul(yinv, h), y) for h in K.payloads
-                )
-                if pays not in seen:
-                    sub = Subgroup(parent, [Element(parent, q) for q in pays], _trusted=True)
-                    seen[pays] = sub
-                    level.append(sub)
-        frontier = level if conjugators is not None else []
-    return list(seen.values())
-
-
 # -- individual lemma checks ---------------------------------------------------
 
 
@@ -168,8 +134,7 @@ def lemma2_check(shape: DihedralShape, x: Element) -> Lemma2Verdict:
     gens = (shape.rotation, x)
     universe = subgroup_generated(parent, gens)
     normal = parent.normality_witness(G, gens) is None
-    conj = parent.conjugate_subgroup(G, x)
-    inter = G.payload_set & conj.payload_set
+    inter = G.payload_set & parent._conjugate_set(G.payloads, x.payload)
     pair = frozenset((parent._id(), g.payload))
     verdict = Lemma2Verdict(
         universe=universe,
@@ -184,10 +149,9 @@ def lemma2_check(shape: DihedralShape, x: Element) -> Lemma2Verdict:
     return verdict
 
 
-def lemma3_check(gtilde, shape: DihedralShape) -> bool:
+def lemma3_check(universe: Subgroup, shape: DihedralShape) -> bool:
     """For a normal dihedral copy with p = 3 mod 4, confirm by exhaustive
     scan that no reflection is a square in the ambient group."""
-    universe = as_subgroup(gtilde)
     parent = universe.parent
     if shape.p % 4 != 3:
         raise PreconditionError(
@@ -205,6 +169,17 @@ def lemma3_check(gtilde, shape: DihedralShape) -> bool:
 
 
 # -- the conjugate graph -------------------------------------------------------
+
+
+def _intersection_colors(vertices, p: int) -> dict[tuple[int, int], str | None]:
+    """Each pair i < j of vertices colored by the size of its intersection:
+    2 green, p yellow, 1 red, None for any other size."""
+    by_size = {2: GREEN, p: YELLOW, 1: RED}
+    return {
+        (i, j): by_size.get(len(vertices[i].payload_set & vertices[j].payload_set))
+        for i in range(len(vertices))
+        for j in range(i + 1, len(vertices))
+    }
 
 
 @dataclass
@@ -230,6 +205,11 @@ class ConjugateGraph:
             out[c] += 1
         return out
 
+    def colors_match_intersections(self) -> bool:
+        """Whether `colors` holds exactly the pairs i < j of vertices, each
+        colored by the size of the pair's intersection."""
+        return self.colors == _intersection_colors(self.vertices, self.shape.p)
+
     def green_degree(self, i: int) -> int:
         return sum(
             1 for j in range(len(self.vertices)) if j != i and self.color(i, j) == GREEN
@@ -241,14 +221,10 @@ class ConjugateGraph:
         parent._check(y)
         if y.payload not in self.ambient.payload_set:
             raise PreconditionError("conjugator lies outside the ambient group")
-        yinv = parent._inv(y.payload)
-        images = []
-        for v in self.vertices:
-            pays = frozenset(
-                parent._mul(parent._mul(yinv, h), y.payload) for h in v.payloads
-            )
-            images.append(self._index_of[pays])
-        return tuple(images)
+        return tuple(
+            self._index_of[parent._conjugate_set(v.payloads, y.payload)]
+            for v in self.vertices
+        )
 
     def colors_preserved_by(self, conjugators) -> bool:
         """Whether conjugation by each given element maps every edge to an
@@ -266,32 +242,24 @@ class ConjugateGraph:
 
 
 def build_conjugate_graph(
-    gtilde, shape: DihedralShape, conjugators=None
+    universe: Subgroup, shape: DihedralShape, conjugators=None
 ) -> ConjugateGraph:
     """The conjugate graph of the dihedral copy; `conjugators` is passed to
     `conjugates_in`."""
-    universe = as_subgroup(gtilde)
     G = shape.subgroup
     if not G.payload_set <= universe.payload_set:
         raise PreconditionError("the dihedral copy must lie inside the ambient group")
     p = shape.p
     vertices = sorted(conjugates_in(universe, G, conjugators), key=lambda s: s.key())
     index_of = {v.payload_set: i for i, v in enumerate(vertices)}
-    colors: dict[tuple[int, int], str] = {}
-    for i in range(len(vertices)):
-        for j in range(i + 1, len(vertices)):
+    colors = _intersection_colors(vertices, p)
+    for (i, j), color in colors.items():
+        if color is None:
             size = len(vertices[i].payload_set & vertices[j].payload_set)
-            if size == 2:
-                colors[(i, j)] = GREEN
-            elif size == p:
-                colors[(i, j)] = YELLOW
-            elif size == 1:
-                colors[(i, j)] = RED
-            else:
-                raise Falsification(
-                    f"unexpected intersection size {size} between conjugates "
-                    f"{i} and {j}; only 1, 2, {p} can occur off-diagonal"
-                )
+            raise Falsification(
+                f"unexpected intersection size {size} between conjugates "
+                f"{i} and {j}; only 1, 2, {p} can occur off-diagonal"
+            )
     return ConjugateGraph(
         ambient=universe,
         shape=shape,
@@ -478,7 +446,7 @@ class Theorem1Report:
         }
 
 
-def theorem1_trace(gtilde, G: Subgroup, x: Element) -> Theorem1Report:
+def theorem1_trace(ambient: Subgroup, G: Subgroup, x: Element) -> Theorem1Report:
     """Replay the whole lower-bound argument on a concrete ambient group.
 
     Every step is recomputed and asserted; a falsified step raises, since
@@ -492,19 +460,18 @@ def theorem1_trace(gtilde, G: Subgroup, x: Element) -> Theorem1Report:
     if p % 4 != 3:
         raise PreconditionError(f"p = {p} is not 3 mod 4; the bound does not apply")
 
-    universe0 = as_subgroup(gtilde)
-    if not G.payload_set <= universe0.payload_set:
+    if not G.payload_set <= ambient.payload_set:
         raise PreconditionError("the dihedral copy must lie inside the ambient group")
-    if x.payload not in universe0.payload_set:
+    if x.payload not in ambient.payload_set:
         raise PreconditionError("x must lie inside the ambient group")
     verdict = lemma2_check(shape, x)
     universe = verdict.universe
     gens = (shape.rotation, x)  # lemma2_check closed <G, x> over these
     g = x * x
     closure_note = None
-    if universe.payload_set != universe0.payload_set:
+    if universe.payload_set != ambient.payload_set:
         closure_note = (
-            f"ambient order {universe0.order}; trace runs on <G,x> "
+            f"ambient order {ambient.order}; trace runs on <G,x> "
             f"of order {universe.order}"
         )
 
@@ -532,13 +499,7 @@ def theorem1_trace(gtilde, G: Subgroup, x: Element) -> Theorem1Report:
     K = len(graph.vertices)
     census = graph.census()
 
-    symmetric = all(
-        graph.color(i, j) == graph.color(j, i)
-        for i in range(K)
-        for j in range(K)
-        if i != j
-    )
-    check("color-census-symmetric", symmetric)
+    check("color-census-symmetric", graph.colors_match_intersections())
 
     norm = normalizer_in(universe, G)
     check(

@@ -48,23 +48,40 @@ def brute_commutator_closure(G: Group, a_payloads, b_payloads) -> frozenset:
 
 
 def all_subgroups(G: Group) -> list[Subgroup]:
-    """Every subgroup, by extending known subgroups one element at a time."""
+    """Every subgroup, by extending known subgroups one cyclic subgroup at
+    a time; each extension closes the generators that built the subgroup
+    plus a generator of the cyclic one."""
+    cyclic = {}
+    for e in G.elements():
+        cyclic.setdefault(subgroup_generated(G, [e]).payload_set, e)
     trivial = subgroup_generated(G, [])
     found = {trivial.payload_set: trivial}
-    frontier = [trivial]
-    elems = list(G.elements())
+    frontier = [(trivial, [])]
     while frontier:
         nxt = []
-        for H in frontier:
-            for e in elems:
-                if e.payload in H.payload_set:
+        for H, gens in frontier:
+            for pays, e in cyclic.items():
+                if pays <= H.payload_set:
                     continue
-                bigger = subgroup_generated(G, list(H.elements) + [e])
+                bigger = subgroup_generated(G, gens + [e])
                 if bigger.payload_set not in found:
                     found[bigger.payload_set] = bigger
-                    nxt.append(bigger)
+                    nxt.append((bigger, gens + [e]))
         frontier = nxt
     return sorted(found.values(), key=lambda s: s.key())
+
+
+def conjugacy_classes_by_scan(G: Group) -> list[frozenset]:
+    """The conjugacy classes in order of their least member, each found by
+    conjugating that member with every element of G."""
+    classes: list[frozenset] = []
+    seen: set = set()
+    for p in G._iter_payloads():
+        if p not in seen:
+            cls = frozenset(G._mul(G._mul(G._inv(y), p), y) for y in G._iter_payloads())
+            seen |= cls
+            classes.append(cls)
+    return classes
 
 
 def conjugates_by_scan(universe: Subgroup, H: Subgroup) -> list[Subgroup]:

@@ -10,6 +10,7 @@ from groupsmith.core import (
     PermGroup,
     Subgroup,
     TableGroup,
+    conjugates_in,
     mutual_commutator,
     normal_closure,
     normalizer_in,
@@ -25,6 +26,8 @@ from helpers import (
     all_subgroups,
     brute_commutator_closure,
     brute_normal_closure,
+    conjugacy_classes_by_scan,
+    conjugates_by_scan,
 )
 
 
@@ -238,6 +241,9 @@ def test_normal_closure_against_oracle(s3):
     assert normal_closure(s3, c).payload_set == brute_normal_closure(s3, c)
     assert normal_closure(s3, c).order == 3
     assert normal_closure(s3, s3.identity).order == 1
+    for G in conjugation_inputs():
+        for g in G.elements():
+            assert normal_closure(G, g).payload_set == brute_normal_closure(G, g)
 
 
 def test_normal_closure_is_normal(s3, d5, d7, a4):
@@ -307,6 +313,10 @@ def test_conjugacy_classes(s3, d7):
     sizes7 = sorted(len(c) for c in d7.conjugacy_classes())
     assert sizes7 == [1, 2, 2, 2, 7]
     assert sum(sizes7) == 14
+    for G in conjugation_inputs():
+        classes = G.conjugacy_classes()
+        assert [frozenset(e.payload for e in c) for c in classes] == conjugacy_classes_by_scan(G)
+        assert all(list(c) == sorted(c) for c in classes)
 
 
 def test_conjugate_subgroup_and_normalizer(s3):
@@ -322,13 +332,28 @@ def test_conjugate_subgroup_and_normalizer(s3):
 AMBIENT_SPECS = ("S3", "Z6", "A4", "D7", "S4", "S4xZ2", "Z48")
 
 
+def conjugation_inputs():
+    """The ambient groups, S4 as a table listing no generators (so the
+    generating set falls back to every element), and D3 wr Z2."""
+    s4 = table_from_generators([(1, 0, 2, 3), (1, 2, 3, 0)])
+    bare = TableGroup([[s4._mul(i, j) for j in range(24)] for i in range(24)], name="S4-bare")
+    assert bare.generators == ()
+    named = [named_group(spec) for spec in AMBIENT_SPECS]
+    return named + [bare, wreath_cyclic(named_group("D3"), 2)]
+
+
 def test_orbit_stabilizer_for_all_subgroups():
-    for spec in AMBIENT_SPECS:
-        G = named_group(spec)
+    for G in conjugation_inputs():
+        # a group listing no generators is generated by all its elements
+        gens = G.generators or None
         for H in all_subgroups(G):
             conjugates = {
                 G.conjugate_subgroup(H, x).payload_set for x in G.elements()
             }
+            walked = conjugates_in(G.whole(), H, gens)
+            assert sorted(walked, key=Subgroup.key) == sorted(
+                conjugates_by_scan(G.whole(), H), key=Subgroup.key
+            )
             normalizer = normalizer_in(G.whole(), H)
             assert G.order == len(conjugates) * normalizer.order
             normal = G.is_normal(H)

@@ -118,16 +118,16 @@ def test_lemma3_in_product(d7):
     P = named_group("D7xZ2")
     emb = subgroup_generated(P, [P.parse("(r^1|0)"), P.parse("(s*r^0|0)")])
     assert emb.order == 14
-    assert lemma3_check(P, dihedral_shape(emb)) is True
+    assert lemma3_check(P.whole(), dihedral_shape(emb)) is True
 
 
 def test_lemma3_self(d7):
-    assert lemma3_check(d7, dihedral_shape(d7.whole())) is True
+    assert lemma3_check(d7.whole(), dihedral_shape(d7.whole())) is True
 
 
 def test_lemma3_refuses_one_mod_four(d5):
     with pytest.raises(PreconditionError):
-        lemma3_check(d5, dihedral_shape(d5.whole()))
+        lemma3_check(d5.whole(), dihedral_shape(d5.whole()))
 
 
 def test_lemma3_requires_normal():
@@ -140,7 +140,7 @@ def test_lemma3_requires_normal():
 
 
 def test_graph_single_vertex(d7):
-    graph = build_conjugate_graph(d7, dihedral_shape(d7.whole()))
+    graph = build_conjugate_graph(d7.whole(), dihedral_shape(d7.whole()))
     assert len(graph.vertices) == 1
     assert graph.colors == {}
     res = lemma5_lemma6_checks(graph)
@@ -150,7 +150,7 @@ def test_graph_single_vertex(d7):
 def test_graph_normal_in_product():
     P = named_group("D7xZ2")
     emb = subgroup_generated(P, [P.parse("(r^1|0)"), P.parse("(s*r^0|0)")])
-    graph = build_conjugate_graph(P, dihedral_shape(emb))
+    graph = build_conjugate_graph(P.whole(), dihedral_shape(emb))
     assert len(graph.vertices) == 1
 
 
@@ -334,9 +334,39 @@ def test_trace_catches_recolored_edge(monkeypatch, p):
         return graph
 
     monkeypatch.setattr(dihedral, "build_conjugate_graph", recolored)
-    with pytest.raises(Falsification, match="conjugation-preserves-colors"):
+    # the recomputed census sees the recolored pair first; the color
+    # automorphism check that runs after it would fail as well
+    with pytest.raises(Falsification, match="color-census-symmetric"):
         theorem1_trace(H, diag, root)
+    assert built[0].colors_preserved_by((dihedral_shape(diag).rotation, root)) is False
     assert colors_preserved_by_scan(built[0]) is False
+
+
+@pytest.mark.parametrize("p", [3, 7])
+def test_trace_catches_dropped_pair(monkeypatch, p):
+    G, W, H, diag, root = lemma7_setup(p)
+    real = dihedral.build_conjugate_graph
+
+    def dropped(*args):
+        graph = real(*args)
+        del graph.colors[next(iter(graph.colors))]
+        return graph
+
+    monkeypatch.setattr(dihedral, "build_conjugate_graph", dropped)
+    with pytest.raises(Falsification, match="color-census-symmetric"):
+        theorem1_trace(H, diag, root)
+
+
+def test_colors_match_intersections_rejects_mutated_graphs():
+    G, W, H, diag, root = lemma7_setup(3)
+    graph = build_conjugate_graph(H, dihedral_shape(diag))
+    assert graph.colors_match_intersections()
+    (i, j), color = next(iter(graph.colors.items()))
+    dropped = {k: c for k, c in graph.colors.items() if k != (i, j)}
+    reversed_key = {**dropped, (j, i): color}
+    recolored = {**graph.colors, (i, j): RED}
+    for colors in (dropped, reversed_key, recolored):
+        assert not replace(graph, colors=colors).colors_match_intersections()
 
 
 @pytest.mark.parametrize("p", [3, 7])
@@ -356,7 +386,7 @@ def test_trace_verifies_the_copy_and_closes_the_universe_once(monkeypatch, p):
 
 def test_trace_restricts_to_generated_subgroup():
     G, W, H, diag, root = lemma7_setup(3)
-    report = theorem1_trace(W, diag, root)  # whole wreath of order 72
+    report = theorem1_trace(W.whole(), diag, root)  # whole wreath of order 72
     assert report.closure_note is not None
     assert report.ambient_order == 36
     assert report.bound_ok
@@ -383,7 +413,7 @@ def test_trace_every_search_overgroup():
     assert copy.order == 6
     for x_perm in square_roots_in_Sm(6, emb.reflection):
         x = s6.element(x_perm)
-        report = theorem1_trace(s6, copy, x)
+        report = theorem1_trace(s6.whole(), copy, x)
         assert report.bound_ok
         assert report.ambient_order in (36, 120)
         universe = subgroup_generated(s6, list(copy.elements) + [x])
