@@ -26,8 +26,9 @@ from .core import (
     Subgroup,
     TableGroup,
     IntegerNamer,
-    TABLE_ORDER_LIMIT,
+    WREATH_ORDER_CAP,
     _split_top,
+    check_table_order,
     direct_product,
     mutual_commutator,
     normal_closure,
@@ -35,8 +36,6 @@ from .core import (
     subgroup_generated,
 )
 from .errors import CapExceeded, Falsification, ParseError, PreconditionError
-
-WREATH_ORDER_CAP = 10_000_000
 
 
 # -- named groups ------------------------------------------------------------
@@ -76,10 +75,7 @@ class DihedralNamer:
 def cyclic_group(n: int) -> TableGroup:
     if n < 1:
         raise PreconditionError(f"cyclic order must be positive, got {n}")
-    if n > TABLE_ORDER_LIMIT:
-        raise CapExceeded(
-            f"table group order {n} exceeds the 16-bit table limit {TABLE_ORDER_LIMIT}", n
-        )
+    check_table_order(n)
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return TableGroup(
         table,
@@ -167,17 +163,16 @@ class WreathGroup(Group):
 
     backend = "wreath-structured"
 
-    def __init__(self, base: Group, arity: int, *, order_cap: int | None = None):
+    def __init__(self, base: Group, arity: int):
         if arity < 2:
             raise PreconditionError(f"wreath arity must be at least 2, got {arity}")
         super().__init__(f"{base.name} wr Z{arity}")
         self.base = base
         self.arity = arity
         self._order = arity * base.order**arity
-        limit = order_cap if order_cap is not None else WREATH_ORDER_CAP
-        if self._order > limit:
+        if self._order > WREATH_ORDER_CAP:
             raise CapExceeded(
-                f"wreath order {self._order} exceeds cap {limit}", self._order
+                f"wreath order {self._order} exceeds cap {WREATH_ORDER_CAP}", self._order
             )
         self._base_id = base._id()
 
@@ -266,9 +261,9 @@ class WreathGroup(Group):
         return Element(self, ((g.payload,) * self.arity, 0))
 
 
-def wreath_cyclic(G: Group, n: int, *, order_cap: int | None = None) -> WreathGroup:
+def wreath_cyclic(G: Group, n: int) -> WreathGroup:
     """G wr Z_n with the shift convention documented at module top."""
-    return WreathGroup(G, n, order_cap=order_cap)
+    return WreathGroup(G, n)
 
 
 def levin_root(W: WreathGroup, g: Element) -> Element:

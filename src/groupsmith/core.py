@@ -29,8 +29,13 @@ from typing import Callable, Iterable, Iterator, Sequence
 from . import perms
 from .errors import CapExceeded, Falsification, ParseError, PreconditionError
 
+# The limits on building groups, for every backend. A permutation closure
+# stops as it outgrows the closure cap; a dense table is refused before any
+# row is built (the 16-bit limit, then the cap); a wreath product, whose
+# elements are never enumerated when it is built, has its own order cap.
 DEFAULT_CAP = 10_000
 TABLE_ORDER_LIMIT = 1 << 16  # dense table entries are stored as array("H")
+WREATH_ORDER_CAP = 10_000_000
 
 
 def default_cap() -> int:
@@ -45,6 +50,18 @@ def default_cap() -> int:
     if value < 1:
         raise PreconditionError(f"GROUPSMITH_CAP must be positive, got {value}")
     return value
+
+
+def check_table_order(n: int) -> None:
+    """Refuse a dense table of order n before any of its rows is built:
+    above the 16-bit entry limit, then above the closure cap."""
+    if n > TABLE_ORDER_LIMIT:
+        raise CapExceeded(
+            f"table group order {n} exceeds the 16-bit table limit {TABLE_ORDER_LIMIT}", n
+        )
+    limit = default_cap()
+    if n > limit:
+        raise CapExceeded(f"table group order {n} exceeds cap {limit}", n)
 
 
 @dataclass(frozen=True)
@@ -324,13 +341,6 @@ class Group:
     def is_normal(self, H: "Subgroup") -> bool:
         return self.normality_witness(H) is None
 
-    def conjugate_subgroup(self, H: "Subgroup", x: Element) -> "Subgroup":
-        if H.parent is not self:
-            raise PreconditionError("subgroup belongs to a different group")
-        self._check(x)
-        members = [Element(self, q) for q in self._conjugate_set(H.payloads, x.payload)]
-        return Subgroup(self, members, _trusted=True)
-
     def quotient(self, N: "Subgroup") -> tuple["TableGroup", Callable[[Element], Element]]:
         """Cosets of a normal subgroup as a dense-table group, plus the
         projection map."""
@@ -341,6 +351,7 @@ class Group:
                 f"subgroup is not normal in {self.name}: conjugating "
                 f"{self.render(h)} by {self.render(y)} leaves it"
             )
+        check_table_order(self.order // N.order)
         coset_index: dict = {}
         reps: list = []
         for p in self._iter_payloads():
@@ -504,17 +515,16 @@ class IntegerNamer:
 class PermTableNamer:
     """Cycle-notation names for a table group built from permutations."""
 
-    def __init__(self, perm_list: Sequence[perms.Perm], degree: int, base: int = 1):
+    def __init__(self, perm_list: Sequence[perms.Perm], degree: int):
         self.perm_list = list(perm_list)
         self.degree = degree
-        self.base = base
         self._index = {p: i for i, p in enumerate(self.perm_list)}
 
     def render(self, i: int) -> str:
-        return perms.render_cycles(self.perm_list[i], base=self.base)
+        return perms.render_cycles(self.perm_list[i], base=1)
 
     def parse(self, s: str) -> int:
-        p = perms.parse_cycles(s, self.degree, base=self.base)
+        p = perms.parse_cycles(s, self.degree, base=1)
         if p not in self._index:
             raise ParseError(s, "permutation is not an element of this group")
         return self._index[p]
@@ -523,15 +533,14 @@ class PermTableNamer:
 class CycleNamer:
     """Cycle-notation names for a perm-closure group."""
 
-    def __init__(self, degree: int, base: int = 1):
+    def __init__(self, degree: int):
         self.degree = degree
-        self.base = base
 
     def render(self, p: perms.Perm) -> str:
-        return perms.render_cycles(p, base=self.base)
+        return perms.render_cycles(p, base=1)
 
     def parse(self, s: str) -> perms.Perm:
-        return perms.parse_cycles(s, self.degree, base=self.base)
+        return perms.parse_cycles(s, self.degree, base=1)
 
 
 # -- dense Cayley table backend -------------------------------------------
@@ -540,9 +549,9 @@ class CycleNamer:
 class TableGroup(Group):
     """Group given by a dense multiplication table on indices 0..n-1.
 
-    Entries are stored 16-bit; the constructor refuses orders above
-    TABLE_ORDER_LIMIT or the configured cap (quotients and products stay
-    well below both).
+    Entries are stored 16-bit; `check_table_order` refuses orders above
+    TABLE_ORDER_LIMIT or the closure cap, and the builders of tables call
+    it before they build any row.
     """
 
     backend = "dense-table"
@@ -554,17 +563,10 @@ class TableGroup(Group):
         namer=None,
         name: str = "table-group",
         generator_indices: Sequence[int] = (),
-        cap: int | None = None,
     ):
         super().__init__(name)
         n = len(table)
-        if n > TABLE_ORDER_LIMIT:
-            raise CapExceeded(
-                f"table group order {n} exceeds the 16-bit table limit {TABLE_ORDER_LIMIT}", n
-            )
-        limit = cap if cap is not None else default_cap()
-        if n > limit:
-            raise CapExceeded(f"table group order {n} exceeds cap {limit}", n)
+        check_table_order(n)
         if n == 0:
             raise PreconditionError("a group needs at least the identity")
         flat = array("H")
@@ -642,30 +644,21 @@ class PermGroup(Group):
         *,
         namer=None,
         name: str = "perm-group",
-        cap: int | None = None,
     ):
         super().__init__(name)
         if degree < 0:
             raise PreconditionError("degree must be nonnegative")
-        for g in generator_perms:
-            if len(g) != degree or not perms.is_perm(g):
-                raise PreconditionError(f"{g!r} is not a permutation of degree {degree}")
         self.degree = degree
-        limit = cap if cap is not None else default_cap()
-        ordered, complete = closure_payloads(
-            perms.identity_perm(degree),
-            sorted(set(generator_perms)),
-            perms.compose,
-            abort_at=limit + 1,
-        )
+        limit = default_cap()
+        gens, ordered, complete = perm_closure(generator_perms, limit + 1, degree)
         if not complete:
             raise CapExceeded(
                 f"closure of {name} is too large (cap {limit})", len(ordered)
             )
         self._sorted_payloads = tuple(sorted(ordered))
         self._pset = frozenset(ordered)
-        self._gens = tuple(sorted(set(generator_perms)))
-        self._namer = namer if namer is not None else CycleNamer(degree, base=1)
+        self._gens = gens
+        self._namer = namer if namer is not None else CycleNamer(degree)
 
     @property
     def order(self) -> int:
@@ -749,69 +742,68 @@ def closure_payloads(
     return ordered, True
 
 
-def table_from_generators(
-    generator_perms: Iterable[perms.Perm],
-    *,
-    cap: int | None = None,
-    name: str | None = None,
-    cycle_base: int = 1,
-) -> TableGroup:
+def perm_closure(
+    generator_perms: Iterable[perms.Perm], abort_at: int, degree: int | None = None
+) -> tuple[tuple, list, bool]:
+    """Check permutation generators and close them from the identity.
+
+    The generators must all be permutations of one degree (`degree` when
+    given; otherwise theirs, 0 when there are none). Returns the distinct
+    generators sorted, then `closure_payloads`' (ordered list, completed)
+    for a walk stopped at `abort_at` elements.
+    """
+    gens = tuple(sorted(set(tuple(g) for g in generator_perms)))
+    if degree is None:
+        degrees = {len(g) for g in gens}
+        if len(degrees) > 1:
+            raise PreconditionError(f"generators mix degrees {sorted(degrees)}")
+        degree = degrees.pop() if degrees else 0
+    for g in gens:
+        if len(g) != degree or not perms.is_perm(g):
+            raise PreconditionError(f"{g!r} is not a permutation of degree {degree}")
+    ordered, complete = closure_payloads(
+        perms.identity_perm(degree), gens, perms.compose, abort_at=abort_at
+    )
+    return gens, ordered, complete
+
+
+def table_from_generators(generator_perms: Iterable[perms.Perm]) -> TableGroup:
     """Dense-table group on the closure of a set of permutations.
 
     Numbering is breadth-first from the identity with lexicographic
     tie-breaks on the image tuples, so fixtures are reproducible.
     """
-    gens = sorted(set(generator_perms))
-    degrees = {len(g) for g in gens}
-    if len(degrees) > 1:
-        raise PreconditionError(f"generators mix degrees {sorted(degrees)}")
-    degree = degrees.pop() if degrees else 0
-    for g in gens:
-        if not perms.is_perm(g):
-            raise PreconditionError(f"{g!r} is not a permutation")
-    limit = cap if cap is not None else default_cap()
-    ordered, complete = closure_payloads(
-        perms.identity_perm(degree), gens, perms.compose, abort_at=limit + 1
-    )
+    limit = default_cap()
+    gens, ordered, complete = perm_closure(generator_perms, limit + 1)
     if not complete:
         raise CapExceeded(f"closure too large (cap {limit})", len(ordered))
-    index = {p: i for i, p in enumerate(ordered)}
     n = len(ordered)
+    check_table_order(n)
+    index = {p: i for i, p in enumerate(ordered)}
     table = [[index[perms.compose(ordered[i], ordered[j])] for j in range(n)] for i in range(n)]
     return TableGroup(
         table,
-        namer=PermTableNamer(ordered, degree, base=cycle_base),
-        name=name if name is not None else f"closure-{n}",
+        namer=PermTableNamer(ordered, len(ordered[0])),
+        name=f"closure-{n}",
         generator_indices=[index[g] for g in gens],
-        cap=limit,
     )
 
 
-def subgroup_generated(G: Group, S: Iterable[Element], cap: int | None = None):
-    """Least subgroup of G containing S.
-
-    With a cap, a closure that outgrows it yields an AtLeast marker
-    instead of a Subgroup.
-    """
+def subgroup_generated(G: Group, S: Iterable[Element]) -> Subgroup:
+    """Least subgroup of G containing S."""
     gens = []
     for e in S:
         G._check(e)
         gens.append(e.payload)
     gens = sorted(set(gens), key=G._key)
-    ordered, complete = closure_payloads(
-        G._id(), gens, G._mul, abort_at=None if cap is None else cap + 1, key=G._key
-    )
-    if not complete:
-        return AtLeast(cap)
+    ordered, _ = closure_payloads(G._id(), gens, G._mul, key=G._key)
     return Subgroup(G, [Element(G, p) for p in ordered], _trusted=True)
 
 
 def normal_closure(G: Group, g: Element) -> Subgroup:
     """Least normal subgroup of G containing g: the closure of its class."""
     G._check(g)
-    result = subgroup_generated(G, [Element(G, p) for p in G._class_payloads(g.payload)])
-    assert isinstance(result, Subgroup)
-    return result
+    return subgroup_generated(G, [Element(G, p) for p in G._class_payloads(g.payload)])
 
 
 def normalizer_in(universe: Subgroup, H: Subgroup) -> Subgroup:
@@ -836,20 +828,19 @@ def normalizer_in(universe: Subgroup, H: Subgroup) -> Subgroup:
     return Subgroup(parent, members, _trusted=True)
 
 
-def conjugates_in(universe: Subgroup, H: Subgroup, conjugators=None) -> list[Subgroup]:
+def conjugates_in(universe: Subgroup, H: Subgroup, conjugators) -> list[Subgroup]:
     """The orbit of H under conjugation, breadth first from H.
 
-    `conjugators` must generate the universe (default: all its elements);
-    the orbit under a generating set is the full conjugacy class, since
-    the inverse of each conjugator is one of its positive powers.
+    `conjugators` must generate the universe; the orbit under a generating
+    set is the full conjugacy class, since the inverse of each conjugator
+    is one of its positive powers.
     """
     parent = universe.parent
     if H.parent is not parent:
         raise PreconditionError("subgroups live in different parent groups")
-    ys = universe.elements if conjugators is None else conjugators
     orbit, _ = closure_payloads(
         H.payload_set,
-        [y.payload for y in ys],
+        [y.payload for y in conjugators],
         parent._conjugate_set,
         key=sorted,
     )
@@ -868,9 +859,7 @@ def mutual_commutator(G: Group, A: Subgroup, B: Subgroup) -> Subgroup:
         a_inv = G._inv(a)
         for b in B.payloads:
             gens.add(G._mul(G._mul(G._mul(a_inv, G._inv(b)), a), b))
-    result = subgroup_generated(G, [Element(G, p) for p in gens])
-    assert isinstance(result, Subgroup)
-    return result
+    return subgroup_generated(G, [Element(G, p) for p in gens])
 
 
 # -- odd abelian normal subgroups ------------------------------------------
@@ -911,18 +900,17 @@ class AxiomReport:
         return self.identity_ok and self.inverses_ok and self.latin_ok and self.assoc_ok
 
 
-def verify_group_axioms(
-    G: Group,
-    *,
-    assoc_exhaustive_limit: int = 200,
-    assoc_samples: int = 10_000,
-    seed: int = 0,
-) -> AxiomReport:
+ASSOC_EXHAUSTIVE_LIMIT = 200
+ASSOC_SAMPLES = 10_000
+ASSOC_SEED = 0
+
+
+def verify_group_axioms(G: Group) -> AxiomReport:
     """Check the group axioms on every element.
 
-    Associativity is exhaustive up to `assoc_exhaustive_limit` elements and
-    sampled on `assoc_samples` random triples above it; everything else is
-    always exhaustive.
+    Associativity is exhaustive up to ASSOC_EXHAUSTIVE_LIMIT elements and
+    sampled on ASSOC_SAMPLES random triples (seeded with ASSOC_SEED) above
+    it; everything else is always exhaustive.
     """
     pays = list(G._iter_payloads())
     n = len(pays)
@@ -949,7 +937,7 @@ def verify_group_axioms(
             break
 
     assoc_ok = True
-    if n <= assoc_exhaustive_limit:
+    if n <= ASSOC_EXHAUSTIVE_LIMIT:
         assoc_mode = "exhaustive"
         for a in pays:
             for b in pays:
@@ -964,9 +952,9 @@ def verify_group_axioms(
             if not assoc_ok:
                 break
     else:
-        assoc_mode = f"sampled-{assoc_samples}"
-        rng = random.Random(seed)
-        for _ in range(assoc_samples):
+        assoc_mode = f"sampled-{ASSOC_SAMPLES}"
+        rng = random.Random(ASSOC_SEED)
+        for _ in range(ASSOC_SAMPLES):
             a = pays[rng.randrange(n)]
             b = pays[rng.randrange(n)]
             c = pays[rng.randrange(n)]
@@ -1006,13 +994,9 @@ def _split_top(s: str, sep: str) -> list[str]:
     return parts
 
 
-def direct_product(A: Group, B: Group, *, name: str | None = None, cap: int | None = None) -> TableGroup:
+def direct_product(A: Group, B: Group) -> TableGroup:
     """Direct product as a dense-table group with "(a|b)" element names."""
-    limit = cap if cap is not None else default_cap()
-    if A.order * B.order > limit:
-        raise CapExceeded(
-            f"product order {A.order * B.order} exceeds cap {limit}", A.order * B.order
-        )
+    check_table_order(A.order * B.order)
     a_pays = list(A._iter_payloads())
     b_pays = list(B._iter_payloads())
     nb = len(b_pays)
@@ -1020,7 +1004,6 @@ def direct_product(A: Group, B: Group, *, name: str | None = None, cap: int | No
     names = [
         f"({A._render(pa)}|{B._render(pb)})" for pa in a_pays for pb in b_pays
     ]
-    n = len(names)
     table = []
     for pa, pb in iproduct(a_pays, b_pays):
         row = [
@@ -1053,7 +1036,6 @@ def direct_product(A: Group, B: Group, *, name: str | None = None, cap: int | No
     return TableGroup(
         table,
         namer=_PairNamer(),
-        name=name if name is not None else f"{A.name}x{B.name}",
+        name=f"{A.name}x{B.name}",
         generator_indices=gen_indices,
-        cap=limit,
     )

@@ -242,10 +242,10 @@ class ConjugateGraph:
 
 
 def build_conjugate_graph(
-    universe: Subgroup, shape: DihedralShape, conjugators=None
+    universe: Subgroup, shape: DihedralShape, conjugators
 ) -> ConjugateGraph:
-    """The conjugate graph of the dihedral copy; `conjugators` is passed to
-    `conjugates_in`."""
+    """The conjugate graph of the dihedral copy; `conjugators`, which must
+    generate the universe, is passed to `conjugates_in`."""
     G = shape.subgroup
     if not G.payload_set <= universe.payload_set:
         raise PreconditionError("the dihedral copy must lie inside the ambient group")

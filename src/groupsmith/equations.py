@@ -172,13 +172,11 @@ class AdjoinRootResult:
     root: Element
 
 
-def adjoin_nth_root(
-    G: Group, g: Element, n: int, *, order_cap: int | None = None
-) -> AdjoinRootResult:
+def adjoin_nth_root(G: Group, g: Element, n: int) -> AdjoinRootResult:
     """G wr Z_n together with the closed-form n-th root of the diagonal
     image of g; no searching involved."""
     G._check(g)
     if n < 2:
         raise PreconditionError(f"root degree must be at least 2, got {n}")
-    W = wreath_cyclic(G, n, order_cap=order_cap)
+    W = wreath_cyclic(G, n)
     return AdjoinRootResult(wreath=W, embed=W.diag_embed, root=levin_root(W, g))

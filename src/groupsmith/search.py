@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import perms
-from .core import AtLeast, Exact, closure_payloads
+from .core import AtLeast, Exact, perm_closure
 from .dihedral import is_prime
 from .errors import Falsification, PreconditionError
 
@@ -136,18 +136,12 @@ def _roots_of_cycles(cycles: list[tuple[int, ...]], x: list[int]) -> Iterator[pe
 
 
 def closure_order_capped(gens, cap: int):
-    """Breadth-first closure size, aborting the moment the partial set
-    reaches the cap: Exact(k) or AtLeast(cap)."""
+    """Breadth-first closure size of permutation generators of one degree,
+    aborting the moment the partial set reaches the cap: Exact(k) or
+    AtLeast(cap)."""
     if cap < 1:
         raise PreconditionError(f"cap must be positive, got {cap}")
-    gen_list = sorted(set(tuple(g) for g in gens))
-    degrees = {len(g) for g in gen_list}
-    if len(degrees) > 1:
-        raise PreconditionError(f"generators mix degrees {sorted(degrees)}")
-    degree = degrees.pop() if degrees else 0
-    ordered, complete = closure_payloads(
-        perms.identity_perm(degree), gen_list, perms.compose, abort_at=cap
-    )
+    _, ordered, complete = perm_closure(gens, cap)
     if not complete:
         return AtLeast(cap)
     return Exact(len(ordered))

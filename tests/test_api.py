@@ -1,0 +1,34 @@
+"""The public API takes no per-call resource limits.
+
+The closure cap (GROUPSMITH_CAP), the 16-bit table limit and the wreath
+order cap live in `groupsmith.core`; only the searches whose caps are part
+of their result take one as a parameter.
+"""
+
+import inspect
+
+import groupsmith
+
+CAPPED_SEARCHES = {"closure_order_capped", "min_overgroup_search", "levin_solve"}
+# a report records the cap its search ran with; it limits nothing
+RECORDS = {"SearchReport"}
+
+
+def _parameters(obj) -> set[str]:
+    target = obj.__init__ if inspect.isclass(obj) else obj
+    return set(inspect.signature(target).parameters)
+
+
+def test_only_the_capped_searches_take_a_cap():
+    takes_cap, takes_order_cap = set(), set()
+    for name in groupsmith.__all__:
+        obj = getattr(groupsmith, name)
+        if not callable(obj) or name in RECORDS:
+            continue
+        params = _parameters(obj)
+        if "cap" in params:
+            takes_cap.add(name)
+        if "order_cap" in params:
+            takes_order_cap.add(name)
+    assert takes_cap == CAPPED_SEARCHES
+    assert takes_order_cap == set()

@@ -180,6 +180,14 @@ def test_env_cap_override(capsys, monkeypatch):
     assert code == 3
 
 
+def test_env_cap_refuses_quotient_table(capsys, monkeypatch):
+    # Z3xS3 has order 18; its lemma 8 quotient over the central Z3 has 216
+    monkeypatch.setenv("GROUPSMITH_CAP", "100")
+    code, out, err = run(capsys, "lemma8-check", "--group", "Z3xS3")
+    assert code == 3
+    assert "table group order 216 exceeds cap 100" in err
+
+
 def test_csv_not_supported_elsewhere(capsys):
     code, out, err = run(capsys, "construct", "--group", "S3", "--format", "csv")
     assert code == 2

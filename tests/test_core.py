@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -11,6 +12,7 @@ from groupsmith.core import (
     Subgroup,
     TableGroup,
     conjugates_in,
+    direct_product,
     mutual_commutator,
     normal_closure,
     normalizer_in,
@@ -133,10 +135,11 @@ def test_table_numbering_deterministic():
     assert names1[1:3] == ["(1 2)", "(1 2 3)"]
 
 
-def test_table_cap_carries_partial_count():
+def test_table_cap_carries_partial_count(monkeypatch):
+    monkeypatch.setenv("GROUPSMITH_CAP", "3")
     c7 = tuple(list(range(1, 7)) + [0])
     with pytest.raises(CapExceeded) as err:
-        table_from_generators([c7], cap=3)
+        table_from_generators([c7])
     assert err.value.partial_count is not None
     assert err.value.partial_count >= 3
 
@@ -154,14 +157,45 @@ class _UnbuiltTable:
         raise AssertionError("the table was read")
 
 
-def test_table_order_above_16_bits_is_a_cap():
+def test_table_order_above_16_bits_is_a_cap(monkeypatch):
     # entries are stored as array("H"): order 65537 would overflow them
     assert TABLE_ORDER_LIMIT == 65536
+    monkeypatch.setenv("GROUPSMITH_CAP", "70000")
     with pytest.raises(CapExceeded) as err:
-        TableGroup(_UnbuiltTable(TABLE_ORDER_LIMIT + 1), cap=70_000)
+        TableGroup(_UnbuiltTable(TABLE_ORDER_LIMIT + 1))
     assert err.value.partial_count == TABLE_ORDER_LIMIT + 1
     with pytest.raises(CapExceeded):
         cyclic_group(TABLE_ORDER_LIMIT + 1)
+
+
+def _peak_traced_bytes(fn):
+    """Run fn, which must raise CapExceeded; return (error, peak bytes
+    allocated meanwhile)."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded) as err:
+            fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return err.value, peak
+
+
+def test_tables_are_refused_before_they_are_built(monkeypatch):
+    monkeypatch.setenv("GROUPSMITH_CAP", "10")
+    # a built Z1000 table holds 10^6 entries, some 30 MB of Python lists
+    err, peak = _peak_traced_bytes(lambda: cyclic_group(1000))
+    assert str(err) == "table group order 1000 exceeds cap 10 (partial count: 1000)"
+    assert peak < 1 << 20
+    z5 = cyclic_group(5)
+    err, peak = _peak_traced_bytes(lambda: direct_product(z5, cyclic_group(3)))
+    assert str(err) == "table group order 15 exceeds cap 10 (partial count: 15)"
+    # the 16-bit limit comes first: Z300xZ300 would hold 8.1 * 10^9 entries
+    monkeypatch.setenv("GROUPSMITH_CAP", "100000")
+    z300 = cyclic_group(300)
+    err, peak = _peak_traced_bytes(lambda: direct_product(z300, z300))
+    assert "exceeds the 16-bit table limit 65536" in str(err)
+    assert peak < 1 << 20
 
 
 # -- subgroup machinery -------------------------------------------------------
@@ -182,20 +216,21 @@ def _random_generators(rng, m):
     return gens
 
 
-def test_orders_match_sympy_schreier_sims():
+def test_orders_match_sympy_schreier_sims(monkeypatch):
     combinatorics = pytest.importorskip("sympy.combinatorics")
+    monkeypatch.setenv("GROUPSMITH_CAP", "40320")
     rng = random.Random(20111)
     orders = set()
     for m in (5, 6, 7, 8):
         transposition, cycle = (1, 0) + tuple(range(2, m)), tuple(range(1, m)) + (0,)
-        Sm = PermGroup(m, [transposition, cycle], cap=40320)
+        Sm = PermGroup(m, [transposition, cycle])
         for _ in range(4):
             gens = _random_generators(rng, m)
             want = combinatorics.PermutationGroup(
                 [combinatorics.Permutation(list(g)) for g in gens]
             ).order()
             orders.add(want)
-            assert PermGroup(m, gens, cap=40320).order == want
+            assert PermGroup(m, gens).order == want
             assert subgroup_generated(Sm, [Sm.element(g) for g in gens]).order == want
             assert closure_order_capped(gens, want + 1) == Exact(want)
             assert closure_order_capped(gens, want) == AtLeast(want)
@@ -208,15 +243,6 @@ def test_subgroup_generated_examples(d7, s3):
     a3 = subgroup_generated(s3, [s3.parse("(1 2 3)")])
     assert a3.order == 3
     assert {s3.render(e) for e in a3} == {"()", "(1 2 3)", "(1 3 2)"}
-
-
-def test_subgroup_generated_cap_marker(d7):
-    result = subgroup_generated(d7, [d7.parse("s"), d7.parse("r^1")], cap=5)
-    assert isinstance(result, AtLeast)
-    assert result.bound == 5
-    # a closure of exactly the cap size still completes
-    exact = subgroup_generated(d7, [d7.parse("r^1")], cap=7)
-    assert isinstance(exact, Subgroup)
 
 
 def test_subgroup_validation(s3):
@@ -322,9 +348,10 @@ def test_conjugacy_classes(s3, d7):
 def test_conjugate_subgroup_and_normalizer(s3):
     h = subgroup_generated(s3, [s3.parse("(1 2)")])
     x = s3.parse("(1 2 3)")
-    hx = s3.conjugate_subgroup(h, x)
-    assert hx != h
-    assert hx.order == 2
+    hx = frozenset(e.conj(x).payload for e in h)
+    scanned = [c.payload_set for c in conjugates_by_scan(s3.whole(), h)]
+    assert hx in scanned and hx != h.payload_set
+    assert len(hx) == 2 and len(scanned) == 3
     norm = normalizer_in(s3.whole(), h)
     assert norm.payload_set == h.payload_set
 
@@ -345,15 +372,11 @@ def conjugation_inputs():
 def test_orbit_stabilizer_for_all_subgroups():
     for G in conjugation_inputs():
         # a group listing no generators is generated by all its elements
-        gens = G.generators or None
+        gens = G.generators or tuple(G.elements())
         for H in all_subgroups(G):
-            conjugates = {
-                G.conjugate_subgroup(H, x).payload_set for x in G.elements()
-            }
+            conjugates = conjugates_by_scan(G.whole(), H)
             walked = conjugates_in(G.whole(), H, gens)
-            assert sorted(walked, key=Subgroup.key) == sorted(
-                conjugates_by_scan(G.whole(), H), key=Subgroup.key
-            )
+            assert sorted(walked, key=Subgroup.key) == sorted(conjugates, key=Subgroup.key)
             normalizer = normalizer_in(G.whole(), H)
             assert G.order == len(conjugates) * normalizer.order
             normal = G.is_normal(H)

@@ -37,6 +37,13 @@ def lemma7_setup(p):
     return G, res.wreath, res.subgroup, diag_copy(res.wreath, G), res.root
 
 
+def lemma7_graph(H, diag, root):
+    """The conjugate graph of the diagonal copy in H = <diag, root>, which
+    a rotation of the copy and the root generate."""
+    shape = dihedral_shape(diag)
+    return build_conjugate_graph(H, shape, (shape.rotation, root))
+
+
 # -- residue criterion ----------------------------------------------------------
 
 
@@ -140,7 +147,7 @@ def test_lemma3_requires_normal():
 
 
 def test_graph_single_vertex(d7):
-    graph = build_conjugate_graph(d7.whole(), dihedral_shape(d7.whole()))
+    graph = build_conjugate_graph(d7.whole(), dihedral_shape(d7.whole()), d7.generators)
     assert len(graph.vertices) == 1
     assert graph.colors == {}
     res = lemma5_lemma6_checks(graph)
@@ -150,13 +157,13 @@ def test_graph_single_vertex(d7):
 def test_graph_normal_in_product():
     P = named_group("D7xZ2")
     emb = subgroup_generated(P, [P.parse("(r^1|0)"), P.parse("(s*r^0|0)")])
-    graph = build_conjugate_graph(P.whole(), dihedral_shape(emb))
+    graph = build_conjugate_graph(P.whole(), dihedral_shape(emb), P.generators)
     assert len(graph.vertices) == 1
 
 
 def test_graph_on_lemma7_overgroup():
     G, W, H, diag, root = lemma7_setup(7)
-    graph = build_conjugate_graph(H, dihedral_shape(diag))
+    graph = lemma7_graph(H, diag, root)
     K = len(graph.vertices)
     norm = normalizer_in(H, diag)
     assert K == H.order // norm.order
@@ -172,7 +179,7 @@ def test_graph_on_lemma7_overgroup():
 
 def test_graph_transitive_orbit():
     G, W, H, diag, root = lemma7_setup(3)
-    graph = build_conjugate_graph(H, dihedral_shape(diag))
+    graph = lemma7_graph(H, diag, root)
     # conjugation reaches every vertex from the base copy
     reached = {graph.vertex_perm(y)[graph.base_index] for y in H.elements}
     assert reached == set(range(len(graph.vertices)))
@@ -181,7 +188,7 @@ def test_graph_transitive_orbit():
 def test_lemma56_on_lemma7_overgroup():
     for p in (3, 7):
         G, W, H, diag, root = lemma7_setup(p)
-        graph = build_conjugate_graph(H, dihedral_shape(diag))
+        graph = lemma7_graph(H, diag, root)
         res = lemma5_lemma6_checks(graph)
         assert not res.red_edges_present
         assert res.green_degree == p
@@ -191,7 +198,7 @@ def test_lemma56_on_lemma7_overgroup():
 
 def test_lemma56_detects_recolored_graph():
     G, W, H, diag, root = lemma7_setup(3)
-    graph = build_conjugate_graph(H, dihedral_shape(diag))
+    graph = lemma7_graph(H, diag, root)
     yellow_edge = next(k for k, c in graph.colors.items() if c == YELLOW)
     broken = dict(graph.colors)
     broken[yellow_edge] = GREEN
@@ -202,7 +209,7 @@ def test_lemma56_detects_recolored_graph():
 
 def test_lemma56_red_edge_tag():
     G, W, H, diag, root = lemma7_setup(3)
-    graph = build_conjugate_graph(H, dihedral_shape(diag))
+    graph = lemma7_graph(H, diag, root)
     edge = next(iter(graph.colors))
     broken = dict(graph.colors)
     broken[edge] = RED
@@ -217,7 +224,7 @@ def test_lemma56_red_edge_tag():
 
 def test_parity_identity_fixes_everything():
     G, W, H, diag, root = lemma7_setup(3)
-    graph = build_conjugate_graph(H, dihedral_shape(diag))
+    graph = lemma7_graph(H, diag, root)
     rec = conjugation_parity(graph, W.identity)
     assert rec.parity == 0
     assert rec.fixed_points == len(graph.vertices)
@@ -226,7 +233,7 @@ def test_parity_identity_fixes_everything():
 
 def test_parity_outside_ambient_rejected(d7):
     G, W, H, diag, root = lemma7_setup(3)
-    graph = build_conjugate_graph(H, dihedral_shape(diag))
+    graph = lemma7_graph(H, diag, root)
     stray = W.element(((G.parse("s").payload, G.identity.payload), 0))
     assert stray.payload not in H.payload_set
     with pytest.raises(PreconditionError):
@@ -235,7 +242,7 @@ def test_parity_outside_ambient_rejected(d7):
 
 def test_parity_matches_inversion_oracle_on_vertex_perms():
     G, W, H, diag, root = lemma7_setup(7)
-    graph = build_conjugate_graph(H, dihedral_shape(diag))
+    graph = lemma7_graph(H, diag, root)
     rng = random.Random(2)
     members = list(H.elements)
     for _ in range(25):
@@ -250,7 +257,12 @@ def assert_generator_checks_match_scans(universe, H, x):
     graph = build_conjugate_graph(universe, shape, gens)
     scanned = sorted(conjugates_by_scan(universe, H), key=lambda s: s.key())
     assert list(graph.vertices) == scanned
-    assert graph.colors == build_conjugate_graph(universe, shape).colors
+    by_size = {2: GREEN, shape.p: YELLOW, 1: RED}
+    assert graph.colors == {
+        (i, j): by_size[len(scanned[i].payload_set & scanned[j].payload_set)]
+        for i in range(len(scanned))
+        for j in range(i + 1, len(scanned))
+    }
     assert graph.colors_preserved_by(gens) is colors_preserved_by_scan(graph) is True
 
 
@@ -263,7 +275,7 @@ def test_generator_checks_match_scan_oracles():
 def test_vertex_perm_is_a_homomorphism():
     # conjugation acts on the right: v^(ab) = (v^a)^b
     G, W, H, diag, root = lemma7_setup(7)
-    graph = build_conjugate_graph(H, dihedral_shape(diag))
+    graph = lemma7_graph(H, diag, root)
     rng = random.Random(5)
     members = list(H.elements)
     for _ in range(40):
@@ -276,7 +288,7 @@ def test_vertex_perm_is_a_homomorphism():
 
 def test_vertex_perm_is_color_automorphism():
     G, W, H, diag, root = lemma7_setup(3)
-    graph = build_conjugate_graph(H, dihedral_shape(diag))
+    graph = lemma7_graph(H, diag, root)
     n = len(graph.vertices)
     for y in H.elements:
         pi = graph.vertex_perm(y)
@@ -359,7 +371,7 @@ def test_trace_catches_dropped_pair(monkeypatch, p):
 
 def test_colors_match_intersections_rejects_mutated_graphs():
     G, W, H, diag, root = lemma7_setup(3)
-    graph = build_conjugate_graph(H, dihedral_shape(diag))
+    graph = lemma7_graph(H, diag, root)
     assert graph.colors_match_intersections()
     (i, j), color = next(iter(graph.colors.items()))
     dropped = {k: c for k, c in graph.colors.items() if k != (i, j)}

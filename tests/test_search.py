@@ -148,6 +148,19 @@ def test_closure_empty_gens():
     assert closure_order_capped([], 10) == Exact(1)
 
 
+@pytest.mark.parametrize(
+    "gens, reason",
+    [
+        ([(0, 0, 1)], "not a permutation"),  # repeated image: once closed to Exact(3)
+        ([(5, 1, 2)], "not a permutation"),  # image out of range: once an IndexError
+        ([(1, 0), (1, 2, 0)], "mix degrees"),
+    ],
+)
+def test_closure_rejects_malformed_generators(gens, reason):
+    with pytest.raises(PreconditionError, match=reason):
+        closure_order_capped(gens, 100)
+
+
 def test_closure_agrees_with_table_groups():
     cases = [
         [(1, 0, 2), (1, 2, 0)],
