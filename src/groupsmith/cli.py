@@ -208,7 +208,7 @@ def cmd_solve_positive(args):
     rows = []
     assertions = []
     for i, eq in enumerate(equations):
-        kwargs = {"cap": args.cap} if args.cap else {}
+        kwargs = {"cap": args.cap} if args.cap is not None else {}
         x = levin_solve(eq, G, **kwargs)
         H = x.group
         embed = H.diag_embed if isinstance(H, WreathGroup) else (lambda e: e)

@@ -28,7 +28,6 @@ from .core import (
     IntegerNamer,
     WREATH_ORDER_CAP,
     _split_top,
-    check_table_order,
     direct_product,
     mutual_commutator,
     normal_closure,
@@ -75,13 +74,12 @@ class DihedralNamer:
 def cyclic_group(n: int) -> TableGroup:
     if n < 1:
         raise PreconditionError(f"cyclic order must be positive, got {n}")
-    check_table_order(n)
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return TableGroup(
-        table,
-        namer=IntegerNamer(n),
+        range(n),
+        lambda i, j: (i + j) % n,
+        IntegerNamer(n),
         name=f"Z{n}",
-        generator_indices=[1] if n > 1 else [],
+        generators=[1] if n > 1 else [],
     )
 
 

@@ -3,7 +3,8 @@
 A Group exposes one contract (multiply, invert, identity, enumerate,
 render/parse) over three element representations:
 
-* dense-table: elements are indices into a flat Cayley table,
+* dense-table: elements are indices into a list whose products fill one
+  flat 16-bit Cayley table, refused before its first row is filled,
 * perm-closure: elements are permutation image tuples,
 * wreath-structured: elements are (base tuple, shift) pairs, no table
   is ever materialized (see constructions.WreathGroup).
@@ -23,15 +24,15 @@ import os
 import random
 from array import array
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import product as iproduct, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import perms
 from .errors import CapExceeded, Falsification, ParseError, PreconditionError
 
 # The limits on building groups, for every backend. A permutation closure
-# stops as it outgrows the closure cap; a dense table is refused before any
-# row is built (the 16-bit limit, then the cap); a wreath product, whose
+# stops as it outgrows the closure cap; a dense table is refused before its
+# first row is filled (the 16-bit limit, then the cap); a wreath product, whose
 # elements are never enumerated when it is built, has its own order cap.
 DEFAULT_CAP = 10_000
 TABLE_ORDER_LIMIT = 1 << 16  # dense table entries are stored as array("H")
@@ -53,7 +54,7 @@ def default_cap() -> int:
 
 
 def check_table_order(n: int) -> None:
-    """Refuse a dense table of order n before any of its rows is built:
+    """Refuse a dense table of order n before its first row is filled:
     above the 16-bit entry limit, then above the closure cap."""
     if n > TABLE_ORDER_LIMIT:
         raise CapExceeded(
@@ -361,19 +362,17 @@ class Group:
             reps.append(p)
             for n_pay in N.payloads:
                 coset_index[self._mul(n_pay, p)] = idx
-        m = len(reps)
-        table = [[coset_index[self._mul(reps[i], reps[j])] for j in range(m)] for i in range(m)]
-        names = [f"[{self._render(p)}]" for p in reps]
         gen_images = []
         for g in self._generator_payloads():
             idx = coset_index[g]
-            if idx not in gen_images and idx != coset_index[self._id()]:
+            if idx and idx not in gen_images:
                 gen_images.append(idx)
         quot = TableGroup(
-            table,
-            namer=ListNamer(names),
+            range(len(reps)),
+            lambda i, j: coset_index[self._mul(reps[i], reps[j])],
+            ListNamer([f"[{self._render(p)}]" for p in reps]),
             name=f"{self.name}/{N.describe()}",
-            generator_indices=gen_images,
+            generators=gen_images,
         )
 
         def project(a: Element) -> Element:
@@ -512,24 +511,6 @@ class IntegerNamer:
             raise ParseError(s, "expected an integer residue") from None
 
 
-class PermTableNamer:
-    """Cycle-notation names for a table group built from permutations."""
-
-    def __init__(self, perm_list: Sequence[perms.Perm], degree: int):
-        self.perm_list = list(perm_list)
-        self.degree = degree
-        self._index = {p: i for i, p in enumerate(self.perm_list)}
-
-    def render(self, i: int) -> str:
-        return perms.render_cycles(self.perm_list[i], base=1)
-
-    def parse(self, s: str) -> int:
-        p = perms.parse_cycles(s, self.degree, base=1)
-        if p not in self._index:
-            raise ParseError(s, "permutation is not an element of this group")
-        return self._index[p]
-
-
 class CycleNamer:
     """Cycle-notation names for a perm-closure group."""
 
@@ -547,55 +528,63 @@ class CycleNamer:
 
 
 class TableGroup(Group):
-    """Group given by a dense multiplication table on indices 0..n-1.
+    """Group on a list of elements, stored as a dense Cayley table.
 
-    Entries are stored 16-bit; `check_table_order` refuses orders above
-    TABLE_ORDER_LIMIT or the closure cap, and the builders of tables call
-    it before they build any row.
+    `elements` lists every element once, the identity first; a payload is
+    an element's index in that list, so the identity is 0. `mul` is the
+    product of two listed elements and `namer` renders and parses listed
+    elements; `generators` are listed elements too. `check_table_order`
+    refuses the order before any element is read. The table is one flat
+    array("H") filled row by row with the indices of the products.
     """
 
     backend = "dense-table"
 
     def __init__(
         self,
-        table: Sequence[Sequence[int]],
+        elements: Sequence,
+        mul: Callable,
+        namer,
         *,
-        namer=None,
-        name: str = "table-group",
-        generator_indices: Sequence[int] = (),
+        name: str,
+        generators: Iterable = (),
     ):
         super().__init__(name)
-        n = len(table)
+        n = len(elements)
         check_table_order(n)
         if n == 0:
             raise PreconditionError("a group needs at least the identity")
+        elements = tuple(elements)
+        index = {e: i for i, e in enumerate(elements)}
+        if len(index) != n:
+            twice = next(e for i, e in enumerate(elements) if index[e] != i)
+            raise PreconditionError(f"{twice!r} is listed twice in {name}")
         flat = array("H")
-        for i, row in enumerate(table):
-            if len(row) != n:
-                raise PreconditionError(f"table row {i} has length {len(row)}, expected {n}")
-            for v in row:
-                if not 0 <= v < n:
-                    raise PreconditionError(f"table entry {v} out of range 0..{n - 1}")
-                flat.append(v)
+        try:
+            for a in elements:
+                flat.extend(map(index.__getitem__, map(mul, repeat(a), elements)))
+            gens = tuple(index[g] for g in generators)
+        except KeyError as exc:
+            raise PreconditionError(f"{exc.args[0]!r} is not an element of {name}") from None
+        identity_row = array("H", range(n))
+        if flat[:n] != identity_row or flat[::n] != identity_row:
+            raise PreconditionError(f"{elements[0]!r} is not a two-sided identity of {name}")
+        inverses = array("H")
+        for a in range(n):
+            row = flat[a * n : (a + 1) * n]
+            b = row.index(0) if row.count(0) == 1 else None
+            if b is None or flat[b * n + a] != 0:
+                raise PreconditionError(
+                    f"{elements[a]!r} lacks a unique two-sided inverse in {name}"
+                )
+            inverses.append(b)
         self._n = n
         self._table = flat
-        identity = None
-        for e in range(n):
-            if all(flat[e * n + x] == x and flat[x * n + e] == x for x in range(n)):
-                identity = e
-                break
-        if identity is None:
-            raise PreconditionError("table has no two-sided identity")
-        self._identity_index = identity
-        inv = array("H", [0] * n)
-        for a in range(n):
-            hits = [b for b in range(n) if flat[a * n + b] == identity]
-            if len(hits) != 1 or flat[hits[0] * n + a] != identity:
-                raise PreconditionError(f"element {a} lacks a unique two-sided inverse")
-            inv[a] = hits[0]
-        self._invtab = inv
-        self._namer = namer if namer is not None else ListNamer([str(i) for i in range(n)])
-        self._gen_indices = tuple(generator_indices)
+        self._invtab = inverses
+        self._elements = elements
+        self._index = index
+        self._namer = namer
+        self._gen_indices = gens
 
     @property
     def order(self) -> int:
@@ -608,7 +597,7 @@ class TableGroup(Group):
         return self._invtab[p]
 
     def _id(self) -> int:
-        return self._identity_index
+        return 0
 
     def _iter_payloads(self) -> Iterator[int]:
         return iter(range(self._n))
@@ -620,10 +609,13 @@ class TableGroup(Group):
         return isinstance(p, int) and 0 <= p < self._n
 
     def _render(self, p: int) -> str:
-        return self._namer.render(p)
+        return self._namer.render(self._elements[p])
 
     def _parse(self, s: str) -> int:
-        return self._namer.parse(s)
+        e = self._namer.parse(s)
+        if e not in self._index:
+            raise ParseError(s, f"not an element of {self.name}")
+        return self._index[e]
 
     def _generator_payloads(self) -> tuple:
         return self._gen_indices
@@ -777,15 +769,12 @@ def table_from_generators(generator_perms: Iterable[perms.Perm]) -> TableGroup:
     gens, ordered, complete = perm_closure(generator_perms, limit + 1)
     if not complete:
         raise CapExceeded(f"closure too large (cap {limit})", len(ordered))
-    n = len(ordered)
-    check_table_order(n)
-    index = {p: i for i, p in enumerate(ordered)}
-    table = [[index[perms.compose(ordered[i], ordered[j])] for j in range(n)] for i in range(n)]
     return TableGroup(
-        table,
-        namer=PermTableNamer(ordered, len(ordered[0])),
-        name=f"closure-{n}",
-        generator_indices=[index[g] for g in gens],
+        ordered,
+        perms.compose,
+        CycleNamer(len(ordered[0])),
+        name=f"closure-{len(ordered)}",
+        generators=gens,
     )
 
 
@@ -997,45 +986,25 @@ def _split_top(s: str, sep: str) -> list[str]:
 def direct_product(A: Group, B: Group) -> TableGroup:
     """Direct product as a dense-table group with "(a|b)" element names."""
     check_table_order(A.order * B.order)
-    a_pays = list(A._iter_payloads())
-    b_pays = list(B._iter_payloads())
-    nb = len(b_pays)
-    index = {(pa, pb): i * nb + j for i, pa in enumerate(a_pays) for j, pb in enumerate(b_pays)}
-    names = [
-        f"({A._render(pa)}|{B._render(pb)})" for pa in a_pays for pb in b_pays
-    ]
-    table = []
-    for pa, pb in iproduct(a_pays, b_pays):
-        row = [
-            index[(A._mul(pa, qa), B._mul(pb, qb))]
-            for qa, qb in iproduct(a_pays, b_pays)
-        ]
-        table.append(row)
-    gen_indices = []
-    for g in A._generator_payloads():
-        gen_indices.append(index[(g, B._id())])
-    for g in B._generator_payloads():
-        gen_indices.append(index[(A._id(), g)])
 
     class _PairNamer:
-        def __init__(self):
-            self.names = names
+        def render(self, pair) -> str:
+            return f"({A._render(pair[0])}|{B._render(pair[1])})"
 
-        def render(self, i: int) -> str:
-            return self.names[i]
-
-        def parse(self, s: str) -> int:
+        def parse(self, s: str) -> tuple:
             text = s.strip()
             if not (text.startswith("(") and text.endswith(")")):
                 raise ParseError(s, "product elements look like (a|b)")
             head, *tail = _split_top(text[1:-1], "|")
             if not tail:
                 raise ParseError(s, "missing top-level '|'")
-            return index[(A._parse(head), B._parse("|".join(tail)))]
+            return A._parse(head), B._parse("|".join(tail))
 
     return TableGroup(
-        table,
-        namer=_PairNamer(),
+        list(iproduct(A._iter_payloads(), B._iter_payloads())),
+        lambda p, q: (A._mul(p[0], q[0]), B._mul(p[1], q[1])),
+        _PairNamer(),
         name=f"{A.name}x{B.name}",
-        generator_indices=gen_indices,
+        generators=[(g, B._id()) for g in A._generator_payloads()]
+        + [(A._id(), g) for g in B._generator_payloads()],
     )

@@ -112,6 +112,8 @@ def levin_solve(
     """
     if eq.group is not G:
         raise PreconditionError("coefficients do not live in the given group")
+    if cap < 1:
+        raise PreconditionError(f"cap must be positive, got {cap}")
     n = eq.degree
     if n == 1:
         return G.inv(eq.coefficients[0])

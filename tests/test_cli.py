@@ -146,6 +146,16 @@ def test_search_non_positive_cap_exits_2(capsys):
         assert out == ""
 
 
+def test_solve_positive_non_positive_cap_exits_2(capsys):
+    for cap in ("0", "-5"):
+        code, out, err = run(
+            capsys, "solve-positive", "--group", "S3", "--random", "1", "--cap", cap
+        )
+        assert code == 2
+        assert "cap must be positive" in err
+        assert out == ""
+
+
 def test_element_parse_roundtrip_via_cli(capsys):
     report = run_json(capsys, "prop1-embed", "--group", "D7", "--element", "s*r^3")
     assert report["result"]["element"] == "s*r^3"

@@ -9,7 +9,8 @@ from groupsmith.constructions import (
     prop1_embedding,
     wreath_cyclic,
 )
-from groupsmith.core import TableGroup, subgroup_generated, table_from_generators
+from groupsmith import perms
+from groupsmith.core import CycleNamer, TableGroup, perm_closure, subgroup_generated
 from groupsmith.errors import CapExceeded, ParseError, PreconditionError
 
 
@@ -158,10 +159,8 @@ def test_lemma7_matches_independent_closure(s3, z6):
     # S3 lists generators; a bare table lists none (the all-elements
     # fallback); a lemma 8 quotient lists the images of the wreath's.
     cases = [(s3, s3.parse("(1 2 3)"))]
-    table = table_from_generators([(1, 0, 2), (1, 2, 0)])
-    bare = TableGroup(
-        [[table._mul(i, j) for j in range(table.order)] for i in range(table.order)]
-    )
+    _, s3_perms, _ = perm_closure([(1, 0, 2), (1, 2, 0)], 7)
+    bare = TableGroup(s3_perms, perms.compose, CycleNamer(3), name="S3-bare")
     assert bare.generators == ()
     cases += [(bare, g) for g in bare.elements()]
     quot = lemma8_construct(z6, subgroup_generated(z6, [z6.parse("2")])).quotient
@@ -232,11 +231,8 @@ def test_lemma8_witness_is_first_failing_member(spec, normal_gens, member, conju
 def test_lemma8_on_a_table_group_listing_no_generators(s3):
     # with no listed base generators the wreath product falls back to every
     # base element; the shift alone would make K look normal in S3 wr Z2
-    table = table_from_generators([(1, 0, 2), (1, 2, 0)])
-    bare = TableGroup(
-        [[table._mul(i, j) for j in range(table.order)] for i in range(table.order)],
-        namer=table._namer,
-    )
+    _, s3_perms, _ = perm_closure([(1, 0, 2), (1, 2, 0)], 7)
+    bare = TableGroup(s3_perms, perms.compose, CycleNamer(3), name="S3-bare")
     assert bare.generators == ()
     W = wreath_cyclic(bare, 2)
     assert subgroup_generated(W, W.generators).order == 72

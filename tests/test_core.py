@@ -3,11 +3,14 @@ import tracemalloc
 
 import pytest
 
+from groupsmith import perms
 from groupsmith.constructions import cyclic_group, named_group, wreath_cyclic
 from groupsmith.core import (
     TABLE_ORDER_LIMIT,
     AtLeast,
+    CycleNamer,
     Exact,
+    IntegerNamer,
     PermGroup,
     Subgroup,
     TableGroup,
@@ -17,6 +20,7 @@ from groupsmith.core import (
     normal_closure,
     normalizer_in,
     odd_abelian_normal_candidates,
+    perm_closure,
     subgroup_generated,
     table_from_generators,
     verify_group_axioms,
@@ -145,7 +149,8 @@ def test_table_cap_carries_partial_count(monkeypatch):
 
 
 class _UnbuiltTable:
-    """A table that reports its length but fails if a row is ever read."""
+    """An element list that reports its length but fails if an element is
+    ever read."""
 
     def __init__(self, n):
         self.n = n
@@ -154,7 +159,7 @@ class _UnbuiltTable:
         return self.n
 
     def __getitem__(self, i):
-        raise AssertionError("the table was read")
+        raise AssertionError("an element was read")
 
 
 def test_table_order_above_16_bits_is_a_cap(monkeypatch):
@@ -162,7 +167,7 @@ def test_table_order_above_16_bits_is_a_cap(monkeypatch):
     assert TABLE_ORDER_LIMIT == 65536
     monkeypatch.setenv("GROUPSMITH_CAP", "70000")
     with pytest.raises(CapExceeded) as err:
-        TableGroup(_UnbuiltTable(TABLE_ORDER_LIMIT + 1))
+        TableGroup(_UnbuiltTable(TABLE_ORDER_LIMIT + 1), max, IntegerNamer(2), name="unbuilt")
     assert err.value.partial_count == TABLE_ORDER_LIMIT + 1
     with pytest.raises(CapExceeded):
         cyclic_group(TABLE_ORDER_LIMIT + 1)
@@ -183,7 +188,7 @@ def _peak_traced_bytes(fn):
 
 def test_tables_are_refused_before_they_are_built(monkeypatch):
     monkeypatch.setenv("GROUPSMITH_CAP", "10")
-    # a built Z1000 table holds 10^6 entries, some 30 MB of Python lists
+    # a built Z1000 table holds 10^6 entries, 2 MB as array("H")
     err, peak = _peak_traced_bytes(lambda: cyclic_group(1000))
     assert str(err) == "table group order 1000 exceeds cap 10 (partial count: 1000)"
     assert peak < 1 << 20
@@ -196,6 +201,35 @@ def test_tables_are_refused_before_they_are_built(monkeypatch):
     err, peak = _peak_traced_bytes(lambda: direct_product(z300, z300))
     assert "exceeds the 16-bit table limit 65536" in str(err)
     assert peak < 1 << 20
+
+
+def test_a_table_is_filled_without_nested_lists():
+    # Z400 holds 160,000 entries, 0.32 MB as array("H"); building them as
+    # nested lists first peaks at about 3.5 MB
+    tracemalloc.start()
+    try:
+        z400 = cyclic_group(400)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert z400.order == 400 and z400.parse("399").inv() == z400.parse("1")
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "elements, mul, message",
+    [
+        (range(3), lambda a, b: a + b, "3 is not an element of bad"),
+        ([0, 1, 1], lambda a, b: (a + b) % 2, "1 is listed twice in bad"),
+        ([1, 0, 2], lambda a, b: (a + b) % 3, "1 is not a two-sided identity of bad"),
+        # the monoid ({0, 1}, max): the row of 1 holds no 0
+        ([0, 1], max, "1 lacks a unique two-sided inverse in bad"),
+    ],
+)
+def test_table_input_checks(elements, mul, message):
+    with pytest.raises(PreconditionError) as err:
+        TableGroup(elements, mul, IntegerNamer(3), name="bad")
+    assert str(err.value) == message
 
 
 # -- subgroup machinery -------------------------------------------------------
@@ -362,8 +396,8 @@ AMBIENT_SPECS = ("S3", "Z6", "A4", "D7", "S4", "S4xZ2", "Z48")
 def conjugation_inputs():
     """The ambient groups, S4 as a table listing no generators (so the
     generating set falls back to every element), and D3 wr Z2."""
-    s4 = table_from_generators([(1, 0, 2, 3), (1, 2, 3, 0)])
-    bare = TableGroup([[s4._mul(i, j) for j in range(24)] for i in range(24)], name="S4-bare")
+    _, s4_perms, _ = perm_closure([(1, 0, 2, 3), (1, 2, 3, 0)], 25)
+    bare = TableGroup(s4_perms, perms.compose, CycleNamer(4), name="S4-bare")
     assert bare.generators == ()
     named = [named_group(spec) for spec in AMBIENT_SPECS]
     return named + [bare, wreath_cyclic(named_group("D3"), 2)]
