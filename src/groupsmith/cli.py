@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
@@ -119,7 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--kind", choices=["natural", "regular"], default="natural")
     p.add_argument("--cap", type=int, default=1000)
-    p.add_argument("--workers", type=int, default=None, help="default: available parallelism")
+    p.add_argument(
+        "--workers", type=int, default=None, help="ignored; the search runs in one process"
+    )
     common(p)
 
     return parser
@@ -354,8 +355,9 @@ def cmd_residue_check(args):
 
 
 def cmd_search(args):
-    workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
-    rep = min_overgroup_search(args.p, args.m, kind=args.kind, cap=args.cap, workers=workers)
+    if args.workers is not None and args.workers < 1:
+        raise PreconditionError(f"workers must be positive, got {args.workers}")
+    rep = min_overgroup_search(args.p, args.m, kind=args.kind, cap=args.cap)
     status = "pass"
     if rep.verdict.startswith("not-applicable"):
         status = "skip"

@@ -25,6 +25,7 @@ import random
 from array import array
 from dataclasses import dataclass
 from itertools import product as iproduct, repeat
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import perms
@@ -535,7 +536,9 @@ class TableGroup(Group):
     product of two listed elements and `namer` renders and parses listed
     elements; `generators` are listed elements too. `check_table_order`
     refuses the order before any element is read. The table is one flat
-    array("H") filled row by row with the indices of the products.
+    array("H") filled row by row with the indices of the products. Listed
+    generators must reach every element and the product must pass Light's
+    associativity test, since generator-based queries rely on both.
     """
 
     backend = "dense-table"
@@ -578,6 +581,23 @@ class TableGroup(Group):
                     f"{elements[a]!r} lacks a unique two-sided inverse in {name}"
                 )
             inverses.append(b)
+        # Light's test: when the generators reach every element (as every
+        # element does when none are listed), the product is associative
+        # exactly when row[x*g] = row[x] o row[g] for every x and generator g
+        if gens:
+            reached, _ = closure_payloads(0, gens, lambda x, g: flat[x * n + g])
+            if len(reached) != n:
+                raise PreconditionError(
+                    f"the generators of {name} reach {len(reached)} of its {n} elements"
+                )
+        # the identity passes by its checks above; any other row has the two
+        # or more entries that make itemgetter return a tuple
+        for g in set(gens or range(n)) - {0}:
+            times_g = itemgetter(*flat[g * n : (g + 1) * n])
+            for x in range(n):
+                xg = flat[x * n + g]
+                if array("H", times_g(flat[x * n : (x + 1) * n])) != flat[xg * n : (xg + 1) * n]:
+                    raise PreconditionError(f"the product of {name} is not associative")
         self._n = n
         self._table = flat
         self._invtab = inverses
@@ -1005,6 +1025,6 @@ def direct_product(A: Group, B: Group) -> TableGroup:
         lambda p, q: (A._mul(p[0], q[0]), B._mul(p[1], q[1])),
         _PairNamer(),
         name=f"{A.name}x{B.name}",
-        generators=[(g, B._id()) for g in A._generator_payloads()]
-        + [(A._id(), g) for g in B._generator_payloads()],
+        generators=[(g, B._id()) for g in A._generating_payloads()]
+        + [(A._id(), g) for g in B._generating_payloads()],
     )

@@ -14,8 +14,6 @@ from .errors import ParseError
 
 Perm = tuple[int, ...]
 
-MAX_DEGREE = 16
-
 
 def identity_perm(m: int) -> Perm:
     return tuple(range(m))

@@ -11,22 +11,29 @@ The "natural" embedding tiles the p-gon action across every complete block
 of p points (leftover points stay fixed). With a single block a reflection
 has (p-1)/2 transpositions, an odd count when p = 3 mod 4, so it has no
 square root anywhere in S_m and the search is vacuous; the tiled copy at
-m >= 2p is what admits roots and realizes the bound tightly.
+m >= 2p is what admits roots and realizes the bound tightly. The "regular"
+embedding's reflection is p transpositions, an odd count for every odd p,
+so it has no square root at any m and its search is always vacuous.
+
+A permutation c that commutes with s and maps r into <r> normalizes
+<r, s>, so c x c^-1 is again a root and <r, s, c x c^-1> = c <r, s, x> c^-1
+has the order of <r, s, x>, as has <r, s, x^-1> = <r, s, x>. So the search
+closes only the least root of each orbit under such c and inversion, and
+counts it once per member.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import perms
-from .core import AtLeast, Exact, perm_closure
+from .core import AtLeast, Exact, closure_payloads, perm_closure
 from .dihedral import is_prime
 from .errors import Falsification, PreconditionError
 
-MAX_DEGREE = perms.MAX_DEGREE
+MAX_DEGREE = 22
 
 
 @dataclass(frozen=True)
@@ -51,6 +58,8 @@ def embed_dihedral(p: int, m: int, kind: str = "natural") -> DihedralEmbedding:
     """
     if not is_prime(p):
         raise PreconditionError(f"p = {p} is not prime")
+    if p == 2:  # s would fix every tiled point, so every involution is a root
+        raise PreconditionError("p = 2: the search needs an odd prime")
     if m > MAX_DEGREE:
         raise PreconditionError(f"degree {m} exceeds the limit {MAX_DEGREE}")
     if kind == "natural":
@@ -147,6 +156,32 @@ def closure_order_capped(gens, cap: int):
     return Exact(len(ordered))
 
 
+def _symmetries(emb: DihedralEmbedding) -> list[perms.Perm]:
+    """Permutations meant to commute with the reflection and map the
+    rotation into its own powers. Natural embedding: j -> a*j mod p on
+    every block (a a primitive root mod p), then a swap and a cycle of the
+    blocks and of the points the tiling leaves over. Regular: none, since
+    its reflection has no square root."""
+    if emb.kind != "natural":
+        return []
+    p, m = emb.p, emb.m
+    a = next(a for a in range(1, p) if len({pow(a, k, p) for k in range(1, p)}) == p - 1)
+    tiled = m - m % p
+    moves = [tuple(i - i % p + a * i % p if i < tiled else i for i in range(m))]
+    for start, width, end in ((0, p, tiled), (tiled, 1, m)):
+        if end - start >= 2 * width:
+            cycle = [*range(start + width, end), *range(start, start + width)]
+            swap = [*cycle[:width], *range(start, start + width), *range(start + 2 * width, end)]
+            moves += [(*range(start), *images, *range(end, m)) for images in (swap, cycle)]
+    return sorted(set(moves))
+
+
+def _conjugation(c: perms.Perm) -> Callable[[perms.Perm], perms.Perm]:
+    """x -> c x c^-1."""
+    c_inv = perms.invert(c)
+    return lambda x: perms.compose(perms.compose(c, x), c_inv)
+
+
 @dataclass
 class SearchReport:
     p: int
@@ -161,7 +196,6 @@ class SearchReport:
     min_witness: perms.Perm | None
     verdict: str
     bound: int
-    workers: int = 1
 
     def histogram_rows(self) -> list[tuple[str, int]]:
         rows = [(str(order), n) for order, n in sorted(self.exact_counts.items())]
@@ -189,73 +223,49 @@ class SearchReport:
         }
 
 
-def _search_chunk(task) -> tuple[dict[int, int], int, tuple | None]:
-    """Histogram one contiguous chunk of roots; returns (exact counts,
-    capped count, best (order, position, root))."""
-    gens, roots, offset, cap = task
-    exact: dict[int, int] = {}
-    capped = 0
-    best = None
-    for idx, x in enumerate(roots):
-        size = closure_order_capped(list(gens) + [x], cap)
-        if isinstance(size, Exact):
-            exact[size.count] = exact.get(size.count, 0) + 1
-            candidate = (size.count, offset + idx, x)
-            if best is None or candidate[:2] < best[:2]:
-                best = candidate
-        else:
-            capped += 1
-    return exact, capped, best
-
-
-def min_overgroup_search(
-    p: int,
-    m: int,
-    kind: str = "natural",
-    cap: int = 1000,
-    workers: int = 1,
-) -> SearchReport:
+def min_overgroup_search(p: int, m: int, kind: str = "natural", cap: int = 1000) -> SearchReport:
     """Histogram |<D_p generators, x>| over all square roots x of the
-    canonical reflection, with a one-sided cap.
+    canonical reflection, with a one-sided cap, closing one root per orbit.
 
-    The verdict asserts the bound only for p = 3 mod 4; a genuine
-    observation below 4p^2 there is a hard failure, not a report line.
+    A symmetry that fails its check, an orbit that leaves the uncounted
+    roots, and for p = 3 mod 4 an order below 4p^2 raise `Falsification`.
     """
     if cap < 1:
         raise PreconditionError(f"cap must be positive, got {cap}")
-    if workers < 1:
-        raise PreconditionError(f"workers must be positive, got {workers}")
     emb = embed_dihedral(p, m, kind)
     g = emb.reflection
-    gens = emb.generators
+    rotations = {perms.perm_power(emb.rotation, k) for k in range(p)}
+    moves = [perms.invert]
+    for c in _symmetries(emb):
+        moves.append(_conjugation(c))
+        if perms.compose(c, g) != perms.compose(g, c) or moves[-1](emb.rotation) not in rotations:
+            raise Falsification(
+                f"{perms.render_cycles(c)} does not commute with s and normalize <r>"
+            )
     roots = list(square_roots_in_Sm(m, g))
-    workers = min(workers, max(1, len(roots)))
-    if workers == 1 or len(roots) == 0:
-        results = [_search_chunk((gens, roots, 0, cap))]
-    else:
-        chunk = (len(roots) + workers - 1) // workers
-        tasks = [
-            (gens, roots[i : i + chunk], i, cap) for i in range(0, len(roots), chunk)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_search_chunk, tasks))
-
-    exact: dict[int, int] = {}
+    uncounted = set(roots)
+    exact: Counter[int] = Counter()
     capped = 0
     best = None
-    for ex, cp, bst in results:
-        for order, n in ex.items():
-            exact[order] = exact.get(order, 0) + n
-        capped += cp
-        if bst is not None and (best is None or bst[:2] < best[:2]):
-            best = bst
+    for x in roots:  # lexicographic, so x is the least root of its orbit
+        if x not in uncounted:
+            continue
+        orbit, _ = closure_payloads(x, moves, lambda y, move: move(y))
+        if not uncounted.issuperset(orbit):
+            raise Falsification(f"the orbit of {perms.render_cycles(x)} leaves the uncounted roots")
+        uncounted.difference_update(orbit)
+        size = closure_order_capped([*emb.generators, x], cap)
+        if isinstance(size, Exact):
+            exact[size.count] += len(orbit)
+            best = min(best or (size.count, x), (size.count, x))  # roots are in lex order
+        else:
+            capped += len(orbit)
 
     if sum(exact.values()) + capped != len(roots):
         raise Falsification("histogram total drifted from the root count")
 
     bound = 4 * p * p
-    minimum = best[0] if best is not None else None
-    min_witness = best[2] if best is not None else None
+    minimum, min_witness = best if best is not None else (None, None)
 
     if p % 4 == 3:
         if not roots:
@@ -274,17 +284,7 @@ def min_overgroup_search(
         verdict = "not-applicable (p = 1 mod 4)"
 
     return SearchReport(
-        p=p,
-        m=m,
-        kind=kind,
-        cap=cap,
-        reflection=g,
-        root_count=len(roots),
-        exact_counts=exact,
-        capped_count=capped,
-        minimum=minimum,
-        min_witness=min_witness,
-        verdict=verdict,
-        bound=bound,
-        workers=workers,
+        p=p, m=m, kind=kind, cap=cap, reflection=g, root_count=len(roots),
+        exact_counts=dict(exact), capped_count=capped, minimum=minimum,
+        min_witness=min_witness, verdict=verdict, bound=bound,
     )

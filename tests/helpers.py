@@ -11,7 +11,13 @@ from collections import Counter
 from math import factorial
 
 from groupsmith import perms
-from groupsmith.core import Element, Group, Subgroup, subgroup_generated
+from groupsmith.core import Element, Exact, Group, Subgroup, subgroup_generated
+from groupsmith.search import (
+    SearchReport,
+    closure_order_capped,
+    embed_dihedral,
+    square_roots_in_Sm,
+)
 
 
 def pairwise_closure(G: Group, seed_payloads) -> frozenset:
@@ -167,3 +173,38 @@ def sqrt_count_by_cycle_type(g: perms.Perm) -> int:
                 )
             total *= ways
     return total
+
+
+def min_overgroup_search_by_scan(p: int, m: int, kind: str = "natural", cap: int = 1000) -> SearchReport:
+    """The ambient search without the orbit reduction: close <r, s, x> for
+    every square root x, keep the first root of least exact order, and
+    decide the verdict from the whole histogram."""
+    emb = embed_dihedral(p, m, kind)
+    roots = list(square_roots_in_Sm(m, emb.reflection))
+    exact: dict[int, int] = {}
+    capped = 0
+    best = None
+    for x in roots:
+        size = closure_order_capped(list(emb.generators) + [x], cap)
+        if isinstance(size, Exact):
+            exact[size.count] = exact.get(size.count, 0) + 1
+            if best is None or size.count < best[0]:
+                best = (size.count, x)
+        else:
+            capped += 1
+    bound = 4 * p * p
+    if p % 4 != 3:
+        verdict = "not-applicable (p = 1 mod 4)"
+    elif not roots:
+        verdict = "vacuous"
+    elif best is not None and best[0] < bound:
+        verdict = "below the bound"  # the production search raises here
+    elif capped and cap < bound:
+        verdict = f"inconclusive (cap {cap} below bound {bound})"
+    else:
+        verdict = "bound holds in universe"
+    return SearchReport(
+        p=p, m=m, kind=kind, cap=cap, reflection=emb.reflection, root_count=len(roots),
+        exact_counts=exact, capped_count=capped, minimum=best and best[0],
+        min_witness=best and best[1], verdict=verdict, bound=bound,
+    )

@@ -20,7 +20,7 @@ def _parameters(obj) -> set[str]:
 
 
 def test_only_the_capped_searches_take_a_cap():
-    takes_cap, takes_order_cap = set(), set()
+    takes_cap, takes_order_cap, takes_workers = set(), set(), set()
     for name in groupsmith.__all__:
         obj = getattr(groupsmith, name)
         if not callable(obj) or name in RECORDS:
@@ -30,5 +30,8 @@ def test_only_the_capped_searches_take_a_cap():
             takes_cap.add(name)
         if "order_cap" in params:
             takes_order_cap.add(name)
+        if "workers" in params:
+            takes_workers.add(name)
     assert takes_cap == CAPPED_SEARCHES
     assert takes_order_cap == set()
+    assert takes_workers == set()  # the ambient search runs in one process

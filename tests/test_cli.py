@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import groupsmith
 from groupsmith.cli import main
 
 
@@ -144,6 +149,29 @@ def test_search_non_positive_cap_exits_2(capsys):
         assert code == 2
         assert "cap must be positive" in err
         assert out == ""
+
+
+def test_search_workers_flag_is_ignored(capsys):
+    with_flag = run_json(capsys, "search", "--p", "3", "--m", "8", "--workers", "1")
+    without = run_json(capsys, "search", "--p", "3", "--m", "8")
+    for report in (with_flag, without):
+        report.pop("params")
+        report.pop("timing_ms")
+    assert with_flag == without
+    code, out, err = run(capsys, "search", "--p", "3", "--m", "8", "--workers", "0")
+    assert code == 2
+    assert "workers must be positive" in err
+    assert out == ""
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    src = str(Path(groupsmith.__file__).parents[1])
+    probe = "import sys, groupsmith.cli; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert done.stdout == "False\n"
 
 
 def test_solve_positive_non_positive_cap_exits_2(capsys):

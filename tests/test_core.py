@@ -232,6 +232,35 @@ def test_table_input_checks(elements, mul, message):
     assert str(err.value) == message
 
 
+# a loop of order 5 that is not a group: every non-identity element squares
+# to 0, so a subgroup query on it would fail Lagrange's theorem
+LOOP5 = ("01234", "10342", "24013", "32401", "43120")
+
+
+@pytest.mark.parametrize(
+    "generators, message",
+    [
+        ((), "the product of loop5 is not associative"),
+        ((1,), "the generators of loop5 reach 2 of its 5 elements"),
+    ],
+)
+def test_table_refuses_what_generator_queries_would_get_wrong(generators, message):
+    with pytest.raises(PreconditionError) as err:
+        TableGroup(
+            range(5), lambda a, b: int(LOOP5[a][b]), IntegerNamer(5),
+            name="loop5", generators=generators,
+        )
+    assert str(err.value) == message
+
+
+def test_direct_product_keeps_a_factor_without_generators():
+    s3_perms = perm_closure([(1, 0, 2), (1, 2, 0)], 100)[1]
+    bare = TableGroup(s3_perms, perms.compose, CycleNamer(3), name="S3-bare")
+    product = direct_product(bare, cyclic_group(3))
+    assert not product.is_abelian()
+    assert product.center().order == 3
+
+
 # -- subgroup machinery -------------------------------------------------------
 
 

@@ -1,10 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from groupsmith import perms
+from groupsmith import perms, search
 from groupsmith.core import AtLeast, Exact, table_from_generators
-from groupsmith.errors import PreconditionError
+from groupsmith.errors import Falsification, PreconditionError
 from groupsmith.search import (
     closure_order_capped,
     embed_dihedral,
@@ -12,7 +13,7 @@ from groupsmith.search import (
     square_roots_in_Sm,
 )
 
-from helpers import square_roots_by_scan, sqrt_count_by_cycle_type
+from helpers import min_overgroup_search_by_scan, square_roots_by_scan, sqrt_count_by_cycle_type
 
 
 # -- embeddings ------------------------------------------------------------------
@@ -80,6 +81,10 @@ def test_embedding_preconditions():
         embed_dihedral(3, 5, kind="regular")  # m < 2p
     with pytest.raises(PreconditionError):
         embed_dihedral(3, 99)  # degree limit
+    with pytest.raises(PreconditionError, match="exceeds the limit 22"):
+        embed_dihedral(3, 23)
+    with pytest.raises(PreconditionError, match="odd prime"):
+        embed_dihedral(2, 4)  # the reflection would fix every tiled point
 
 
 # -- square roots ------------------------------------------------------------------
@@ -127,6 +132,15 @@ def test_square_roots_count_sampled_larger_degrees():
         roots = list(square_roots_in_Sm(m, g))
         assert roots == square_roots_by_scan(m, g)
         assert len(roots) == sqrt_count_by_cycle_type(g)
+
+
+def test_regular_embedding_reflection_has_no_square_root():
+    # its reflection is p transpositions, an odd count for every odd p
+    for p in (3, 5, 7):
+        for m in range(2 * p, search.MAX_DEGREE + 1):
+            emb = embed_dihedral(p, m, kind="regular")
+            assert list(square_roots_in_Sm(m, emb.reflection)) == []
+        assert search._symmetries(emb) == []
 
 
 # -- capped closure ----------------------------------------------------------------
@@ -230,14 +244,61 @@ def test_minimum_identical_across_reflections():
     assert minima == [36, 36, 36]
 
 
-def test_search_parallel_matches_serial():
-    for p, m, cap in ((3, 6, 1000), (7, 14, 197)):
-        serial = min_overgroup_search(p, m, cap=cap, workers=1)
-        parallel = min_overgroup_search(p, m, cap=cap, workers=2)
-        assert serial.exact_counts == parallel.exact_counts
-        assert serial.capped_count == parallel.capped_count
-        assert serial.minimum == parallel.minimum
-        assert serial.min_witness == parallel.min_witness
+@pytest.mark.parametrize(
+    "p, m, kind, cap",
+    [
+        (3, 6, "natural", 1000),
+        (3, 8, "natural", 1000),
+        (5, 10, "natural", 1000),
+        (7, 9, "natural", 196),
+        (7, 14, "natural", 197),
+        (7, 14, "regular", 1000),
+        (3, 12, "natural", 1000),
+        (5, 15, "natural", 200),
+    ],
+)
+def test_search_matches_unreduced_oracle(p, m, kind, cap):
+    rep = min_overgroup_search(p, m, kind, cap)
+    assert rep.to_dict() == min_overgroup_search_by_scan(p, m, kind, cap).to_dict()
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    pm=st.sampled_from([3, 5, 7]).flatmap(
+        lambda p: st.tuples(st.just(p), st.integers(min_value=p, max_value=12))
+    ),
+    cap=st.sampled_from([1, 40, 200, 1000]),
+)
+def test_search_matches_unreduced_oracle_property(pm, cap):
+    p, m = pm
+    rep = min_overgroup_search(p, m, cap=cap)
+    assert rep.to_dict() == min_overgroup_search_by_scan(p, m, cap=cap).to_dict()
+
+
+def test_search_refuses_a_symmetry_that_moves_the_reflection(monkeypatch):
+    # (0 1) does not commute with the reflection (1 2)(4 5) of D_3 in S_8
+    monkeypatch.setattr(search, "_symmetries", lambda emb: [(1, 0, 2, 3, 4, 5, 6, 7)])
+    with pytest.raises(Falsification, match="does not commute"):
+        min_overgroup_search(3, 8)
+
+
+def test_search_refuses_an_orbit_outside_the_roots(monkeypatch):
+    # with one root missing from the list, its orbit leaves the roots
+    roots = list(square_roots_in_Sm(8, embed_dihedral(3, 8).reflection))
+    monkeypatch.setattr(search, "square_roots_in_Sm", lambda m, g: iter(roots[:-1]))
+    with pytest.raises(Falsification, match="leaves the uncounted roots"):
+        min_overgroup_search(3, 8)
+
+
+def test_search_p11_m22_is_tight():
+    rep = min_overgroup_search(11, 22, cap=485)
+    assert rep.root_count == 60480 == sqrt_count_by_cycle_type(rep.reflection)
+    assert rep.to_dict()["histogram"] == {"484": 10, ">=485": 60470}
+    assert rep.minimum == 484 == 4 * 11 * 11
+    assert perms.render_cycles(rep.min_witness) == (
+        "(0 11)(1 12 10 21)(2 13 9 20)(3 14 8 19)(4 15 7 18)(5 16 6 17)"
+    )
+    assert rep.verdict == "bound holds in universe"
 
 
 def test_search_histogram_rows_and_dict():
