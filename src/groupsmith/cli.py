@@ -19,6 +19,7 @@ from . import __version__
 from .constructions import (
     WreathGroup,
     dihedral_group,
+    lemma7_by_class,
     lemma7_subgroup,
     lemma8_construct,
     named_group,
@@ -235,11 +236,14 @@ def cmd_solve_positive(args):
 
 def cmd_lemma7_check(args):
     G = named_group(args.group)
-    targets = [G.parse(args.element)] if args.element else list(G.elements())
+    if args.element:
+        g = G.parse(args.element)
+        checked = [(g, lemma7_subgroup(G, g))]
+    else:
+        checked = lemma7_by_class(G)
     rows = []
     assertions = []
-    for g in targets:
-        res = lemma7_subgroup(G, g)
+    for g, res in checked:
         rows.append(
             {
                 "element": G.render(g),

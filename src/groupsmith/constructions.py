@@ -347,6 +347,53 @@ def _lemma7_from(G: Group, g: Element, C: Subgroup) -> Lemma7Result:
     )
 
 
+def lemma7_by_class(G: Group) -> list[tuple[Element, Lemma7Result]]:
+    """`lemma7_subgroup` for every element of G, in `G.elements()` order,
+    closing one representative per conjugacy class.
+
+    The first member g of each class is closed and compared with its closed
+    form by `lemma7_subgroup`. Every other member g' = h^-1 g h shares that
+    verified result once two checks pass: its root equals
+    diag(h)^-1 * root(g) * diag(h), and diag(h) lies in L(g), so its
+    generated closure is L(g); and g^-1 g' lies in C, so g'C = gC and its
+    closed form is the same set.
+    """
+    verified: dict = {}
+    for g in G.elements():
+        if g.payload in verified:
+            continue
+        rep = verified[g.payload] = lemma7_subgroup(G, g)
+        W, C = rep.wreath, rep.commutator_part
+        ginv = G._inv(g.payload)
+        for q, h in _class_conjugators(G, g).items():
+            if q == g.payload:
+                continue
+            member = Element(G, q)
+            root = levin_root(W, member)
+            if root != rep.root.conj(W.diag_embed(Element(G, h))):
+                raise Falsification(
+                    f"the root of {G.render(member)} is not the root of "
+                    f"{G.render(g)} conjugated by diag({G._render(h)}) in {G.name}"
+                )
+            if G._mul(ginv, q) not in C.payload_set:
+                raise Falsification(
+                    f"{G.render(member)} is not in {G.render(g)}*C for C = [<<g>>, G] in {G.name}"
+                )
+            verified[q] = Lemma7Result(
+                wreath=W, subgroup=rep.subgroup, root=root, commutator_part=C, embed=W.diag_embed
+            )
+    return [(g, verified[g.payload]) for g in G.elements()]
+
+
+def _class_conjugators(G: Group, g: Element) -> dict:
+    """Each member q of the class of g, mapped to the first h in G (in
+    payload order) with q = h^-1 g h."""
+    out: dict = {}
+    for h in G._iter_payloads():
+        out.setdefault(G._mul(G._mul(G._inv(h), g.payload), h), h)
+    return out
+
+
 @dataclass
 class Lemma8Result:
     """Inversion subgroup K = {((x, x^-1), 0) : x in N} and, when K turns

@@ -33,10 +33,12 @@ from .errors import CapExceeded, Falsification, ParseError, PreconditionError
 
 # The limits on building groups, for every backend. A permutation closure
 # stops as it outgrows the closure cap; a dense table is refused before its
-# first row is filled (the 16-bit limit, then the cap); a wreath product, whose
-# elements are never enumerated when it is built, has its own order cap.
+# first row is filled (the 16-bit limit, the entry budget, then the cap); a
+# wreath product, whose elements are never enumerated when it is built, has
+# its own order cap.
 DEFAULT_CAP = 10_000
 TABLE_ORDER_LIMIT = 1 << 16  # dense table entries are stored as array("H")
+TABLE_ENTRY_BUDGET = 1 << 24  # n*n entries, 32 MB as array("H")
 WREATH_ORDER_CAP = 10_000_000
 
 
@@ -56,10 +58,17 @@ def default_cap() -> int:
 
 def check_table_order(n: int) -> None:
     """Refuse a dense table of order n before its first row is filled:
-    above the 16-bit entry limit, then above the closure cap."""
+    above the 16-bit entry limit, then with more than the entry budget of
+    n*n entries, then above the closure cap."""
     if n > TABLE_ORDER_LIMIT:
         raise CapExceeded(
             f"table group order {n} exceeds the 16-bit table limit {TABLE_ORDER_LIMIT}", n
+        )
+    if n * n > TABLE_ENTRY_BUDGET:
+        raise CapExceeded(
+            f"table group order {n} needs {n * n} entries, "
+            f"above the table entry budget {TABLE_ENTRY_BUDGET}",
+            n,
         )
     limit = default_cap()
     if n > limit:

@@ -25,7 +25,7 @@ def is_perm(p: Perm) -> bool:
 
 def compose(a: Perm, b: Perm) -> Perm:
     """a after b: (a*b)(i) = a(b(i))."""
-    return tuple(a[b[i]] for i in range(len(a)))
+    return tuple([a[i] for i in b])
 
 
 def invert(p: Perm) -> Perm:

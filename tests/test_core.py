@@ -6,6 +6,7 @@ import pytest
 from groupsmith import perms
 from groupsmith.constructions import cyclic_group, named_group, wreath_cyclic
 from groupsmith.core import (
+    TABLE_ENTRY_BUDGET,
     TABLE_ORDER_LIMIT,
     AtLeast,
     CycleNamer,
@@ -14,6 +15,7 @@ from groupsmith.core import (
     PermGroup,
     Subgroup,
     TableGroup,
+    check_table_order,
     conjugates_in,
     direct_product,
     mutual_commutator,
@@ -200,6 +202,22 @@ def test_tables_are_refused_before_they_are_built(monkeypatch):
     z300 = cyclic_group(300)
     err, peak = _peak_traced_bytes(lambda: direct_product(z300, z300))
     assert "exceeds the 16-bit table limit 65536" in str(err)
+    assert peak < 1 << 20
+
+
+def test_table_entry_budget_is_checked_before_the_cap(monkeypatch):
+    monkeypatch.delenv("GROUPSMITH_CAP", raising=False)
+    assert TABLE_ENTRY_BUDGET == 1 << 24
+    check_table_order(4096)  # exactly 2^24 entries
+    with pytest.raises(CapExceeded) as err:
+        check_table_order(4097)
+    assert str(err.value) == (
+        "table group order 4097 needs 16785409 entries, above the table entry "
+        "budget 16777216 (partial count: 4097)"
+    )
+    # a built Z5000 table holds 2.5 * 10^7 entries, 50 MB as array("H")
+    err, peak = _peak_traced_bytes(lambda: named_group("Z5000"))
+    assert "order 5000 needs 25000000 entries" in str(err)
     assert peak < 1 << 20
 
 
