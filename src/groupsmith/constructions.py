@@ -157,6 +157,13 @@ class WreathGroup(Group):
     Elements are (f, k) with f a tuple of n base elements and k a shift mod
     n; the order is n * |base|^n. No table is materialized, so orders in
     the millions are representable as long as nothing enumerates them.
+
+    Over a permutation base of degree d, the payload of (f, k) is the
+    permutation of n*d points, n blocks of d, that sends i*d + j to
+    ((i+k) % n)*d + f[(i+k) % n][j]. This is a homomorphism under
+    `perms.compose`, so a product is one composition of degree n*d. Over
+    any other base the payload is (f, k) itself. `pack` and `unpack`
+    convert between the two.
     """
 
     backend = "wreath-structured"
@@ -173,12 +180,39 @@ class WreathGroup(Group):
                 f"wreath order {self._order} exceeds cap {WREATH_ORDER_CAP}", self._order
             )
         self._base_id = base._id()
+        # the block size d of flat payloads; 0 for (f, k) payloads
+        self._d = base.degree if isinstance(base, PermGroup) else 0
 
     @property
     def order(self) -> int:
         return self._order
 
+    def pack(self, f: tuple, k: int):
+        """The payload of (f, k)."""
+        d = self._d
+        if not d:
+            return (f, k)
+        n = self.arity
+        out: list = []
+        for i in range(n):
+            src = (i + k) % n
+            out += [src * d + x for x in f[src]]
+        return tuple(out)
+
+    def unpack(self, p) -> tuple:
+        """The (f, k) of a payload; the inverse of `pack`."""
+        d = self._d
+        if not d:
+            return p
+        k, blocks = self._key(p)
+        f = tuple(
+            tuple([x - i * d for x in blocks[i * d : (i + 1) * d]]) for i in range(self.arity)
+        )
+        return f, k
+
     def _mul(self, p, q):
+        if self._d:
+            return tuple([p[i] for i in q])
         f, k = p
         f2, k2 = q
         n = self.arity
@@ -189,25 +223,45 @@ class WreathGroup(Group):
         )
 
     def _inv(self, p):
+        if self._d:
+            return perms.invert(p)
         f, k = p
         n = self.arity
         binv = self.base._inv
         return (tuple(binv(f[(j + k) % n]) for j in range(n)), (-k) % n)
 
     def _id(self):
-        return ((self._base_id,) * self.arity, 0)
+        return self.pack((self._base_id,) * self.arity, 0)
 
     def _iter_payloads(self) -> Iterator:
         base_pays = list(self.base._iter_payloads())
         for k in range(self.arity):
             for combo in iproduct(base_pays, repeat=self.arity):
-                yield (combo, k)
+                yield self.pack(combo, k)
 
     def _key(self, p):
+        d = self._d
+        if d:
+            # k sends block 0 to block k; rotating the blocks back by k
+            # leaves block i as i*d + f[i], which sorts as (k, f) below
+            k = p[0] // d
+            r = (self.arity - k) % self.arity * d
+            return (k, p[r:] + p[:r])
         f, k = p
         return (k, tuple(self.base._key(x) for x in f))
 
     def _contains_payload(self, p) -> bool:
+        if self._d:
+            # a permutation of n*d points is a payload when every f[i] of
+            # its unpacking is a base element: each block then maps onto
+            # the block k further on
+            if not (
+                isinstance(p, tuple)
+                and len(p) == self.arity * self._d
+                and all(isinstance(x, int) for x in p)
+            ):
+                return False
+            p = self.unpack(p)
         if not (isinstance(p, tuple) and len(p) == 2):
             return False
         f, k = p
@@ -220,7 +274,7 @@ class WreathGroup(Group):
         )
 
     def _render(self, p) -> str:
-        f, k = p
+        f, k = self.unpack(p)
         inner = ",".join(self.base._render(x) for x in f)
         return f"[{inner};{k}]"
 
@@ -241,7 +295,7 @@ class WreathGroup(Group):
             raise ParseError(s, "shift must be an integer") from None
         if not 0 <= k < self.arity:
             raise ParseError(s, f"shift {k} out of range 0..{self.arity - 1}")
-        return (tuple(self.base._parse(c) for c in coords), k)
+        return self.pack(tuple(self.base._parse(c) for c in coords), k)
 
     def _generator_payloads(self) -> tuple:
         idp = self._base_id
@@ -249,14 +303,14 @@ class WreathGroup(Group):
         for g in self.base._generating_payloads():
             f = [idp] * self.arity
             f[0] = g
-            gens.append((tuple(f), 0))
-        gens.append(((idp,) * self.arity, 1))
+            gens.append(self.pack(tuple(f), 0))
+        gens.append(self.pack((idp,) * self.arity, 1))
         return tuple(gens)
 
     def diag_embed(self, g: Element) -> Element:
         """The diagonal copy of a base element: constant tuple, zero shift."""
         self.base._check(g)
-        return Element(self, ((g.payload,) * self.arity, 0))
+        return Element(self, self.pack((g.payload,) * self.arity, 0))
 
 
 def wreath_cyclic(G: Group, n: int) -> WreathGroup:
@@ -270,7 +324,7 @@ def levin_root(W: WreathGroup, g: Element) -> Element:
     W.base._check(g)
     f = [W._base_id] * W.arity
     f[0] = g.payload
-    x = Element(W, (tuple(f), 1))
+    x = Element(W, W.pack(tuple(f), 1))
     acc = x
     for _ in range(W.arity - 1):
         acc = acc * x
@@ -304,11 +358,13 @@ class Lemma7Result:
 def lemma7_subgroup(G: Group, g: Element) -> Lemma7Result:
     """Closed-form subgroup containing diag(G) and a square root of diag(g).
 
-    The element set {(f,0): f0*f1^-1 in C} u {(f,1): f0*f1^-1 in g*C} with
-    C = [<<g>>, G] is built directly and then verified, as sets, against
-    the breadth-first closure of diag(G) and the root. The closure starts
-    from the diagonal images of G's generating set, which generate
-    diag(G). A mismatch is a hard error, not a degraded result.
+    The subgroup is the breadth-first closure of diag(G) and the root,
+    started from the diagonal images of G's generating set, which generate
+    diag(G). It is verified against the closed form
+    {(f,0): f0*f1^-1 in C} u {(f,1): f0*f1^-1 in g*C} with C = [<<g>>, G]:
+    every closed element must satisfy the predicate, and the closure must
+    have the 2|G||C| elements of the closed form. A mismatch is a hard
+    error, not a degraded result.
     """
     G._check(g)
     return _lemma7_from(G, g, mutual_commutator(G, normal_closure(G, g), G.whole()))
@@ -317,34 +373,35 @@ def lemma7_subgroup(G: Group, g: Element) -> Lemma7Result:
 def _lemma7_from(G: Group, g: Element, C: Subgroup) -> Lemma7Result:
     """`lemma7_subgroup` with C = [<<g>>, G] already computed."""
     W = wreath_cyclic(G, 2)
-    gp = g.payload
-    members = []
-    for f1 in G._iter_payloads():
-        for c in C.payloads:
-            members.append(Element(W, ((G._mul(c, f1), f1), 0)))
-            members.append(Element(W, ((G._mul(G._mul(gp, c), f1), f1), 1)))
-    formula_set = Subgroup(W, members, _trusted=True)
     root = levin_root(W, g)
     gens = [W.diag_embed(Element(G, a)) for a in G._generating_payloads()]
     gens.append(root)
     closed = subgroup_generated(W, gens)
-    if formula_set.payload_set != closed.payload_set:
+    cosets = _lemma7_cosets(G, g, C)
+    for p in closed.payloads:
+        (f0, f1), k = W.unpack(p)
+        if G._mul(f0, G._inv(f1)) not in cosets[k]:
+            raise Falsification(
+                f"the closure of diag(G) and the root of g = {G.render(g)} in {G.name} "
+                f"holds {W._render(p)}, outside the closed-form subgroup"
+            )
+    if closed.order != 2 * G.order * C.order:
         raise Falsification(
-            "closed-form subgroup does not match the generated closure "
-            f"for g = {G.render(g)} in {G.name}"
-        )
-    if formula_set.order != 2 * G.order * C.order:
-        raise Falsification(
-            f"subgroup order {formula_set.order} != 2*|G|*|C| "
+            f"subgroup order {closed.order} != 2*|G|*|C| "
             f"= {2 * G.order * C.order}"
         )
     return Lemma7Result(
         wreath=W,
-        subgroup=formula_set,
+        subgroup=closed,
         root=root,
         commutator_part=C,
         embed=W.diag_embed,
     )
+
+
+def _lemma7_cosets(G: Group, g: Element, C: Subgroup) -> tuple[frozenset, frozenset]:
+    """Where f0*f1^-1 lies in the closed form at shift 0 and 1: C and gC."""
+    return C.payload_set, frozenset(G._mul(g.payload, c) for c in C.payloads)
 
 
 def lemma7_by_class(G: Group) -> list[tuple[Element, Lemma7Result]]:
@@ -435,7 +492,7 @@ def lemma8_construct(G: Group, N: Subgroup) -> Lemma8Result:
     if not G.is_normal(N):
         raise PreconditionError("N must be normal in G")
     W = wreath_cyclic(G, 2)
-    k_members = [Element(W, ((x, G._inv(x)), 0)) for x in N.payloads]
+    k_members = [Element(W, W.pack((x, G._inv(x)), 0)) for x in N.payloads]
     K = Subgroup(W, k_members)
     witness = W.normality_witness(K)
     if witness is not None:

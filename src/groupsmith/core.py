@@ -6,8 +6,9 @@ render/parse) over three element representations:
 * dense-table: elements are indices into a list whose products fill one
   flat 16-bit Cayley table, refused before its first row is filled,
 * perm-closure: elements are permutation image tuples,
-* wreath-structured: elements are (base tuple, shift) pairs, no table
-  is ever materialized (see constructions.WreathGroup).
+* wreath-structured: elements (base tuple, shift) are stored as one
+  permutation over a permutation base and as the pair itself over any
+  other, and no table is ever materialized (see constructions.WreathGroup).
 
 Subgroups are explicit sorted element sets; at desk scale set semantics
 beat generator-only laziness and keep fixtures stable.
@@ -33,12 +34,12 @@ from .errors import CapExceeded, Falsification, ParseError, PreconditionError
 
 # The limits on building groups, for every backend. A permutation closure
 # stops as it outgrows the closure cap; a dense table is refused before its
-# first row is filled (the 16-bit limit, the entry budget, then the cap); a
-# wreath product, whose elements are never enumerated when it is built, has
-# its own order cap.
+# first row is filled (the entry budget, then the cap); a wreath product,
+# whose elements are never enumerated when it is built, has its own order
+# cap.
 DEFAULT_CAP = 10_000
-TABLE_ORDER_LIMIT = 1 << 16  # dense table entries are stored as array("H")
-TABLE_ENTRY_BUDGET = 1 << 24  # n*n entries, 32 MB as array("H")
+# n*n entries, 32 MB as array("H"); n <= 4096 also keeps each entry in 16 bits
+TABLE_ENTRY_BUDGET = 1 << 24
 WREATH_ORDER_CAP = 10_000_000
 
 
@@ -58,12 +59,8 @@ def default_cap() -> int:
 
 def check_table_order(n: int) -> None:
     """Refuse a dense table of order n before its first row is filled:
-    above the 16-bit entry limit, then with more than the entry budget of
-    n*n entries, then above the closure cap."""
-    if n > TABLE_ORDER_LIMIT:
-        raise CapExceeded(
-            f"table group order {n} exceeds the 16-bit table limit {TABLE_ORDER_LIMIT}", n
-        )
+    with more than the entry budget of n*n entries, then above the closure
+    cap."""
     if n * n > TABLE_ENTRY_BUDGET:
         raise CapExceeded(
             f"table group order {n} needs {n * n} entries, "
@@ -73,28 +70,6 @@ def check_table_order(n: int) -> None:
     limit = default_cap()
     if n > limit:
         raise CapExceeded(f"table group order {n} exceeds cap {limit}", n)
-
-
-@dataclass(frozen=True)
-class Exact:
-    """A closure that finished: the order is known exactly."""
-
-    count: int
-
-    @property
-    def is_exact(self) -> bool:
-        return True
-
-
-@dataclass(frozen=True)
-class AtLeast:
-    """A closure that hit its cap: only a lower bound is known."""
-
-    bound: int
-
-    @property
-    def is_exact(self) -> bool:
-        return False
 
 
 class Element:
@@ -786,25 +761,6 @@ def perm_closure(
         perms.identity_perm(degree), gens, perms.compose, abort_at=abort_at
     )
     return gens, ordered, complete
-
-
-def table_from_generators(generator_perms: Iterable[perms.Perm]) -> TableGroup:
-    """Dense-table group on the closure of a set of permutations.
-
-    Numbering is breadth-first from the identity with lexicographic
-    tie-breaks on the image tuples, so fixtures are reproducible.
-    """
-    limit = default_cap()
-    gens, ordered, complete = perm_closure(generator_perms, limit + 1)
-    if not complete:
-        raise CapExceeded(f"closure too large (cap {limit})", len(ordered))
-    return TableGroup(
-        ordered,
-        perms.compose,
-        CycleNamer(len(ordered[0])),
-        name=f"closure-{len(ordered)}",
-        generators=gens,
-    )
 
 
 def subgroup_generated(G: Group, S: Iterable[Element]) -> Subgroup:

@@ -156,7 +156,7 @@ def levin_solve(
 
         f = descend(0)
         if f is not None:
-            x = Element(W, (f, k))
+            x = Element(W, W.pack(f, k))
             if evaluate(eq, W, W.diag_embed, x) != W.identity:
                 raise Falsification(
                     "pruned search produced a candidate the evaluator rejects"

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from . import perms
-from .core import AtLeast, Exact, closure_payloads, perm_closure
+from .core import closure_payloads, perm_closure
 from .dihedral import is_prime
 from .errors import Falsification, PreconditionError
 
@@ -144,16 +144,27 @@ def _roots_of_cycles(cycles: list[tuple[int, ...]], x: list[int]) -> Iterator[pe
             yield from _roots_of_cycles(others, x)
 
 
-def closure_order_capped(gens, cap: int):
+class CappedOrder(NamedTuple):
+    """A closure size and whether the closure finished; a closure that did
+    not stopped at the cap, a lower bound on its order."""
+
+    count: int
+    complete: bool
+
+    @property
+    def is_exact(self) -> bool:
+        """`complete`, by the name `bench/layers.py` counts capped closures with."""
+        return self.complete
+
+
+def closure_order_capped(gens, cap: int) -> CappedOrder:
     """Breadth-first closure size of permutation generators of one degree,
-    aborting the moment the partial set reaches the cap: Exact(k) or
-    AtLeast(cap)."""
+    aborting the moment the partial set reaches the cap: (count, complete),
+    as `closure_payloads` returns, with count = cap when it stopped."""
     if cap < 1:
         raise PreconditionError(f"cap must be positive, got {cap}")
     _, ordered, complete = perm_closure(gens, cap)
-    if not complete:
-        return AtLeast(cap)
-    return Exact(len(ordered))
+    return CappedOrder(len(ordered), complete)
 
 
 def _symmetries(emb: DihedralEmbedding) -> list[perms.Perm]:
@@ -254,10 +265,10 @@ def min_overgroup_search(p: int, m: int, kind: str = "natural", cap: int = 1000)
         if not uncounted.issuperset(orbit):
             raise Falsification(f"the orbit of {perms.render_cycles(x)} leaves the uncounted roots")
         uncounted.difference_update(orbit)
-        size = closure_order_capped([*emb.generators, x], cap)
-        if isinstance(size, Exact):
-            exact[size.count] += len(orbit)
-            best = min(best or (size.count, x), (size.count, x))  # roots are in lex order
+        size, complete = closure_order_capped([*emb.generators, x], cap)
+        if complete:
+            exact[size] += len(orbit)
+            best = min(best or (size, x), (size, x))  # roots are in lex order
         else:
             capped += len(orbit)
 

@@ -12,13 +12,43 @@ from math import factorial
 
 from groupsmith import perms
 from groupsmith.constructions import lemma7_subgroup
-from groupsmith.core import Element, Exact, Group, Subgroup, subgroup_generated
+from groupsmith.core import (
+    CycleNamer,
+    Element,
+    Group,
+    Subgroup,
+    TableGroup,
+    perm_closure,
+    subgroup_generated,
+)
 from groupsmith.search import (
     SearchReport,
     closure_order_capped,
     embed_dihedral,
     square_roots_in_Sm,
 )
+
+
+def perm_table(generator_perms) -> TableGroup:
+    """A dense-table group on the closure of permutations, numbered as
+    `perm_closure` walks it: breadth first from the identity, each level in
+    lexicographic order. The table's own checks refuse it above the cap."""
+    gens, ordered, complete = perm_closure(generator_perms, 1 << 16)
+    assert complete
+    return TableGroup(
+        ordered,
+        perms.compose,
+        CycleNamer(len(ordered[0])),
+        name=f"closure-{len(ordered)}",
+        generators=gens,
+    )
+
+
+def wreath_mul_by_coordinates(base: Group, n: int, x: tuple, y: tuple) -> tuple:
+    """The wreath law on (f, k) pairs, one base product per coordinate:
+    (f, k) * (f', k') = (h, k + k' mod n) with h(i) = f(i) * f'((i - k) mod n)."""
+    (f, k), (f2, k2) = x, y
+    return tuple(base._mul(f[i], f2[(i - k) % n]) for i in range(n)), (k + k2) % n
 
 
 def pairwise_closure(G: Group, seed_payloads) -> frozenset:
@@ -186,11 +216,11 @@ def min_overgroup_search_by_scan(p: int, m: int, kind: str = "natural", cap: int
     capped = 0
     best = None
     for x in roots:
-        size = closure_order_capped(list(emb.generators) + [x], cap)
-        if isinstance(size, Exact):
-            exact[size.count] = exact.get(size.count, 0) + 1
-            if best is None or size.count < best[0]:
-                best = (size.count, x)
+        size, complete = closure_order_capped(list(emb.generators) + [x], cap)
+        if complete:
+            exact[size] = exact.get(size, 0) + 1
+            if best is None or size < best[0]:
+                best = (size, x)
         else:
             capped += 1
     bound = 4 * p * p

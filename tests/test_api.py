@@ -1,6 +1,6 @@
 """The public API takes no per-call resource limits.
 
-The closure cap (GROUPSMITH_CAP), the 16-bit table limit and the wreath
+The closure cap (GROUPSMITH_CAP), the table entry budget and the wreath
 order cap live in `groupsmith.core`; only the searches whose caps are part
 of their result take one as a parameter.
 """

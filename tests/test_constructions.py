@@ -11,7 +11,7 @@ from groupsmith.constructions import (
 )
 from groupsmith import perms
 from groupsmith.core import CycleNamer, TableGroup, perm_closure, subgroup_generated
-from groupsmith.errors import CapExceeded, ParseError, PreconditionError
+from groupsmith.errors import CapExceeded, Falsification, ParseError, PreconditionError
 
 
 # -- named groups --------------------------------------------------------------
@@ -103,7 +103,8 @@ def test_levin_root_identity_is_pure_shift(s3):
     for n in (2, 3, 4):
         W = wreath_cyclic(s3, n)
         x = levin_root(W, s3.identity)
-        assert x.payload == ((s3.identity.payload,) * n, 1)
+        assert x.payload == W.pack((s3.identity.payload,) * n, 1)
+        assert W.unpack(x.payload) == ((s3.identity.payload,) * n, 1)
         assert x.order() == n
 
 
@@ -173,6 +174,22 @@ def test_lemma7_matches_independent_closure(s3, z6):
             [res.wreath.diag_embed(a) for a in G.elements()] + [res.root],
         )
         assert regenerated.payload_set == res.subgroup.payload_set
+
+
+@pytest.mark.parametrize("spec", ["Z3", "A3"])
+def test_lemma7_predicate_rejects_a_shifted_coset(monkeypatch, spec):
+    # g of order 3 in an abelian group: C = [<<g>>, G] is trivial, so the
+    # shift-1 coset gC = {g} differs from g^-1 C = {g^-1}
+    G = named_group(spec)
+    g = next(e for e in G.elements() if e.order() == 3)
+    assert lemma7_subgroup(G, g).order == 2 * G.order
+
+    def shifted(G, g, C):
+        return C.payload_set, frozenset(G._mul(G._inv(g.payload), c) for c in C.payloads)
+
+    monkeypatch.setattr(constructions, "_lemma7_cosets", shifted)
+    with pytest.raises(Falsification, match="outside the closed-form subgroup"):
+        lemma7_subgroup(G, g)
 
 
 # -- the inversion subgroup and its quotient ---------------------------------------

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 
@@ -7,10 +8,7 @@ from groupsmith import perms
 from groupsmith.constructions import cyclic_group, named_group, wreath_cyclic
 from groupsmith.core import (
     TABLE_ENTRY_BUDGET,
-    TABLE_ORDER_LIMIT,
-    AtLeast,
     CycleNamer,
-    Exact,
     IntegerNamer,
     PermGroup,
     Subgroup,
@@ -24,7 +22,6 @@ from groupsmith.core import (
     odd_abelian_normal_candidates,
     perm_closure,
     subgroup_generated,
-    table_from_generators,
     verify_group_axioms,
 )
 from groupsmith.errors import CapExceeded, ParseError, PreconditionError
@@ -36,6 +33,7 @@ from helpers import (
     brute_normal_closure,
     conjugacy_classes_by_scan,
     conjugates_by_scan,
+    perm_table,
 )
 
 
@@ -109,11 +107,11 @@ def test_cross_group_mix_rejected(s3, z6):
         z6.element_order(s3.identity)
 
 
-# -- table_from_generators ---------------------------------------------------
+# -- tables on permutation closures ----------------------------------------------
 
 
 def test_table_from_generators_s3():
-    G = table_from_generators([(1, 0, 2), (1, 2, 0)])
+    G = perm_table([(1, 0, 2), (1, 2, 0)])
     assert G.order == 6
     assert G.backend == "dense-table"
     rep = verify_group_axioms(G)
@@ -121,18 +119,18 @@ def test_table_from_generators_s3():
 
 
 def test_table_from_generators_empty():
-    G = table_from_generators([])
+    G = perm_table([])
     assert G.order == 1
 
 
 def test_table_from_generators_seven_cycle():
     c7 = tuple(list(range(1, 7)) + [0])
-    assert table_from_generators([c7]).order == 7
+    assert perm_table([c7]).order == 7
 
 
 def test_table_numbering_deterministic():
-    G1 = table_from_generators([(1, 0, 2), (1, 2, 0)])
-    G2 = table_from_generators([(1, 2, 0), (1, 0, 2)])
+    G1 = perm_table([(1, 0, 2), (1, 2, 0)])
+    G2 = perm_table([(1, 2, 0), (1, 0, 2)])
     names1 = [G1.render(e) for e in G1.elements()]
     names2 = [G2.render(e) for e in G2.elements()]
     assert names1 == names2
@@ -145,7 +143,7 @@ def test_table_cap_carries_partial_count(monkeypatch):
     monkeypatch.setenv("GROUPSMITH_CAP", "3")
     c7 = tuple(list(range(1, 7)) + [0])
     with pytest.raises(CapExceeded) as err:
-        table_from_generators([c7])
+        perm_table([c7])
     assert err.value.partial_count is not None
     assert err.value.partial_count >= 3
 
@@ -165,14 +163,16 @@ class _UnbuiltTable:
 
 
 def test_table_order_above_16_bits_is_a_cap(monkeypatch):
-    # entries are stored as array("H"): order 65537 would overflow them
-    assert TABLE_ORDER_LIMIT == 65536
+    # entries are stored as array("H"): order 65537 would overflow them, and
+    # the entry budget refuses every order above 4096
+    assert math.isqrt(TABLE_ENTRY_BUDGET) <= 1 << 16
     monkeypatch.setenv("GROUPSMITH_CAP", "70000")
     with pytest.raises(CapExceeded) as err:
-        TableGroup(_UnbuiltTable(TABLE_ORDER_LIMIT + 1), max, IntegerNamer(2), name="unbuilt")
-    assert err.value.partial_count == TABLE_ORDER_LIMIT + 1
+        TableGroup(_UnbuiltTable(65537), max, IntegerNamer(2), name="unbuilt")
+    assert err.value.partial_count == 65537
+    assert "above the table entry budget 16777216" in str(err.value)
     with pytest.raises(CapExceeded):
-        cyclic_group(TABLE_ORDER_LIMIT + 1)
+        cyclic_group(65537)
 
 
 def _peak_traced_bytes(fn):
@@ -197,11 +197,14 @@ def test_tables_are_refused_before_they_are_built(monkeypatch):
     z5 = cyclic_group(5)
     err, peak = _peak_traced_bytes(lambda: direct_product(z5, cyclic_group(3)))
     assert str(err) == "table group order 15 exceeds cap 10 (partial count: 15)"
-    # the 16-bit limit comes first: Z300xZ300 would hold 8.1 * 10^9 entries
+    # the entry budget comes first: Z300xZ300 would hold 8.1 * 10^9 entries
     monkeypatch.setenv("GROUPSMITH_CAP", "100000")
     z300 = cyclic_group(300)
     err, peak = _peak_traced_bytes(lambda: direct_product(z300, z300))
-    assert "exceeds the 16-bit table limit 65536" in str(err)
+    assert str(err) == (
+        "table group order 90000 needs 8100000000 entries, "
+        "above the table entry budget 16777216 (partial count: 90000)"
+    )
     assert peak < 1 << 20
 
 
@@ -313,8 +316,8 @@ def test_orders_match_sympy_schreier_sims(monkeypatch):
             orders.add(want)
             assert PermGroup(m, gens).order == want
             assert subgroup_generated(Sm, [Sm.element(g) for g in gens]).order == want
-            assert closure_order_capped(gens, want + 1) == Exact(want)
-            assert closure_order_capped(gens, want) == AtLeast(want)
+            assert closure_order_capped(gens, want + 1) == (want, True)
+            assert closure_order_capped(gens, want) == (want, False)
     assert len(orders) >= 6  # the seeded sets are not all one group
 
 

@@ -234,7 +234,7 @@ def test_parity_identity_fixes_everything():
 def test_parity_outside_ambient_rejected(d7):
     G, W, H, diag, root = lemma7_setup(3)
     graph = lemma7_graph(H, diag, root)
-    stray = W.element(((G.parse("s").payload, G.identity.payload), 0))
+    stray = W.element(W.pack((G.parse("s").payload, G.identity.payload), 0))
     assert stray.payload not in H.payload_set
     with pytest.raises(PreconditionError):
         conjugation_parity(graph, stray)

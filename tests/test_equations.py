@@ -114,7 +114,7 @@ def test_levin_solve_square_root_equation(s3):
     x = levin_solve(eq, s3)
     W = x.group
     assert evaluate(eq, W, W.diag_embed, x) == W.identity
-    f, k = x.payload
+    f, k = W.unpack(x.payload)
     assert k == 1  # no shift-0 solution exists: (1 2) is not a square in S3
 
 
@@ -180,7 +180,7 @@ def test_levin_shift1_solutions_meet_lemma7_set(s3):
     shift1_solutions = [
         cand
         for cand in W.elements()
-        if cand.payload[1] == 1 and evaluate(eq, W, W.diag_embed, cand) == W.identity
+        if W.unpack(cand.payload)[1] == 1 and evaluate(eq, W, W.diag_embed, cand) == W.identity
     ]
     assert any(cand in res.subgroup for cand in shift1_solutions)
     assert res.root in shift1_solutions

@@ -1,16 +1,18 @@
 """Property tests for the element kernels: permutation composition, the
-wreath multiplication law and the parse/render round trip."""
+wreath multiplication law, the flat wreath payloads over permutation bases
+and the parse/render round trip."""
 
+from itertools import product
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupsmith import perms
 from groupsmith.constructions import WreathGroup, lemma8_construct, named_group, wreath_cyclic
-from groupsmith.core import (
-    PermGroup,
-    TableGroup,
-    odd_abelian_normal_candidates,
-    table_from_generators,
-)
+from groupsmith.core import PermGroup, TableGroup, odd_abelian_normal_candidates
+from groupsmith.errors import PreconditionError
+
+from helpers import perm_table, wreath_mul_by_coordinates
 
 
 def perm_triples(max_degree: int = 12):
@@ -32,7 +34,9 @@ def elements_of(G):
     """An element of G; a wreath element is drawn coordinate by coordinate."""
     if isinstance(G, WreathGroup):
         coords = st.tuples(*[st.sampled_from(tuple(G.base._iter_payloads()))] * G.arity)
-        payloads = st.tuples(coords, st.integers(min_value=0, max_value=G.arity - 1))
+        payloads = st.tuples(coords, st.integers(min_value=0, max_value=G.arity - 1)).map(
+            lambda fk: G.pack(*fk)
+        )
     else:
         payloads = st.sampled_from(tuple(G._iter_payloads()))
     return payloads.map(G.element)
@@ -56,8 +60,86 @@ def test_wreath_law(drawn):
     assert (x * y) * z == x * (y * z)
     assert x * x.inv() == W.identity == x.inv() * x
     n = W.arity
-    root = W.element(((g.payload,) + (W.base._id(),) * (n - 1), 1))
+    root = W.element(W.pack((g.payload,) + (W.base._id(),) * (n - 1), 1))
     assert root**n == W.diag_embed(g)
+
+
+# -- flat payloads over permutation bases ------------------------------------------
+
+
+def coordinate_pairs(W):
+    """Every (f, k) of W, in the order of the oracle key (k, f)."""
+    base_pays = tuple(W.base._iter_payloads())
+    return [(f, k) for k in range(W.arity) for f in product(base_pays, repeat=W.arity)]
+
+
+def assert_flat_kernel_matches_oracle(W, x, y):
+    pack = W.pack
+    assert W._mul(pack(*x), pack(*y)) == pack(*wreath_mul_by_coordinates(W.base, W.arity, x, y))
+    assert W.unpack(pack(*x)) == x
+    assert W._contains_payload(pack(*x))
+    assert (W._key(pack(*x)) < W._key(pack(*y))) == ((x[1], x[0]) < (y[1], y[0]))
+
+
+@pytest.mark.parametrize("spec", ["S3", "D5"])
+def test_flat_kernel_matches_oracle_exhaustively(spec):
+    W = wreath_cyclic(named_group(spec), 2)
+    pairs = coordinate_pairs(W)
+    assert len(pairs) == W.order
+    for x in pairs:
+        for y in pairs:
+            assert_flat_kernel_matches_oracle(W, x, y)
+    assert sorted(pairs, key=lambda x: W._key(W.pack(*x))) == pairs
+    assert [W.pack(*x) for x in pairs] == list(W._iter_payloads())
+
+
+FLAT_WREATHS = [
+    wreath_cyclic(named_group(spec), n) for spec, n in (("S3", 3), ("D5", 3), ("S4", 2))
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(FLAT_WREATHS).flatmap(
+        lambda W: st.tuples(st.just(W), *[st.sampled_from(coordinate_pairs(W))] * 2)
+    )
+)
+def test_flat_kernel_matches_oracle(drawn):
+    W, x, y = drawn
+    assert_flat_kernel_matches_oracle(W, x, y)
+
+
+def test_flat_payloads_outside_the_wreath_are_rejected(a4):
+    W = wreath_cyclic(a4, 2)
+    e = a4._id()
+    odd = (1, 0, 2, 3)
+    assert not a4._contains_payload(odd)
+    for k in (0, 1):
+        assert W._contains_payload(W.pack((e, e), k))
+        assert not W._contains_payload(W.pack((odd, e), k))
+        assert not W._contains_payload(W.pack((e, odd), k))
+    cross = (0, 1, 2, 4, 3, 5, 6, 7)  # swaps a point of block 0 with one of block 1
+    assert perms.is_perm(cross)
+    assert not W._contains_payload(cross)
+    for bad in ((e, e), ((e, e), 0), (0,) * 8, tuple(range(7)), ("a",) * 8):
+        assert not W._contains_payload(bad)
+    with pytest.raises(PreconditionError):
+        W.element(cross)
+
+
+def test_pack_without_block_offsets_fails_the_oracle(monkeypatch):
+    W = wreath_cyclic(named_group("S3"), 2)
+    pairs = coordinate_pairs(W)
+
+    def pack_without_offsets(self, f, k):
+        return tuple(x for i in range(self.arity) for x in f[(i + k) % self.arity])
+
+    monkeypatch.setattr(WreathGroup, "pack", pack_without_offsets)
+    assert any(
+        W._mul(W.pack(*x), W.pack(*y)) != W.pack(*wreath_mul_by_coordinates(W.base, 2, x, y))
+        for x in pairs
+        for y in pairs
+    )
 
 
 def round_trip_groups() -> tuple:
@@ -71,7 +153,7 @@ def round_trip_groups() -> tuple:
         z6,
         named_group("Z3xS3"),
         quotient,
-        table_from_generators([(1, 0, 2, 3), (1, 2, 3, 0)]),
+        perm_table([(1, 0, 2, 3), (1, 2, 3, 0)]),
         wreath_cyclic(named_group("S3"), 2),
         wreath_cyclic(named_group("Z3xZ2"), 3),
     )

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupsmith import perms, search
-from groupsmith.core import AtLeast, Exact, table_from_generators
 from groupsmith.errors import Falsification, PreconditionError
 from groupsmith.search import (
     closure_order_capped,
@@ -13,7 +12,12 @@ from groupsmith.search import (
     square_roots_in_Sm,
 )
 
-from helpers import min_overgroup_search_by_scan, square_roots_by_scan, sqrt_count_by_cycle_type
+from helpers import (
+    min_overgroup_search_by_scan,
+    perm_table,
+    square_roots_by_scan,
+    sqrt_count_by_cycle_type,
+)
 
 
 # -- embeddings ------------------------------------------------------------------
@@ -24,7 +28,7 @@ def test_natural_embedding_single_block():
     assert emb.rotation == (1, 2, 3, 4, 5, 6, 0)
     moved = [i for i in range(7) if emb.reflection[i] != i]
     assert len(moved) == 6  # reflection fixes exactly one point
-    assert closure_order_capped(emb.generators, 100) == Exact(14)
+    assert closure_order_capped(emb.generators, 100) == (14, True)
 
 
 def test_natural_embedding_fixes_leftover_points():
@@ -38,7 +42,7 @@ def test_natural_embedding_tiles_blocks():
     assert emb.rotation == (1, 2, 0, 4, 5, 3)
     assert emb.reflection == (0, 2, 1, 3, 5, 4)
     # the tiled copy is still just D3
-    assert closure_order_capped(emb.generators, 100) == Exact(6)
+    assert closure_order_capped(emb.generators, 100) == (6, True)
 
 
 def test_reflection_list(d7):
@@ -55,7 +59,7 @@ def test_reflection_list(d7):
 
 def test_regular_embedding_fixed_point_free():
     emb = embed_dihedral(3, 6, kind="regular")
-    assert closure_order_capped(emb.generators, 100) == Exact(6)
+    assert closure_order_capped(emb.generators, 100) == (6, True)
     seen = {perms.identity_perm(6)}
     frontier = [perms.identity_perm(6)]
     while frontier:
@@ -148,24 +152,24 @@ def test_regular_embedding_reflection_has_no_square_root():
 
 def test_closure_exact_s3_in_s6():
     gens = [(1, 0, 2, 3, 4, 5), (1, 2, 0, 3, 4, 5)]
-    assert closure_order_capped(gens, 1000) == Exact(6)
+    assert closure_order_capped(gens, 1000) == (6, True)
 
 
 def test_closure_hits_cap_on_a5():
     gens = [(1, 2, 0, 3, 4), (0, 1, 2, 4, 3)]  # 3-cycle and transposition: S5-ish
     a5_gens = [(1, 2, 0, 3, 4), (0, 2, 3, 4, 1)]
     result = closure_order_capped(a5_gens, 30)
-    assert result == AtLeast(30)
+    assert result == (30, False)
 
 
 def test_closure_empty_gens():
-    assert closure_order_capped([], 10) == Exact(1)
+    assert closure_order_capped([], 10) == (1, True)
 
 
 @pytest.mark.parametrize(
     "gens, reason",
     [
-        ([(0, 0, 1)], "not a permutation"),  # repeated image: once closed to Exact(3)
+        ([(0, 0, 1)], "not a permutation"),  # repeated image: once closed to order 3
         ([(5, 1, 2)], "not a permutation"),  # image out of range: once an IndexError
         ([(1, 0), (1, 2, 0)], "mix degrees"),
     ],
@@ -182,9 +186,7 @@ def test_closure_agrees_with_table_groups():
         [(1, 0, 2, 3), (0, 1, 3, 2)],
     ]
     for gens in cases:
-        exact = closure_order_capped(gens, 10_000)
-        assert isinstance(exact, Exact)
-        assert exact.count == table_from_generators(gens).order
+        assert closure_order_capped(gens, 10_000) == (perm_table(gens).order, True)
 
 
 # -- the bound search --------------------------------------------------------------
@@ -237,9 +239,9 @@ def test_minimum_identical_across_reflections():
     for g in emb.reflections:
         best = None
         for x in square_roots_in_Sm(6, g):
-            size = closure_order_capped(list(emb.generators) + [x], 1000)
-            assert isinstance(size, Exact)
-            best = size.count if best is None else min(best, size.count)
+            size, complete = closure_order_capped(list(emb.generators) + [x], 1000)
+            assert complete
+            best = size if best is None else min(best, size)
         minima.append(best)
     assert minima == [36, 36, 36]
 
