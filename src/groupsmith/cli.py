@@ -10,6 +10,7 @@ csv where a histogram or table is the natural payload. Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -49,7 +50,10 @@ from .errors import CapExceeded, Falsification, ParseError, PreconditionError
 from .search import min_overgroup_search
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process:
+    parsing leaves it unchanged, and building it costs milliseconds."""
     parser = argparse.ArgumentParser(
         prog="groupsmith",
         description="economical root adjunction, positive-equation solving, "
@@ -141,10 +145,7 @@ def cmd_construct(args):
         {"name": "identity-law", "status": "pass" if rep.identity_ok else "fail"},
         {"name": "unique-inverses", "status": "pass" if rep.inverses_ok else "fail"},
         {"name": "latin-square", "status": "pass" if rep.latin_ok else "fail"},
-        {
-            "name": f"associativity-{rep.assoc_mode}",
-            "status": "pass" if rep.assoc_ok else "fail",
-        },
+        {"name": "associativity-light", "status": "pass" if rep.assoc_ok else "fail"},
     ]
     if not rep.ok:
         raise Falsification(f"group axioms failed for {G.name}: {rep.detail}")

@@ -258,7 +258,7 @@ class WreathGroup(Group):
             if not (
                 isinstance(p, tuple)
                 and len(p) == self.arity * self._d
-                and all(isinstance(x, int) for x in p)
+                and all(type(x) is int for x in p)
             ):
                 return False
             p = self.unpack(p)
@@ -266,7 +266,7 @@ class WreathGroup(Group):
             return False
         f, k = p
         return (
-            isinstance(k, int)
+            type(k) is int
             and 0 <= k < self.arity
             and isinstance(f, tuple)
             and len(f) == self.arity

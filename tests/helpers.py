@@ -2,7 +2,8 @@
 
 Everything here is deliberately written against different algorithms than
 the production code: pairwise-product fixed points instead of generator
-BFS, counting formulas instead of enumeration, inversion counts instead of
+BFS, all-pairs products and all triples instead of generator actions,
+counting formulas instead of enumeration, inversion counts instead of
 cycle types, and scans over every group element where production code
 acts by generators only.
 """
@@ -16,6 +17,7 @@ from groupsmith.core import (
     CycleNamer,
     Element,
     Group,
+    ListNamer,
     Subgroup,
     TableGroup,
     perm_closure,
@@ -82,6 +84,43 @@ def brute_commutator_closure(G: Group, a_payloads, b_payloads) -> frozenset:
                 G._mul(G._mul(G._mul(G._inv(a), G._inv(b)), a), b)
             )
     return pairwise_closure(G, comms)
+
+
+def quotient_by_products(G: Group, N: Subgroup) -> TableGroup:
+    """G/N with one product of representatives per pair of cosets; the
+    cosets are numbered, named and listed as generators as
+    `Group.quotient` does."""
+    coset_index: dict = {}
+    reps: list = []
+    for p in G._iter_payloads():
+        if p not in coset_index:
+            for n in N.payloads:
+                coset_index[G._mul(n, p)] = len(reps)
+            reps.append(p)
+    gens: list = []
+    for g in G._generator_payloads():
+        if coset_index[g] and coset_index[g] not in gens:
+            gens.append(coset_index[g])
+    return TableGroup(
+        range(len(reps)),
+        lambda i, j: coset_index[G._mul(reps[i], reps[j])],
+        ListNamer([f"[{G._render(p)}]" for p in reps]),
+        name=f"{G.name}/{N.describe()}",
+        generators=gens,
+    )
+
+
+def associativity_by_triples(G: Group) -> bool:
+    """Whether (a*b)*c == a*(b*c) for every triple of elements."""
+    pays = list(G._iter_payloads())
+    mul = G._mul
+    return all(
+        mul(ab, c) == mul(a, mul(b, c))
+        for a in pays
+        for b in pays
+        for ab in (mul(a, b),)
+        for c in pays
+    )
 
 
 def all_subgroups(G: Group) -> list[Subgroup]:

@@ -8,7 +8,7 @@ import pytest
 
 import groupsmith
 from groupsmith import constructions
-from groupsmith.cli import main
+from groupsmith.cli import build_parser, main
 from groupsmith.constructions import WreathGroup, named_group
 from groupsmith.core import Element, subgroup_generated
 
@@ -34,6 +34,13 @@ def test_construct(capsys):
     assert report["result"]["backend"] == "perm-closure"
     assert all(a["status"] == "pass" for a in report["assertions"])
     assert report["tool_version"]
+
+
+def test_construct_d100_checks_associativity_exactly(capsys):
+    # order 200: every triple would be 8M products, Light's test is 80k
+    report = run_json(capsys, "construct", "--group", "D100")
+    assert report["result"]["order"] == 200
+    assert {"name": "associativity-light", "status": "pass"} in report["assertions"]
 
 
 def test_adjoin_sqrt_s3(capsys):
@@ -248,6 +255,38 @@ def test_importing_the_cli_loads_no_process_pool():
         capture_output=True, text=True, check=True, timeout=60,
     )
     assert done.stdout == "False\n"
+
+
+def _without_timing(out: str) -> str:
+    return "".join(line for line in out.splitlines(True) if not line.startswith("timing_ms:"))
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    """The parser is built once per process; two subcommands and then a
+    usage error each give what a fresh process gives."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+    src = str(Path(groupsmith.__file__).parents[1])
+    fresh_main = "import sys; from groupsmith.cli import main; sys.exit(main())"
+    for argv in [
+        ("construct", "--group", "S3"),
+        ("lemma8-check", "--group", "Z6"),
+        ("construct", "--format", "json"),  # --group is missing
+    ]:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-c", fresh_main, *argv],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (code, _without_timing(captured.out), captured.err) == (
+            fresh.returncode, _without_timing(fresh.stdout), fresh.stderr
+        )
+    assert code == 2 and "required: --group" in captured.err
+    assert build_parser() is build_parser()
 
 
 def test_solve_positive_non_positive_cap_exits_2(capsys):

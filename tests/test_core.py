@@ -5,10 +5,11 @@ import tracemalloc
 import pytest
 
 from groupsmith import perms
-from groupsmith.constructions import cyclic_group, named_group, wreath_cyclic
+from groupsmith.constructions import cyclic_group, lemma8_construct, named_group, wreath_cyclic
 from groupsmith.core import (
     TABLE_ENTRY_BUDGET,
     CycleNamer,
+    Group,
     IntegerNamer,
     PermGroup,
     Subgroup,
@@ -24,16 +25,18 @@ from groupsmith.core import (
     subgroup_generated,
     verify_group_axioms,
 )
-from groupsmith.errors import CapExceeded, ParseError, PreconditionError
+from groupsmith.errors import CapExceeded, Falsification, ParseError, PreconditionError
 from groupsmith.search import closure_order_capped
 
 from helpers import (
     all_subgroups,
+    associativity_by_triples,
     brute_commutator_closure,
     brute_normal_closure,
     conjugacy_classes_by_scan,
     conjugates_by_scan,
     perm_table,
+    quotient_by_products,
 )
 
 
@@ -45,23 +48,25 @@ AXIOM_SPECS = ["Z1", "Z2", "Z6", "S3", "D5", "D7", "A4", "Z2xZ3", "D7xZ2"]
 
 @pytest.mark.parametrize("spec", AXIOM_SPECS)
 def test_group_axioms_named(spec):
-    rep = verify_group_axioms(named_group(spec))
+    G = named_group(spec)
+    rep = verify_group_axioms(G)
     assert rep.ok, rep.detail
-    assert rep.assoc_mode == "exhaustive"
+    assert rep.assoc_ok == associativity_by_triples(G)
 
 
 def test_group_axioms_wreath_small(s3):
     W = wreath_cyclic(s3, 2)
     rep = verify_group_axioms(W)
     assert rep.ok and rep.order == 72
-    assert rep.assoc_mode == "exhaustive"
+    assert rep.assoc_ok == associativity_by_triples(W)
 
 
 def test_group_axioms_wreath_sampled(d7):
+    """Order 392, where associativity was once sampled: now exact."""
     W = wreath_cyclic(d7, 2)
     rep = verify_group_axioms(W)
     assert rep.ok and rep.order == 392
-    assert rep.assoc_mode.startswith("sampled")
+    assert rep.assoc_ok and rep.detail == ""
 
 
 def test_group_axioms_quotient(z6):
@@ -69,6 +74,98 @@ def test_group_axioms_quotient(z6):
     Q, _ = z6.quotient(N)
     rep = verify_group_axioms(Q)
     assert rep.ok and rep.order == 2
+
+
+class _BareTable(Group):
+    """A product read from a table and trusted as given, so that
+    `verify_group_axioms` meets what `TableGroup` would refuse."""
+
+    backend = "bare-table"
+
+    def __init__(self, name, rows, generators=()):
+        super().__init__(name)
+        self._rows = rows
+        self._gens = tuple(generators)
+
+    @property
+    def order(self):
+        return len(self._rows)
+
+    def _mul(self, p, q):
+        return self._rows[p][q]
+
+    def _inv(self, p):
+        return self._rows[p].index(0)
+
+    def _id(self):
+        return 0
+
+    def _iter_payloads(self):
+        return iter(range(len(self._rows)))
+
+    def _key(self, p):
+        return p
+
+    def _render(self, p):
+        return str(p)
+
+    def _generator_payloads(self):
+        return self._gens
+
+
+def _loop5(generators=()):
+    return _BareTable("loop5", [[int(c) for c in row] for row in LOOP5], generators)
+
+
+@pytest.mark.parametrize("generators", [(), (1, 2)])
+def test_group_axioms_refuse_a_loop(generators):
+    """Light's test rejects the order-5 loop both with every element as a
+    generator and with a pair that reaches every element."""
+    L = _loop5(generators)
+    rep = verify_group_axioms(L)
+    assert rep.identity_ok and rep.inverses_ok and rep.latin_ok
+    assert not rep.assoc_ok and not associativity_by_triples(L)
+    assert rep.detail.startswith("associativity failed")
+
+
+def test_group_axioms_refuse_generators_that_miss_an_element():
+    Z4 = _BareTable("Z4", [[(i + j) % 4 for j in range(4)] for i in range(4)], (2,))
+    rep = verify_group_axioms(Z4)
+    assert rep.identity_ok and rep.inverses_ok and rep.latin_ok
+    assert associativity_by_triples(Z4)
+    assert not rep.assoc_ok
+    assert rep.detail == "the generators reach 2 of the 4 elements"
+
+
+def _lemma8_quotient(spec):
+    G = named_group(spec)
+    N = odd_abelian_normal_candidates(G)[0]
+    res = lemma8_construct(G, N)
+    return res.wreath, res.subgroup_k, res.quotient
+
+
+def _z6_mod_2(z6):
+    N = subgroup_generated(z6, [z6.parse("2")])
+    return z6, N, z6.quotient(N)[0]
+
+
+@pytest.mark.parametrize("case", ["Z6/<2>", "Z6", "Z3xS3", "S3xZ3", "Z12"])
+def test_quotient_matches_the_all_pairs_fill(case, z6):
+    G, N, Q = _z6_mod_2(z6) if case == "Z6/<2>" else _lemma8_quotient(case)
+    want = quotient_by_products(G, N)
+    n = Q.order
+    assert n == want.order and Q.name == want.name
+    assert [Q._mul(i, j) for i in range(n) for j in range(n)] == [
+        want._mul(i, j) for i in range(n) for j in range(n)
+    ]
+    assert Q._generator_payloads() == want._generator_payloads()
+    assert [Q.render(e) for e in Q.elements()] == [want.render(e) for e in want.elements()]
+
+
+def test_quotient_refuses_generators_that_miss_a_coset():
+    Z4 = _BareTable("Z4", [[(i + j) % 4 for j in range(4)] for i in range(4)], (2,))
+    with pytest.raises(Falsification, match="reach 2 of the 4 cosets"):
+        Z4.quotient(Subgroup(Z4, [Z4.identity]))
 
 
 # -- element interface ------------------------------------------------------
@@ -105,6 +202,29 @@ def test_cross_group_mix_rejected(s3, z6):
         s3.mul(s3.identity, z6.identity)
     with pytest.raises(PreconditionError):
         z6.element_order(s3.identity)
+
+
+def _payload_cases():
+    """(group, a member's payload, look-alikes equal to it that are not
+    payloads) for each backend: floats and bools compare equal to ints."""
+    s3, z3 = named_group("S3"), named_group("Z3")
+    flat, pairs = wreath_cyclic(s3, 2), wreath_cyclic(z3, 2)
+    member = flat.pack(((1, 0, 2), (0, 1, 2)), 0)
+    return {
+        "perm-closure": (s3, (1, 0, 2), [(1.0, 0.0, 2.0), (True, False, 2), [1, 0, 2]]),
+        "dense-table": (z3, 1, [1.0, True]),
+        "flat-wreath": (flat, member, [tuple(map(float, member)), (True, False) + member[2:]]),
+        "table-wreath": (pairs, ((1, 2), 1), [((1, 2), True), ((1.0, 2), 1)]),
+    }
+
+
+@pytest.mark.parametrize("backend", ["perm-closure", "dense-table", "flat-wreath", "table-wreath"])
+def test_element_takes_exact_int_payloads_only(backend):
+    G, member, look_alikes = _payload_cases()[backend]
+    assert G.render(G.element(member))
+    for p in look_alikes:
+        with pytest.raises(PreconditionError, match="is not valid for"):
+            G.element(p)
 
 
 # -- tables on permutation closures ----------------------------------------------
