@@ -68,13 +68,6 @@ def cycles(p: Perm) -> list[tuple[int, ...]]:
     return out
 
 
-def cycle_type(p: Perm) -> tuple[int, ...]:
-    """Cycle lengths including fixed points, sorted descending."""
-    lengths = [len(c) for c in cycles(p)]
-    lengths += [1] * (len(p) - sum(lengths))
-    return tuple(sorted(lengths, reverse=True))
-
-
 def parity(p: Perm) -> int:
     """0 for even, 1 for odd, from the cycle decomposition."""
     return sum(len(c) - 1 for c in cycles(p)) % 2

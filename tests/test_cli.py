@@ -152,8 +152,9 @@ def test_lemma7_check_refuses_a_member_outside_the_coset(capsys, monkeypatch):
     assert "*C for C = [<<g>>, G]" in err
 
 
-def test_table_entry_budget_exits_3(capsys):
-    code, _, err = run(capsys, "construct", "--group", "Z5000")
+@pytest.mark.parametrize("spec", ["Z5000", "S7"])
+def test_table_entry_budget_exits_3(capsys, spec):
+    code, _, err = run(capsys, "construct", "--group", spec)
     assert code == 3
     assert "above the table entry budget 16777216" in err
 
