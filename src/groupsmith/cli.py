@@ -44,7 +44,6 @@ from .equations import (
     evaluate,
     levin_solve,
     parse_equation,
-    solve_in_group,
 )
 from .errors import CapExceeded, Falsification, ParseError, PreconditionError
 from .search import min_overgroup_search
@@ -212,9 +211,12 @@ def cmd_solve_positive(args):
         kwargs = {"cap": args.cap} if args.cap is not None else {}
         x = levin_solve(eq, G, **kwargs)
         H = x.group
-        embed = H.diag_embed if isinstance(H, WreathGroup) else (lambda e: e)
+        embed, in_group = (lambda e: e), x
+        if isinstance(H, WreathGroup):
+            # a shift-0 solution is the in-group one on every coordinate
+            f, k = H.unpack(x.payload)
+            embed, in_group = H.diag_embed, (G.element(f[0]) if k == 0 else None)
         verified = evaluate(eq, H, embed, x) == H.identity
-        in_group = solve_in_group(eq, G)
         rows.append(
             {
                 "equation": eq.render(),

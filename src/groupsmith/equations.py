@@ -2,20 +2,23 @@
 in-group brute-force solver, and the wreath-product solver that always
 succeeds.
 
-The wreath solver scans candidates (f, k) in lexicographic (k, f) order.
-Evaluating the equation at (f, k) leaves shift 0 and base coordinates
+The wreath solver returns the first solution (f, k) in lexicographic (k, f)
+order. Evaluating the equation at (f, k) leaves shift 0 and base coordinates
 
-    F(i) = g1 * f(i) * g2 * f(i - k) * ... * gn * f(i - (n-1)k)   (mod n),
+    F(i) = g1 * f(i) * g2 * f(i - k) * ... * gn * f(i - (n-1)k)   (mod n).
 
-so a partial assignment of f can be rejected as soon as every index feeding
-some coordinate F(i) is assigned and the product is not the identity. In a
-group any proper partial product extends to the identity, so fully
-determined coordinates are the only sound prune points.
+Shift 0 is the in-group equation: every F(i) reads only f(i), so its first
+solution is (s, ..., s) for the first in-group solution s, if there is one.
+For k > 0, f is assigned index by index and pruned where some F(i) becomes
+fully determined (any proper partial product extends to the identity). A
+coprime shift forces its last index: F(n-1) = g1 * f(n-1) * R reads f(n-1)
+once, so only f(n-1) = (R * g1)^-1 is tried; other shifts scan G there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Callable
 
 from .constructions import WreathGroup, levin_root, wreath_cyclic
@@ -106,9 +109,12 @@ def levin_solve(
     """Solve a positive equation of degree n in G wr Z_n.
 
     Returns the first solution in lexicographic (k, f) order, re-verified by
-    full evaluation. Degree-1 equations are solved inside G directly
-    (x = g1^-1), no wreath product involved. A fruitless search raises a
-    hard error: existence is guaranteed, so absence means a bug.
+    full evaluation. Shift 0 is the in-group solution (s, ..., s) with
+    s = `solve_in_group(eq, G)`; a coprime shift visits at most |G|^(n-1)
+    leaves, its last index forced; other shifts scan G at each index.
+    Degree-1 equations are solved inside G directly (x = g1^-1), no wreath
+    product involved. A fruitless search raises a hard error: existence is
+    guaranteed, so absence means a bug.
     """
     if eq.group is not G:
         raise PreconditionError("coefficients do not live in the given group")
@@ -122,49 +128,62 @@ def levin_solve(
             f"search space n*|G|^n = {n * G.order ** n} exceeds cap {cap}"
         )
     W = wreath_cyclic(G, n)
+    s = solve_in_group(eq, G)
+    k, f = 0, (None if s is None else (s.payload,) * n)
+    while f is None and k < n - 1:
+        k += 1
+        f = _first_at_shift(eq, G, k)
+    if f is None:
+        raise Falsification(f"Levin violation: no solution of {eq.render()} found in {W.name}")
+    x = Element(W, W.pack(f, k))
+    if evaluate(eq, W, W.diag_embed, x) != W.identity:
+        raise Falsification("pruned search produced a candidate the evaluator rejects")
+    return x
+
+
+def _first_at_shift(eq: PositiveEquation, G: Group, k: int) -> tuple | None:
+    """The first f, in G's order index by index, with (f, k) solving eq in
+    G wr Z_n, or None."""
+    n = eq.degree
     coeff_pays = [g.payload for g in eq.coefficients]
     base_pays = list(G._iter_payloads())
-    mul = G._mul
+    mul, inv = G._mul, G._inv
     idp = G._id()
+    # indices of f feeding coordinate i, in multiplication order
+    feeds = [[(i - t * k) % n for t in range(n)] for i in range(n)]
+    ready_at: list[list[int]] = [[] for _ in range(n)]
+    for i in range(n):
+        ready_at[max(feeds[i])].append(i)
+    # coprime k: each coordinate reads each index once and completes at n - 1
+    coprime = gcd(k, n) == 1
+    assignment: list = [None] * n
 
-    for k in range(n):
-        # indices of f feeding coordinate i, in multiplication order
-        feeds = [[(i - t * k) % n for t in range(n)] for i in range(n)]
-        ready_at: list[list[int]] = [[] for _ in range(n)]
-        for i in range(n):
-            ready_at[max(feeds[i])].append(i)
+    def coordinate_closed(i: int) -> bool:
+        acc = idp
+        for t in range(n):
+            acc = mul(mul(acc, coeff_pays[t]), assignment[feeds[i][t]])
+        return acc == idp
 
-        assignment: list = [None] * n
+    def forced_last():
+        """The one f(n-1) closing coordinate n - 1, g1 * f(n-1) * R = 1."""
+        acc = idp
+        for t in range(1, n):
+            acc = mul(mul(acc, coeff_pays[t]), assignment[feeds[n - 1][t]])
+        return inv(mul(acc, coeff_pays[0]))
 
-        def coordinate_closed(i: int) -> bool:
-            acc = idp
-            for t in range(n):
-                acc = mul(mul(acc, coeff_pays[t]), assignment[feeds[i][t]])
-            return acc == idp
+    def descend(j: int):
+        if j == n:
+            return tuple(assignment)
+        for p in (forced_last(),) if coprime and j == n - 1 else base_pays:
+            assignment[j] = p
+            if all(coordinate_closed(i) for i in ready_at[j]):
+                found = descend(j + 1)
+                if found is not None:
+                    return found
+        assignment[j] = None
+        return None
 
-        def descend(j: int):
-            if j == n:
-                return tuple(assignment)
-            for p in base_pays:
-                assignment[j] = p
-                if all(coordinate_closed(i) for i in ready_at[j]):
-                    found = descend(j + 1)
-                    if found is not None:
-                        return found
-            assignment[j] = None
-            return None
-
-        f = descend(0)
-        if f is not None:
-            x = Element(W, W.pack(f, k))
-            if evaluate(eq, W, W.diag_embed, x) != W.identity:
-                raise Falsification(
-                    "pruned search produced a candidate the evaluator rejects"
-                )
-            return x
-    raise Falsification(
-        f"Levin violation: no solution of {eq.render()} found in {W.name}"
-    )
+    return descend(0)
 
 
 @dataclass

@@ -12,7 +12,7 @@ from collections import Counter
 from math import factorial
 
 from groupsmith import perms
-from groupsmith.constructions import lemma7_subgroup
+from groupsmith.constructions import lemma7_subgroup, wreath_cyclic
 from groupsmith.core import (
     CycleNamer,
     Element,
@@ -23,6 +23,7 @@ from groupsmith.core import (
     perm_closure,
     subgroup_generated,
 )
+from groupsmith.equations import PositiveEquation, evaluate
 from groupsmith.search import (
     SearchReport,
     closure_order_capped,
@@ -297,3 +298,16 @@ def lemma7_rows_by_scan(G: Group) -> tuple[dict, list[dict]]:
         )
         assertions.append({"name": f"formula-equals-closure[{G.render(g)}]", "status": "pass"})
     return {"group": G.name, "checked": len(rows), "subgroups": rows}, assertions
+
+
+def levin_solve_by_scan(eq: PositiveEquation, G: Group, shift: int | None = None) -> Element | None:
+    """The first element of G wr Z_n, n = eq.degree >= 2, in its own
+    enumeration order (shift k, then f), that `evaluate` maps to the
+    identity; only elements of shift `shift`, when given."""
+    W = wreath_cyclic(G, eq.degree)
+    for x in W.elements():
+        if shift is not None and W.unpack(x.payload)[1] != shift:
+            continue
+        if evaluate(eq, W, W.diag_embed, x) == W.identity:
+            return x
+    return None

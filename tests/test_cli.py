@@ -11,6 +11,7 @@ from groupsmith import constructions
 from groupsmith.cli import build_parser, main
 from groupsmith.constructions import WreathGroup, named_group
 from groupsmith.core import Element, subgroup_generated
+from groupsmith.equations import parse_equation, solve_in_group
 
 from helpers import lemma7_rows_by_scan
 
@@ -65,6 +66,25 @@ def test_solve_positive_explicit(capsys):
     assert len(rows) == 1
     assert rows[0]["verified"] is True
     assert rows[0]["in_group_solution"] is None  # transpositions are not squares
+
+
+@pytest.mark.parametrize(
+    "argv, unsolved",
+    [
+        (("--group", "S3", "--random", "12", "--degree", "3", "--seed", "3"), {False, True}),
+        (("--group", "D7", "--random", "12", "--degree", "2", "--seed", "3"), {False, True}),
+        (("--group", "Z3xS3", "--random", "12", "--degree", "2", "--seed", "3"), {False, True}),
+        (("--group", "S3", "--equation", "(1 2 3)*x*"), {False}),
+    ],
+)
+def test_solve_positive_in_group_solution_is_solve_in_group(capsys, argv, unsolved):
+    # read off the Levin solution, not solved again: it must still be the scan's answer
+    rows = run_json(capsys, "solve-positive", *argv)["result"]["solutions"]
+    G = named_group(argv[1])
+    for row in rows:
+        own = solve_in_group(parse_equation(G, row["equation"]), G)
+        assert row["in_group_solution"] == (None if own is None else G.render(own))
+    assert {row["in_group_solution"] is None for row in rows} == unsolved
 
 
 def test_solve_positive_random_deterministic(capsys):

@@ -1,10 +1,13 @@
 import random
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupsmith.constructions import lemma7_subgroup, named_group, wreath_cyclic
 from groupsmith.equations import (
     PositiveEquation,
+    _first_at_shift,
     adjoin_nth_root,
     evaluate,
     levin_solve,
@@ -12,6 +15,8 @@ from groupsmith.equations import (
     solve_in_group,
 )
 from groupsmith.errors import CapExceeded, ParseError, PreconditionError
+
+from helpers import levin_solve_by_scan
 
 
 def test_equation_validation(s3, z6):
@@ -149,6 +154,70 @@ def test_levin_solve_is_lex_minimal(z6):
                 first = cand
                 break
         assert first is not None and x == first
+
+
+def random_equations(G, n: int, count: int, seed: int) -> list[PositiveEquation]:
+    rng = random.Random(seed)
+    pool = list(G.elements())
+    return [
+        PositiveEquation(tuple(pool[rng.randrange(len(pool))] for _ in range(n)))
+        for _ in range(count)
+    ]
+
+
+# Z3xS3 is a table base, the others permutation bases
+SCAN_CASES = [
+    ("S3", 2), ("S3", 3), ("S3", 4), ("D5", 2), ("D5", 3), ("S4", 2), ("Z3xS3", 2), ("Z3xS3", 3)
+]
+
+
+def test_levin_solve_matches_scan_oracle():
+    shifts = set()
+    for spec, n in SCAN_CASES:
+        G = named_group(spec)
+        for eq in random_equations(G, n, 4, seed=14):
+            x = levin_solve(eq, G)
+            assert x.payload == levin_solve_by_scan(eq, G).payload
+            shifts.add((n, x.group.unpack(x.payload)[1]))
+    # both the in-group step and a forced coprime shift decide some equation
+    assert any(k == 0 for n, k in shifts)
+    assert any(k > 0 and gcd(k, n) == 1 for n, k in shifts)
+
+
+@pytest.mark.parametrize(
+    "spec, n, k",
+    [("S3", 4, 2), ("S3", 4, 1), ("S3", 4, 3), ("S3", 3, 2), ("D5", 3, 1), ("Z3xS3", 3, 2)],
+)
+def test_each_shift_matches_scan_oracle(spec, n, k):
+    # k = 2 of n = 4 reads every index twice and scans; coprime shifts force their last index.
+    # Levin's search stops at the first shift with a solution, so it never reaches
+    # k = 2 of 4 on these bases: the shift is solved here on its own.
+    G = named_group(spec)
+    W = wreath_cyclic(G, n)
+    found = set()
+    for eq in random_equations(G, n, 8, seed=k):
+        f = _first_at_shift(eq, G, k)
+        want = levin_solve_by_scan(eq, G, shift=k)
+        assert (f is None) == (want is None)
+        if f is not None:
+            assert W.pack(f, k) == want.payload
+        found.add(f is not None)
+    # every sampled equation is solvable at a coprime shift, not at k = 2 of 4
+    assert found == ({True} if gcd(k, n) == 1 else {False, True})
+
+
+LEVIN_BASES = [named_group("S3"), named_group("D5")]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(LEVIN_BASES).flatmap(
+        lambda G: st.lists(st.sampled_from(list(G.elements())), min_size=2, max_size=4)
+    )
+)
+def test_levin_solve_is_the_first_scanned_solution(coefficients):
+    eq = PositiveEquation(tuple(coefficients))
+    assert levin_solve(eq, eq.group).payload == levin_solve_by_scan(eq, eq.group).payload
 
 
 def test_levin_abelian_closed_form():
