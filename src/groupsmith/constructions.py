@@ -14,7 +14,8 @@ on.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import product as iproduct
 from typing import Callable, Iterator
 
@@ -28,9 +29,8 @@ from .core import (
     IntegerNamer,
     WREATH_ORDER_CAP,
     _split_top,
+    closure_payloads,
     direct_product,
-    mutual_commutator,
-    normal_closure,
     odd_abelian_normal_candidates,
     subgroup_generated,
 )
@@ -341,62 +341,87 @@ def levin_root(W: WreathGroup, g: Element) -> Element:
 
 @dataclass
 class Lemma7Result:
-    """Subgroup of G wr Z2 generated by the diagonal copy of G and the
-    canonical square root of g, together with its closed-form description."""
+    """The subgroup L of G wr Z2 generated by the diagonal copy D of G and
+    the canonical square root of g, held as its left cosets of D.
+
+    The coset of (f0, f1; k) is labelled (f0*f1^-1, k). `labels` are the
+    labels of L/D, each verified against the closed form, so that
+    |L| = |G| * len(labels). `subgroup` builds L itself on first access.
+    """
 
     wreath: WreathGroup
-    subgroup: Subgroup
+    labels: tuple  # (c, k): c a payload of the base group, k the shift
     root: Element
     commutator_part: Subgroup  # [<<g>>, G] inside the base group
     embed: Callable[[Element], Element] = field(repr=False)
 
     @property
     def order(self) -> int:
-        return self.subgroup.order
+        return self.wreath.base.order * len(self.labels)
+
+    @cached_property
+    def subgroup(self) -> Subgroup:
+        """L = {(c*f, f; k) : (c, k) a label, f in G}."""
+        W, G = self.wreath, self.wreath.base
+        members = [
+            Element(W, W.pack((G._mul(c, f), f), k))
+            for c, k in self.labels
+            for f in G._iter_payloads()
+        ]
+        return Subgroup(W, members, _trusted=True)
 
 
 def lemma7_subgroup(G: Group, g: Element) -> Lemma7Result:
-    """Closed-form subgroup containing diag(G) and a square root of diag(g).
+    """L = <diag(G), root of diag(g)> in G wr Z2, verified against its
+    closed form {(f,0): f0*f1^-1 in C} u {(f,1): f0*f1^-1 in g*C} with
+    C = [<<g>>, G].
 
-    The subgroup is the breadth-first closure of diag(G) and the root,
-    started from the diagonal images of G's generating set, which generate
-    diag(G). It is verified against the closed form
-    {(f,0): f0*f1^-1 in C} u {(f,1): f0*f1^-1 in g*C} with C = [<<g>>, G]:
-    every closed element must satisfy the predicate, and the closure must
-    have the 2|G||C| elements of the closed form. A mismatch is a hard
-    error, not a degraded result.
+    The check walks the left cosets of diag(G) in L (`_lemma7_from`), not
+    the elements of L. A mismatch is a hard error, not a degraded result.
     """
     G._check(g)
-    return _lemma7_from(G, g, mutual_commutator(G, normal_closure(G, g), G.whole()))
+    return _lemma7_from(G, g, _commutator_part(G, g))
 
 
 def _lemma7_from(G: Group, g: Element, C: Subgroup) -> Lemma7Result:
-    """`lemma7_subgroup` with C = [<<g>>, G] already computed."""
+    """`lemma7_subgroup` with C = [<<g>>, G] already computed.
+
+    (f0, f1; k) * diag(h) = (f0*h, f1*h; k), so the label (f0*f1^-1, k)
+    names the left coset of (f0, f1; k) modulo D = diag(G). L acts
+    transitively on L/D, so the walk of the label (e, 0) under the moves of
+    L's generators (`_lemma7_moves`) is all of L/D and |L| = |G| * |orbit|.
+    The closed form's predicate depends only on the label: every label must
+    satisfy it, and there must be the closed form's 2|C| of them.
+    """
     W = wreath_cyclic(G, 2)
     root = levin_root(W, g)
-    gens = [W.diag_embed(Element(G, a)) for a in G._generating_payloads()]
-    gens.append(root)
-    closed = subgroup_generated(W, gens)
+    labels, _ = closure_payloads(
+        (G._id(), 0), _lemma7_moves(G, g), lambda label, move: move(*label)
+    )
     cosets = _lemma7_cosets(G, g, C)
-    for p in closed.payloads:
-        (f0, f1), k = W.unpack(p)
-        if G._mul(f0, G._inv(f1)) not in cosets[k]:
+    for c, k in labels:
+        if c not in cosets[k]:
+            coset = W._render(W.pack((c, G._id()), k))
             raise Falsification(
                 f"the closure of diag(G) and the root of g = {G.render(g)} in {G.name} "
-                f"holds {W._render(p)}, outside the closed-form subgroup"
+                f"holds {coset}, outside the closed-form subgroup"
             )
-    if closed.order != 2 * G.order * C.order:
+    if len(labels) != 2 * C.order:
         raise Falsification(
-            f"subgroup order {closed.order} != 2*|G|*|C| "
-            f"= {2 * G.order * C.order}"
+            f"subgroup order {G.order * len(labels)} != 2*|G|*|C| = {2 * G.order * C.order}"
         )
     return Lemma7Result(
-        wreath=W,
-        subgroup=closed,
-        root=root,
-        commutator_part=C,
-        embed=W.diag_embed,
+        wreath=W, labels=tuple(labels), root=root, commutator_part=C, embed=W.diag_embed
     )
+
+
+def _lemma7_moves(G: Group, g: Element) -> list[Callable]:
+    """Left multiplication by L's generators on the labels (c, k) of L/D:
+    diag(a), for each generating payload a of G, sends (c, k) to
+    (a*c*a^-1, k); the root ((g, e); 1) sends it to (g*c^-1, k+1)."""
+    mul, inv = G._mul, G._inv
+    moves = [lambda c, k, a=a, b=inv(a): (mul(mul(a, c), b), k) for a in G._generating_payloads()]
+    return moves + [lambda c, k: (mul(g.payload, inv(c)), 1 - k)]
 
 
 def _lemma7_cosets(G: Group, g: Element, C: Subgroup) -> tuple[frozenset, frozenset]:
@@ -404,13 +429,33 @@ def _lemma7_cosets(G: Group, g: Element, C: Subgroup) -> tuple[frozenset, frozen
     return C.payload_set, frozenset(G._mul(g.payload, c) for c in C.payloads)
 
 
+def _commutator_part(G: Group, g: Element) -> Subgroup:
+    """C = [<<g>>, G], as the normal closure M of the commutators [g, x]
+    with G's generating payloads x.
+
+    Modulo M, g commutes with every generator, so g is central mod M; so
+    is each conjugate of g, which is g mod M, hence <<g>> is central mod M
+    and [<<g>>, G] <= M. Conversely each [g, x] lies in [<<g>>, G], which
+    is normal, so M <= [<<g>>, G]. `mutual_commutator` is the all-pairs
+    oracle for this.
+    """
+    mul, inv = G._mul, G._inv
+    p, pinv = g.payload, inv(g.payload)
+    members: set = set()
+    for x in G._generating_payloads():
+        comm = mul(mul(pinv, inv(x)), mul(p, x))
+        if comm not in members:
+            members.update(G._class_payloads(comm))
+    return subgroup_generated(G, [Element(G, q) for q in members])
+
+
 def lemma7_by_class(G: Group) -> list[tuple[Element, Lemma7Result]]:
     """`lemma7_subgroup` for every element of G, in `G.elements()` order,
-    closing one representative per conjugacy class.
+    walking one representative per conjugacy class.
 
-    The first member g of each class is closed and compared with its closed
-    form by `lemma7_subgroup`. Every other member g' = h^-1 g h shares that
-    verified result once two checks pass: its root equals
+    The first member g of each class is walked and compared with its closed
+    form by `lemma7_subgroup`. Every other member g' = h^-1 g h shares its
+    verified labels once two checks pass: its root equals
     diag(h)^-1 * root(g) * diag(h), and diag(h) lies in L(g), so its
     generated closure is L(g); and g^-1 g' lies in C, so g'C = gC and its
     closed form is the same set.
@@ -436,9 +481,7 @@ def lemma7_by_class(G: Group) -> list[tuple[Element, Lemma7Result]]:
                 raise Falsification(
                     f"{G.render(member)} is not in {G.render(g)}*C for C = [<<g>>, G] in {G.name}"
                 )
-            verified[q] = Lemma7Result(
-                wreath=W, subgroup=rep.subgroup, root=root, commutator_part=C, embed=W.diag_embed
-            )
+            verified[q] = replace(rep, root=root)
     return [(g, verified[g.payload]) for g in G.elements()]
 
 
@@ -548,7 +591,7 @@ def prop1_embedding(G: Group, g: Element) -> Prop1Result:
     target = G.order**2
 
     # (i) the closed-form subgroup, whenever it is small enough
-    C = mutual_commutator(G, normal_closure(G, g), G.whole())
+    C = _commutator_part(G, g)
     if 2 * G.order * C.order <= target:
         res = _lemma7_from(G, g, C)
         _check_root(res.embed, res.root, g)

@@ -854,7 +854,9 @@ def conjugates_in(universe: Subgroup, H: Subgroup, conjugators) -> list[Subgroup
 
 
 def mutual_commutator(G: Group, A: Subgroup, B: Subgroup) -> Subgroup:
-    """Subgroup generated by all commutators [a, b], a in A, b in B."""
+    """Subgroup generated by all commutators [a, b], a in A, b in B; the
+    all-pairs oracle for the lemma 7 commutator part [<<g>>, G], which
+    `constructions` takes from g's commutators with G's generators."""
     if A.parent is not G or B.parent is not G:
         raise PreconditionError("subgroups belong to a different group")
     gens = set()

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import groupsmith
-from groupsmith import constructions
+from groupsmith import cli, constructions
 from groupsmith.cli import build_parser, main
 from groupsmith.constructions import WreathGroup, named_group
 from groupsmith.core import Element, subgroup_generated
@@ -123,6 +123,27 @@ def test_lemma7_check_s5_by_class(capsys):
     assert (identity["commutator_order"], identity["subgroup_order"]) == (1, 240)
     assert len(rest) == 119
     assert all((r["commutator_order"], r["subgroup_order"]) == (60, 14400) for r in rest)
+
+
+def test_lemma7_check_never_builds_the_subgroup(capsys, monkeypatch):
+    results = []
+    by_class, single = cli.lemma7_by_class, cli.lemma7_subgroup
+
+    def recorded_by_class(G):
+        out = by_class(G)
+        results.extend(res for _, res in out)
+        return out
+
+    def recorded_single(G, g):
+        results.append(single(G, g))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "lemma7_by_class", recorded_by_class)
+    monkeypatch.setattr(cli, "lemma7_subgroup", recorded_single)
+    run_json(capsys, "lemma7-check", "--group", "S4")
+    run_json(capsys, "lemma7-check", "--group", "D7", "--element", "s")
+    assert len(results) == 24 + 1
+    assert not any("subgroup" in res.__dict__ for res in results)
 
 
 def test_lemma7_check_refuses_a_wrong_conjugator(capsys, monkeypatch):
@@ -368,7 +389,6 @@ def test_csv_not_supported_elsewhere(capsys):
 
 
 def test_falsification_exits_1(capsys, monkeypatch):
-    from groupsmith import cli
     from groupsmith.errors import Falsification
 
     def broken(args):
@@ -381,8 +401,6 @@ def test_falsification_exits_1(capsys, monkeypatch):
 
 
 def test_unexpected_error_exits_4(capsys, monkeypatch):
-    from groupsmith import cli
-
     def broken(args):
         raise RuntimeError("synthetic\nbug")
 

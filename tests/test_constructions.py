@@ -10,7 +10,14 @@ from groupsmith.constructions import (
     wreath_cyclic,
 )
 from groupsmith import perms
-from groupsmith.core import CycleNamer, TableGroup, perm_closure, subgroup_generated
+from groupsmith.core import (
+    CycleNamer,
+    TableGroup,
+    mutual_commutator,
+    normal_closure,
+    perm_closure,
+    subgroup_generated,
+)
 from groupsmith.errors import CapExceeded, Falsification, ParseError, PreconditionError
 
 
@@ -156,24 +163,76 @@ def test_lemma7_order_formula_everywhere(s3, d5):
             assert res.order == 2 * G.order * res.commutator_part.order
 
 
-def test_lemma7_matches_independent_closure(s3, z6):
-    # S3 lists generators; a bare table lists none (the all-elements
-    # fallback); a lemma 8 quotient lists the images of the wreath's.
-    cases = [(s3, s3.parse("(1 2 3)"))]
+def _bare_s3():
     _, s3_perms, _ = perm_closure([(1, 0, 2), (1, 2, 0)], 7)
     bare = TableGroup(s3_perms, perms.compose, CycleNamer(3), name="S3-bare")
     assert bare.generators == ()
-    cases += [(bare, g) for g in bare.elements()]
+    return bare
+
+
+def _z6_quotient(z6):
     quot = lemma8_construct(z6, subgroup_generated(z6, [z6.parse("2")])).quotient
     assert quot.generators
+    return quot
+
+
+def test_lemma7_matches_independent_closure(s3, z6):
+    # S3 lists generators; a bare table lists none (the all-elements
+    # fallback); a lemma 8 quotient lists the images of the wreath's; S4
+    # (L up to order 576) and Z3xS3 (a table base) by class representative.
+    cases = [(s3, s3.parse("(1 2 3)"))]
+    bare = _bare_s3()
+    cases += [(bare, g) for g in bare.elements()]
+    quot = _z6_quotient(z6)
     cases += [(quot, g) for g in quot.elements()]
+    for spec in ("S4", "Z3xS3"):
+        G = named_group(spec)
+        cases += [(G, cls[0]) for cls in G.conjugacy_classes()]
     for G, g in cases:
         res = lemma7_subgroup(G, g)
+        assert "subgroup" not in res.__dict__
         regenerated = subgroup_generated(
             res.wreath,
             [res.wreath.diag_embed(a) for a in G.elements()] + [res.root],
         )
         assert regenerated.payload_set == res.subgroup.payload_set
+        assert res.subgroup.order == res.order
+
+
+def test_commutator_part_matches_all_pairs_oracle(z6):
+    groups = [named_group(spec) for spec in ("S3", "S4", "D7", "A4", "A5", "Z3xS3", "S3xZ3", "Z12")]
+    groups += [_bare_s3(), _z6_quotient(z6)]
+    for G in groups:
+        for g in G.elements():
+            oracle = mutual_commutator(G, normal_closure(G, g), G.whole())
+            assert constructions._commutator_part(G, g) == oracle, (G.name, G.render(g))
+
+
+def test_lemma7_walk_refuses_a_root_move_without_the_inverse(monkeypatch):
+    # g of order 3 in Z3: the root sends (c, k) to (g*c^-1, k+1); with
+    # g*c instead the walk reaches all 6 labels, (g^2, 0) among them,
+    # outside C = {e}
+    G = named_group("Z3")
+    g = G.parse("1")
+    honest = constructions._lemma7_moves
+
+    def root_without_inverse(G, g):
+        moves = honest(G, g)[:-1]
+        return moves + [lambda c, k: (G._mul(g.payload, c), 1 - k)]
+
+    monkeypatch.setattr(constructions, "_lemma7_moves", root_without_inverse)
+    with pytest.raises(Falsification, match="outside the closed-form subgroup"):
+        lemma7_subgroup(G, g)
+
+
+def test_lemma7_walk_refuses_a_walk_without_the_diagonal(monkeypatch, s3):
+    # without the moves of diag(G) the walk from (e, 0) reaches only
+    # (e, 0) and (g, 1): both satisfy the predicate, but 2 labels are not
+    # the 2|C| = 6 of C = A3
+    honest = constructions._lemma7_moves
+    monkeypatch.setattr(constructions, "_lemma7_moves", lambda G, g: honest(G, g)[-1:])
+    with pytest.raises(Falsification, match=r"subgroup order 12 != 2\*\|G\|\*\|C\| = 36"):
+        lemma7_subgroup(s3, s3.parse("(1 2)"))
 
 
 @pytest.mark.parametrize("spec", ["Z3", "A3"])
@@ -317,19 +376,20 @@ def test_prop1_lemma7_cases(s3, z6, d7):
 
 
 def test_prop1_computes_the_commutator_part_once(monkeypatch, s3, d7):
-    real = constructions.mutual_commutator
+    real = constructions._commutator_part
     calls = []
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(constructions, "mutual_commutator", counted)
+    monkeypatch.setattr(constructions, "_commutator_part", counted)
     for G, g in ((s3, s3.parse("(1 2)")), (d7, d7.parse("s"))):
         calls.clear()
         res = prop1_embedding(G, g)
         assert res.strategy == "lemma7"
         assert len(calls) == 1
+        assert "subgroup" not in res.lemma7.__dict__
         alone = lemma7_subgroup(G, g)
         assert res.lemma7.subgroup.payload_set == alone.subgroup.payload_set
         assert res.lemma7.commutator_part == alone.commutator_part
