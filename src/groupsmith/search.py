@@ -3,9 +3,9 @@ symmetric groups.
 
 For a fixed embedded dihedral copy and one canonical reflection g, every
 x in S_m with x^2 = g is built directly from the cycle type of g (never by
-scanning S_m) and the order of <r, s, x> is computed with a capped
-breadth-first closure; the histogram of observed orders is the empirical
-content of the bound.
+scanning S_m) and the order of <r, s, x> comes from a Schreier-Sims chain
+that stops once it proves the cap; the histogram of observed orders is the
+empirical content of the bound.
 
 The "natural" embedding tiles the p-gon action across every complete block
 of p points (leftover points stay fixed). With a single block a reflection
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import prod
 from typing import Callable, Iterator, NamedTuple
 
 from . import perms
@@ -158,13 +159,72 @@ class CappedOrder(NamedTuple):
 
 
 def closure_order_capped(gens, cap: int) -> CappedOrder:
-    """Breadth-first closure size of permutation generators of one degree,
-    aborting the moment the partial set reaches the cap: (count, complete),
-    as `closure_payloads` returns, with count = cap when it stopped."""
+    """Order of the group generated by permutations of one degree, capped:
+    (order, True) below the cap, else (cap, False), as from a breadth-first
+    closure aborted at the cap, but counted by `_chain_order` unlisted."""
     if cap < 1:
         raise PreconditionError(f"cap must be positive, got {cap}")
-    _, ordered, complete = perm_closure(gens, cap)
-    return CappedOrder(len(ordered), complete)
+    order = _chain_order(perm_closure(gens, 1)[0], cap)  # perm_closure checks the generators
+    return CappedOrder(min(order, cap), order < cap)
+
+
+def _chain_order(gens, stop: int) -> int:
+    """|<gens>| by a deterministic Schreier-Sims chain, or a lower bound on
+    it once that reaches `stop` (Sims 1970; Seress 2003, ch. 4).
+
+    Level l holds a base point b_l (the first point moved by the generator
+    that opened it), generators S_l as pairs (s, s^-1), and the orbit D_l
+    of b_l under <S_l> as q -> (u, u^-1) with u(b_l) = q. Each Schreier
+    generator u_s(q)^-1 s u_q of level l is sifted through the deeper
+    levels; a residue other than the identity fixes b_0..b_j-1, where the
+    sift stopped, so it joins S_l+1..S_j (opening level j if needed) and
+    the walk resumes at level j.
+
+    Lower bound at every step: each residue lies in <S_l> and fixes
+    b_0..b_l, so <S_l+1> <= <S_l>_b_l, |<S_l>| >= |D_l| |<S_l+1>| and
+    |<gens>| >= prod |D_l|. Equality at the end: every Schreier generator
+    then sifts, so the S_l are a base and strong generating set.
+    """
+    ident = perms.identity_perm(len(gens[0])) if gens else ()
+    levels: list[tuple[int, list, dict]] = []  # (b_l, S_l, D_l)
+
+    def add(level: int, y: perms.Perm) -> None:
+        if level == len(levels):
+            b = next(i for i, v in enumerate(y) if v != i)
+            levels.append((b, [], {b: (ident, ident)}))
+        _, strong, orbit = levels[level]
+        strong.append((y, perms.invert(y)))
+        todo = list(orbit)
+        for q in todo:
+            u, u_inv = orbit[q]
+            for s, s_inv in strong:
+                if s[q] not in orbit:
+                    orbit[s[q]] = (perms.compose(s, u), perms.compose(u_inv, s_inv))
+                    todo.append(s[q])
+
+    def unsifted(level: int) -> Iterator[tuple[perms.Perm, int]]:
+        """Residue and stopping level of each Schreier generator that does not sift."""
+        _, strong, orbit = levels[level]
+        for q, (u, _) in orbit.items():
+            for s, _ in strong:
+                h, j = perms.compose(orbit[s[q]][1], perms.compose(s, u)), level + 1
+                for b, _, deeper in levels[j:]:
+                    if h[b] not in deeper:
+                        break
+                    h, j = perms.compose(deeper[h[b]][1], h), j + 1
+                if h != ident:
+                    yield h, j
+
+    for g in gens:
+        if g != ident:
+            add(0, g)
+    level = len(levels) - 1
+    while level >= 0 and prod(len(orbit) for _, _, orbit in levels) < stop:
+        h, j = next(unsifted(level), (ident, level - 1))  # no residue: up one level
+        for k in range(level + 1, j + 1):
+            add(k, h)
+        level = j
+    return prod(len(orbit) for _, _, orbit in levels)
 
 
 def _symmetries(emb: DihedralEmbedding) -> list[perms.Perm]:

@@ -26,7 +26,6 @@ from groupsmith.core import (
 from groupsmith.equations import PositiveEquation, evaluate
 from groupsmith.search import (
     SearchReport,
-    closure_order_capped,
     embed_dihedral,
     square_roots_in_Sm,
 )
@@ -247,16 +246,18 @@ def sqrt_count_by_cycle_type(g: perms.Perm) -> int:
 
 
 def min_overgroup_search_by_scan(p: int, m: int, kind: str = "natural", cap: int = 1000) -> SearchReport:
-    """The ambient search without the orbit reduction: close <r, s, x> for
-    every square root x, keep the first root of least exact order, and
-    decide the verdict from the whole histogram."""
+    """The ambient search without the orbit reduction: close <r, s, x>
+    breadth first (`perm_closure`, aborted at the cap) for every square
+    root x, keep the first root of least exact order, and decide the
+    verdict from the whole histogram."""
     emb = embed_dihedral(p, m, kind)
     roots = list(square_roots_in_Sm(m, emb.reflection))
     exact: dict[int, int] = {}
     capped = 0
     best = None
     for x in roots:
-        size, complete = closure_order_capped(list(emb.generators) + [x], cap)
+        _, ordered, complete = perm_closure(list(emb.generators) + [x], cap)
+        size = len(ordered)
         if complete:
             exact[size] = exact.get(size, 0) + 1
             if best is None or size < best[0]:

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from itertools import islice
 
 import pytest
 
@@ -26,7 +27,7 @@ from groupsmith.core import (
     verify_group_axioms,
 )
 from groupsmith.errors import CapExceeded, Falsification, ParseError, PreconditionError
-from groupsmith.search import closure_order_capped
+from groupsmith.search import closure_order_capped, embed_dihedral, square_roots_in_Sm
 
 from helpers import (
     all_subgroups,
@@ -462,6 +463,17 @@ def test_orders_match_sympy_schreier_sims(monkeypatch):
             assert closure_order_capped(gens, want + 1) == (want, True)
             assert closure_order_capped(gens, want) == (want, False)
     assert len(orders) >= 6  # the seeded sets are not all one group
+    for p, m in ((5, 10), (7, 14)):  # the search's own ambients <r, s, x>
+        emb = embed_dihedral(p, m)
+        for x in islice(square_roots_in_Sm(m, emb.reflection), 10):
+            gens = [*emb.generators, x]
+            want = combinatorics.PermutationGroup(
+                [combinatorics.Permutation(list(g)) for g in gens]
+            ).order()
+            orders.add(want)
+            assert closure_order_capped(gens, want + 1) == (want, True)
+            assert closure_order_capped(gens, want) == (want, False)
+    assert max(orders) > 40320  # beyond the degree-8 sets: some ambient is large
 
 
 def test_subgroup_generated_examples(d7, s3):

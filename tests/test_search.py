@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupsmith import perms, search
+from groupsmith.core import perm_closure
 from groupsmith.errors import Falsification, PreconditionError
 from groupsmith.search import (
     closure_order_capped,
@@ -177,6 +178,28 @@ def test_closure_empty_gens():
 def test_closure_rejects_malformed_generators(gens, reason):
     with pytest.raises(PreconditionError, match=reason):
         closure_order_capped(gens, 100)
+
+
+def generator_sets(max_degree: int = 8):
+    """One to three permutations of one degree up to max_degree, each
+    permuting a drawn subset of the points, so that orders range widely."""
+    def generator(m):
+        return st.lists(st.integers(0, m - 1), min_size=min(2, m), unique=True).flatmap(
+            lambda support: st.permutations(support).map(
+                lambda images: tuple(dict(zip(support, images)).get(i, i) for i in range(m))
+            )
+        )
+
+    return st.integers(1, max_degree).flatmap(lambda m: st.lists(generator(m), min_size=1, max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_sets(), st.integers(0, 4))
+def test_chain_matches_breadth_first_closure(gens, pick):
+    order = len(perm_closure(gens, 50_000)[1])
+    cap = (1, 2, order, order + 1, 1000)[pick]
+    _, ordered, complete = perm_closure(gens, cap)
+    assert closure_order_capped(gens, cap) == (len(ordered), complete)
 
 
 def test_closure_agrees_with_table_groups():
