@@ -31,8 +31,8 @@ from .core import (
     _split_top,
     closure_payloads,
     direct_product,
+    normal_closure,
     odd_abelian_normal_candidates,
-    subgroup_generated,
 )
 from .errors import CapExceeded, Falsification, ParseError, PreconditionError
 
@@ -441,12 +441,9 @@ def _commutator_part(G: Group, g: Element) -> Subgroup:
     """
     mul, inv = G._mul, G._inv
     p, pinv = g.payload, inv(g.payload)
-    members: set = set()
-    for x in G._generating_payloads():
-        comm = mul(mul(pinv, inv(x)), mul(p, x))
-        if comm not in members:
-            members.update(G._class_payloads(comm))
-    return subgroup_generated(G, [Element(G, q) for q in members])
+    return normal_closure(
+        G, [Element(G, mul(mul(pinv, inv(x)), mul(p, x))) for x in G._generating_payloads()]
+    )
 
 
 def lemma7_by_class(G: Group) -> list[tuple[Element, Lemma7Result]]:

@@ -770,22 +770,10 @@ def closure_payloads(
 def perm_closure(
     generator_perms: Iterable[perms.Perm], abort_at: int, degree: int | None = None
 ) -> tuple[tuple, list, bool]:
-    """Check permutation generators and close them from the identity.
-
-    The generators must all be permutations of one degree (`degree` when
-    given; otherwise theirs, 0 when there are none). Returns the distinct
-    generators sorted, then `closure_payloads`' (ordered list, completed)
-    for a walk stopped at `abort_at` elements.
-    """
-    gens = tuple(sorted(set(tuple(g) for g in generator_perms)))
-    if degree is None:
-        degrees = {len(g) for g in gens}
-        if len(degrees) > 1:
-            raise PreconditionError(f"generators mix degrees {sorted(degrees)}")
-        degree = degrees.pop() if degrees else 0
-    for g in gens:
-        if len(g) != degree or not perms.is_perm(g):
-            raise PreconditionError(f"{g!r} is not a permutation of degree {degree}")
+    """Check permutation generators (`perms._checked_generators`) and close
+    them from the identity: the generators, then `closure_payloads`'
+    (ordered list, completed) for a walk stopped at `abort_at` elements."""
+    gens, degree = perms._checked_generators(generator_perms, degree)
     ordered, complete = closure_payloads(
         perms.identity_perm(degree), gens, perms.compose, abort_at=abort_at
     )
@@ -803,10 +791,15 @@ def subgroup_generated(G: Group, S: Iterable[Element]) -> Subgroup:
     return Subgroup(G, [Element(G, p) for p in ordered], _trusted=True)
 
 
-def normal_closure(G: Group, g: Element) -> Subgroup:
-    """Least normal subgroup of G containing g: the closure of its class."""
-    G._check(g)
-    return subgroup_generated(G, [Element(G, p) for p in G._class_payloads(g.payload)])
+def normal_closure(G: Group, S: Iterable[Element]) -> Subgroup:
+    """Least normal subgroup of G containing S: the closure of the union of
+    its members' classes."""
+    members: set = set()
+    for e in S:
+        G._check(e)
+        if e.payload not in members:
+            members.update(G._class_payloads(e.payload))
+    return subgroup_generated(G, [Element(G, p) for p in members])
 
 
 def normalizer_in(universe: Subgroup, H: Subgroup) -> Subgroup:
@@ -879,7 +872,7 @@ def odd_abelian_normal_candidates(G: Group) -> list[Subgroup]:
         g = cls[0]  # conjugates share their order and their normal closure
         if g.payload == G._id() or G.element_order(g) % 2 == 0:
             continue
-        N = normal_closure(G, g)
+        N = normal_closure(G, [g])
         if N.order > 1 and N.order % 2 == 1 and N.is_abelian():
             found[N.payload_set] = N
     centre = G.center().payload_set

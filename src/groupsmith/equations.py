@@ -9,16 +9,15 @@ order. Evaluating the equation at (f, k) leaves shift 0 and base coordinates
 
 Shift 0 is the in-group equation: every F(i) reads only f(i), so its first
 solution is (s, ..., s) for the first in-group solution s, if there is one.
-For k > 0, f is assigned index by index and pruned where some F(i) becomes
-fully determined (any proper partial product extends to the identity). A
-coprime shift forces its last index: F(n-1) = g1 * f(n-1) * R reads f(n-1)
-once, so only f(n-1) = (R * g1)^-1 is tried; other shifts scan G there.
+Otherwise the answer has shift 1, which always has a solution,
+f = (g1^-1, ..., gn^-1) among them [Levin62]: its search scans
+f(0..n-2) and forces f(n-1) = (R * g1)^-1 from F(n-1) = g1 * f(n-1) * R.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from itertools import product
 from typing import Callable
 
 from .constructions import WreathGroup, levin_root, wreath_cyclic
@@ -109,12 +108,10 @@ def levin_solve(
     """Solve a positive equation of degree n in G wr Z_n.
 
     Returns the first solution in lexicographic (k, f) order, re-verified by
-    full evaluation. Shift 0 is the in-group solution (s, ..., s) with
-    s = `solve_in_group(eq, G)`; a coprime shift visits at most |G|^(n-1)
-    leaves, its last index forced; other shifts scan G at each index.
-    Degree-1 equations are solved inside G directly (x = g1^-1), no wreath
-    product involved. A fruitless search raises a hard error: existence is
-    guaranteed, so absence means a bug.
+    full evaluation: (s, ..., s) at shift 0 for s = `solve_in_group(eq, G)`,
+    else `_first_at_shift_one`'s. Degree-1 equations are solved inside G
+    directly (x = g1^-1), no wreath product involved. A fruitless search
+    raises a hard error: existence is guaranteed, so absence means a bug.
     """
     if eq.group is not G:
         raise PreconditionError("coefficients do not live in the given group")
@@ -129,61 +126,44 @@ def levin_solve(
         )
     W = wreath_cyclic(G, n)
     s = solve_in_group(eq, G)
-    k, f = 0, (None if s is None else (s.payload,) * n)
-    while f is None and k < n - 1:
-        k += 1
-        f = _first_at_shift(eq, G, k)
+    f, k = ((s.payload,) * n, 0) if s is not None else (_first_at_shift_one(eq, G), 1)
     if f is None:
         raise Falsification(f"Levin violation: no solution of {eq.render()} found in {W.name}")
     x = Element(W, W.pack(f, k))
     if evaluate(eq, W, W.diag_embed, x) != W.identity:
-        raise Falsification("pruned search produced a candidate the evaluator rejects")
+        raise Falsification("Levin search produced a candidate the evaluator rejects")
     return x
 
 
-def _first_at_shift(eq: PositiveEquation, G: Group, k: int) -> tuple | None:
-    """The first f, in G's order index by index, with (f, k) solving eq in
-    G wr Z_n, or None."""
-    n = eq.degree
-    coeff_pays = [g.payload for g in eq.coefficients]
-    base_pays = list(G._iter_payloads())
-    mul, inv = G._mul, G._inv
-    idp = G._id()
-    # indices of f feeding coordinate i, in multiplication order
-    feeds = [[(i - t * k) % n for t in range(n)] for i in range(n)]
-    ready_at: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        ready_at[max(feeds[i])].append(i)
-    # coprime k: each coordinate reads each index once and completes at n - 1
-    coprime = gcd(k, n) == 1
-    assignment: list = [None] * n
+def _first_at_shift_one(eq: PositiveEquation, G: Group) -> tuple | None:
+    """The first f, in G's order index by index, with (f, 1) solving eq in
+    G wr Z_n, or None; at most |G|^(n-1) heads f(0..n-2) are visited.
 
-    def coordinate_closed(i: int) -> bool:
+    Every F(i) reads f(n-1), and F(n-1) = g1 f(n-1) R with
+    R = g2 f(n-2) ... gn f(0), so each head forces f(n-1) = (R g1)^-1; it is
+    kept when F(0..n-2) are the identity too. A head always exists: with
+    a_t = g_(t+1) and f(j) = a_j^-1, F(i) is the product over t of
+    a_t a_(i-t)^-1. Split at t = i, each part is a word whose letter a_t at
+    an even position faces a_t^-1 at its mirror position: u u^-1 = e.
+    """
+    n = eq.degree
+    c = [g.payload for g in eq.coefficients]
+    mul, inv, idp = G._mul, G._inv, G._id()
+
+    def coordinate(f: tuple, i: int):
         acc = idp
         for t in range(n):
-            acc = mul(mul(acc, coeff_pays[t]), assignment[feeds[i][t]])
-        return acc == idp
+            acc = mul(mul(acc, c[t]), f[(i - t) % n])
+        return acc
 
-    def forced_last():
-        """The one f(n-1) closing coordinate n - 1, g1 * f(n-1) * R = 1."""
-        acc = idp
+    for head in product(G._iter_payloads(), repeat=n - 1):
+        rest = idp
         for t in range(1, n):
-            acc = mul(mul(acc, coeff_pays[t]), assignment[feeds[n - 1][t]])
-        return inv(mul(acc, coeff_pays[0]))
-
-    def descend(j: int):
-        if j == n:
-            return tuple(assignment)
-        for p in (forced_last(),) if coprime and j == n - 1 else base_pays:
-            assignment[j] = p
-            if all(coordinate_closed(i) for i in ready_at[j]):
-                found = descend(j + 1)
-                if found is not None:
-                    return found
-        assignment[j] = None
-        return None
-
-    return descend(0)
+            rest = mul(mul(rest, c[t]), head[-t])
+        f = head + (inv(mul(rest, c[0])),)
+        if all(coordinate(f, i) == idp for i in range(n - 1)):
+            return f
+    return None
 
 
 @dataclass

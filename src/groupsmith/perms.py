@@ -8,9 +8,9 @@ composition: (a * b)(i) = a(b(i)).
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .errors import ParseError
+from .errors import ParseError, PreconditionError
 
 Perm = tuple[int, ...]
 
@@ -21,6 +21,22 @@ def identity_perm(m: int) -> Perm:
 
 def is_perm(p: Perm) -> bool:
     return sorted(p) == list(range(len(p)))
+
+
+def _checked_generators(generators: Iterable[Perm], degree: int | None = None) -> tuple:
+    """The distinct generators sorted, checked to be permutations of one
+    degree, and that degree (`degree` when given; otherwise theirs, 0 when
+    there are none)."""
+    gens = tuple(sorted(set(tuple(g) for g in generators)))
+    if degree is None:
+        degrees = {len(g) for g in gens}
+        if len(degrees) > 1:
+            raise PreconditionError(f"generators mix degrees {sorted(degrees)}")
+        degree = degrees.pop() if degrees else 0
+    for g in gens:
+        if len(g) != degree or not is_perm(g):
+            raise PreconditionError(f"{g!r} is not a permutation of degree {degree}")
+    return gens, degree
 
 
 def compose(a: Perm, b: Perm) -> Perm:

@@ -30,7 +30,7 @@ from math import prod
 from typing import Callable, Iterator, NamedTuple
 
 from . import perms
-from .core import closure_payloads, perm_closure
+from .core import closure_payloads
 from .dihedral import is_prime
 from .errors import Falsification, PreconditionError
 
@@ -164,7 +164,7 @@ def closure_order_capped(gens, cap: int) -> CappedOrder:
     closure aborted at the cap, but counted by `_chain_order` unlisted."""
     if cap < 1:
         raise PreconditionError(f"cap must be positive, got {cap}")
-    order = _chain_order(perm_closure(gens, 1)[0], cap)  # perm_closure checks the generators
+    order = _chain_order(perms._checked_generators(gens)[0], cap)
     return CappedOrder(min(order, cap), order < cap)
 
 

@@ -204,7 +204,7 @@ def test_commutator_part_matches_all_pairs_oracle(z6):
     groups += [_bare_s3(), _z6_quotient(z6)]
     for G in groups:
         for g in G.elements():
-            oracle = mutual_commutator(G, normal_closure(G, g), G.whole())
+            oracle = mutual_commutator(G, normal_closure(G, [g]), G.whole())
             assert constructions._commutator_part(G, g) == oracle, (G.name, G.render(g))
 
 

@@ -501,20 +501,24 @@ def test_lagrange_for_generated_subgroups(s3, d5, z6, a4):
 def test_normal_closure_against_oracle(s3):
     t = s3.parse("(1 2)")
     c = s3.parse("(1 2 3)")
-    assert normal_closure(s3, t).payload_set == brute_normal_closure(s3, t)
-    assert normal_closure(s3, t).order == 6
-    assert normal_closure(s3, c).payload_set == brute_normal_closure(s3, c)
-    assert normal_closure(s3, c).order == 3
-    assert normal_closure(s3, s3.identity).order == 1
+    assert normal_closure(s3, [t]).payload_set == brute_normal_closure(s3, t)
+    assert normal_closure(s3, [t]).order == 6
+    assert normal_closure(s3, [c]).payload_set == brute_normal_closure(s3, c)
+    assert normal_closure(s3, [c]).order == 3
+    assert normal_closure(s3, [s3.identity]).order == 1
+    assert normal_closure(s3, []).order == 1
+    z3 = normal_closure(s3, [c])
+    assert normal_closure(s3, [c, c.inv(), s3.identity]) == z3
+    assert normal_closure(s3, [c, t]).order == 6
     for G in conjugation_inputs():
         for g in G.elements():
-            assert normal_closure(G, g).payload_set == brute_normal_closure(G, g)
+            assert normal_closure(G, [g]).payload_set == brute_normal_closure(G, g)
 
 
 def test_normal_closure_is_normal(s3, d5, d7, a4):
     for G in (s3, d5, d7, a4):
         for e in G.elements():
-            assert G.is_normal(normal_closure(G, e))
+            assert G.is_normal(normal_closure(G, [e]))
 
 
 def test_mutual_commutator_examples(s3, d7):
@@ -526,7 +530,7 @@ def test_mutual_commutator_examples(s3, d7):
     )
 
     g = d7.parse("s")
-    C = mutual_commutator(d7, normal_closure(d7, g), d7.whole())
+    C = mutual_commutator(d7, normal_closure(d7, [g]), d7.whole())
     rotations = subgroup_generated(d7, [d7.parse("r^1")])
     assert C.payload_set == rotations.payload_set
 
@@ -537,7 +541,7 @@ def test_mutual_commutator_examples(s3, d7):
 def test_mutual_commutator_is_normal(s3, d7):
     for G in (s3, d7):
         for e in G.elements():
-            C = mutual_commutator(G, normal_closure(G, e), G.whole())
+            C = mutual_commutator(G, normal_closure(G, [e]), G.whole())
             assert G.is_normal(C)
 
 

@@ -1,5 +1,5 @@
 import random
-from math import gcd
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from groupsmith.constructions import lemma7_subgroup, named_group, wreath_cyclic
 from groupsmith.equations import (
     PositiveEquation,
-    _first_at_shift,
+    _first_at_shift_one,
     adjoin_nth_root,
     evaluate,
     levin_solve,
@@ -178,32 +178,33 @@ def test_levin_solve_matches_scan_oracle():
         for eq in random_equations(G, n, 4, seed=14):
             x = levin_solve(eq, G)
             assert x.payload == levin_solve_by_scan(eq, G).payload
-            shifts.add((n, x.group.unpack(x.payload)[1]))
-    # both the in-group step and a forced coprime shift decide some equation
-    assert any(k == 0 for n, k in shifts)
-    assert any(k > 0 and gcd(k, n) == 1 for n, k in shifts)
+            shifts.add(x.group.unpack(x.payload)[1])
+    # the in-group step and the forced shift 1 both decide some equation; nothing else does
+    assert shifts == {0, 1}
 
 
-@pytest.mark.parametrize(
-    "spec, n, k",
-    [("S3", 4, 2), ("S3", 4, 1), ("S3", 4, 3), ("S3", 3, 2), ("D5", 3, 1), ("Z3xS3", 3, 2)],
-)
-def test_each_shift_matches_scan_oracle(spec, n, k):
-    # k = 2 of n = 4 reads every index twice and scans; coprime shifts force their last index.
-    # Levin's search stops at the first shift with a solution, so it never reaches
-    # k = 2 of 4 on these bases: the shift is solved here on its own.
+@pytest.mark.parametrize("spec, n", [("S3", 4), ("S3", 3), ("D5", 3), ("Z3xS3", 3)])
+def test_shift_one_matches_scan_oracle(spec, n):
+    # solved here on its own, also where shift 0 has a solution and Levin's search stops there
     G = named_group(spec)
     W = wreath_cyclic(G, n)
-    found = set()
-    for eq in random_equations(G, n, 8, seed=k):
-        f = _first_at_shift(eq, G, k)
-        want = levin_solve_by_scan(eq, G, shift=k)
-        assert (f is None) == (want is None)
-        if f is not None:
-            assert W.pack(f, k) == want.payload
-        found.add(f is not None)
-    # every sampled equation is solvable at a coprime shift, not at k = 2 of 4
-    assert found == ({True} if gcd(k, n) == 1 else {False, True})
+    for eq in random_equations(G, n, 8, seed=n):
+        f = _first_at_shift_one(eq, G)
+        assert W.pack(f, 1) == levin_solve_by_scan(eq, G, shift=1).payload
+
+
+def _closed_form_solves(eq: PositiveEquation) -> bool:
+    """Whether (g1^-1, ..., gn^-1) at shift 1 solves eq under `evaluate`."""
+    W = wreath_cyclic(eq.group, eq.degree)
+    x = W.element(W.pack(tuple(g.inv().payload for g in eq.coefficients), 1))
+    return evaluate(eq, W, W.diag_embed, x) == W.identity
+
+
+@pytest.mark.parametrize("spec, n", [("S3", 2), ("S3", 3), ("S3", 4), ("Z3xS3", 2)])
+def test_closed_form_solves_every_equation_at_shift_one(spec, n):
+    G = named_group(spec)
+    for coefficients in product(G.elements(), repeat=n):
+        assert _closed_form_solves(PositiveEquation(coefficients)), coefficients
 
 
 LEVIN_BASES = [named_group("S3"), named_group("D5")]
@@ -218,6 +219,16 @@ LEVIN_BASES = [named_group("S3"), named_group("D5")]
 def test_levin_solve_is_the_first_scanned_solution(coefficients):
     eq = PositiveEquation(tuple(coefficients))
     assert levin_solve(eq, eq.group).payload == levin_solve_by_scan(eq, eq.group).payload
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([named_group("S3"), named_group("D5"), named_group("A4")]).flatmap(
+        lambda G: st.lists(st.sampled_from(list(G.elements())), min_size=2, max_size=5)
+    )
+)
+def test_closed_form_solves_at_shift_one(coefficients):
+    assert _closed_form_solves(PositiveEquation(tuple(coefficients)))
 
 
 def test_levin_abelian_closed_form():
