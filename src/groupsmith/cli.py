@@ -88,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", type=int, default=0, help="solve this many random equations")
     p.add_argument("--degree", type=int, default=2, help="degree of random equations")
     p.add_argument("--seed", type=int, default=0, help="seed for random equations")
-    p.add_argument("--cap", type=int, default=None, help="search-space cap")
     common(p)
 
     p = sub.add_parser("lemma7-check", help="closed form vs generated closure in G wr Z2")
@@ -208,8 +207,7 @@ def cmd_solve_positive(args):
     rows = []
     assertions = []
     for i, eq in enumerate(equations):
-        kwargs = {"cap": args.cap} if args.cap is not None else {}
-        x = levin_solve(eq, G, **kwargs)
+        x = levin_solve(eq, G)
         H = x.group
         embed, in_group = (lambda e: e), x
         if isinstance(H, WreathGroup):

@@ -1,15 +1,16 @@
 """The public API takes no per-call resource limits.
 
 The closure cap (GROUPSMITH_CAP), the table entry budget and the wreath
-order cap live in `groupsmith.core`; only the searches whose caps are part
-of their result take one as a parameter.
+order cap live in `groupsmith.core`; only the two searches whose caps are
+part of their result, `closure_order_capped` and `min_overgroup_search`,
+take one as a parameter.
 """
 
 import inspect
 
 import groupsmith
 
-CAPPED_SEARCHES = {"closure_order_capped", "min_overgroup_search", "levin_solve"}
+CAPPED_SEARCHES = {"closure_order_capped", "min_overgroup_search"}
 # a report records the cap its search ran with; it limits nothing
 RECORDS = {"SearchReport"}
 

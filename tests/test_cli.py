@@ -331,14 +331,13 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
     assert build_parser() is build_parser()
 
 
-def test_solve_positive_non_positive_cap_exits_2(capsys):
-    for cap in ("0", "-5"):
-        code, out, err = run(
-            capsys, "solve-positive", "--group", "S3", "--random", "1", "--cap", cap
-        )
-        assert code == 2
-        assert "cap must be positive" in err
-        assert out == ""
+def test_solve_positive_takes_no_cap_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve-positive", "--group", "S3", "--random", "1", "--cap", "10"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap 10" in captured.err
+    assert captured.out == ""
 
 
 def test_element_parse_roundtrip_via_cli(capsys):
@@ -361,12 +360,12 @@ def test_unknown_flag_exits_2(capsys):
 
 
 def test_cap_exit_3(capsys):
+    # S3 wr Z9 has order 9 * 6^9 > WREATH_ORDER_CAP
     code, out, err = run(
-        capsys, "solve-positive", "--group", "S3", "--random", "1",
-        "--degree", "3", "--cap", "10",
+        capsys, "solve-positive", "--group", "S3", "--random", "1", "--degree", "9"
     )
     assert code == 3
-    assert "resource-cap" in err
+    assert "resource-cap" in err and "wreath order" in err
 
 
 def test_env_cap_override(capsys, monkeypatch):

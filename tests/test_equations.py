@@ -7,14 +7,13 @@ from hypothesis import given, settings, strategies as st
 from groupsmith.constructions import lemma7_subgroup, named_group, wreath_cyclic
 from groupsmith.equations import (
     PositiveEquation,
-    _first_at_shift_one,
     adjoin_nth_root,
     evaluate,
     levin_solve,
     parse_equation,
     solve_in_group,
 )
-from groupsmith.errors import CapExceeded, ParseError, PreconditionError
+from groupsmith.errors import ParseError, PreconditionError
 
 from helpers import levin_solve_by_scan
 
@@ -140,20 +139,27 @@ def test_levin_solve_deterministic(s3):
     assert a.payload == b.payload
 
 
+def assert_levin_answer(eq: PositiveEquation, x) -> int:
+    """x is the first shift-0 solution by scan, or else the closed form
+    (g1^-1, ..., gn^-1) at shift 1; returns x's shift."""
+    W = x.group
+    first = levin_solve_by_scan(eq, eq.group, shift=0)
+    if first is not None:
+        assert x.payload == first.payload
+    else:
+        assert W.unpack(x.payload) == (tuple(g.inv().payload for g in eq.coefficients), 1)
+    return W.unpack(x.payload)[1]
+
+
 def test_levin_solve_is_lex_minimal(z6):
-    # brute scan in (k, f) order must agree with the pruned search
+    # Z6 has x*x = c only for even c, so both shifts are reached
     rng = random.Random(5)
     pool = list(z6.elements())
+    shifts = set()
     for _ in range(10):
         eq = PositiveEquation(tuple(pool[rng.randrange(6)] for _ in range(2)))
-        x = levin_solve(eq, z6)
-        W = x.group
-        first = None
-        for cand in W.elements():
-            if evaluate(eq, W, W.diag_embed, cand) == W.identity:
-                first = cand
-                break
-        assert first is not None and x == first
+        shifts.add(assert_levin_answer(eq, levin_solve(eq, z6)))
+    assert shifts == {0, 1}
 
 
 def random_equations(G, n: int, count: int, seed: int) -> list[PositiveEquation]:
@@ -176,21 +182,9 @@ def test_levin_solve_matches_scan_oracle():
     for spec, n in SCAN_CASES:
         G = named_group(spec)
         for eq in random_equations(G, n, 4, seed=14):
-            x = levin_solve(eq, G)
-            assert x.payload == levin_solve_by_scan(eq, G).payload
-            shifts.add(x.group.unpack(x.payload)[1])
-    # the in-group step and the forced shift 1 both decide some equation; nothing else does
+            shifts.add(assert_levin_answer(eq, levin_solve(eq, G)))
+    # the in-group step and the closed form both decide some equation; nothing else does
     assert shifts == {0, 1}
-
-
-@pytest.mark.parametrize("spec, n", [("S3", 4), ("S3", 3), ("D5", 3), ("Z3xS3", 3)])
-def test_shift_one_matches_scan_oracle(spec, n):
-    # solved here on its own, also where shift 0 has a solution and Levin's search stops there
-    G = named_group(spec)
-    W = wreath_cyclic(G, n)
-    for eq in random_equations(G, n, 8, seed=n):
-        f = _first_at_shift_one(eq, G)
-        assert W.pack(f, 1) == levin_solve_by_scan(eq, G, shift=1).payload
 
 
 def _closed_form_solves(eq: PositiveEquation) -> bool:
@@ -218,7 +212,7 @@ LEVIN_BASES = [named_group("S3"), named_group("D5")]
 )
 def test_levin_solve_is_the_first_scanned_solution(coefficients):
     eq = PositiveEquation(tuple(coefficients))
-    assert levin_solve(eq, eq.group).payload == levin_solve_by_scan(eq, eq.group).payload
+    assert_levin_answer(eq, levin_solve(eq, eq.group))
 
 
 @settings(max_examples=40, deadline=None)
@@ -252,24 +246,18 @@ def test_levin_abelian_closed_form():
                 assert evaluate(eq, Ws, Ws.diag_embed, solved) == Ws.identity
 
 
-def test_levin_shift1_solutions_meet_lemma7_set(s3):
-    g = s3.parse("(1 2)")
-    eq = PositiveEquation((g.inv(), s3.identity))
-    res = lemma7_subgroup(s3, g)
-    W = res.wreath
-    shift1_solutions = [
-        cand
-        for cand in W.elements()
-        if W.unpack(cand.payload)[1] == 1 and evaluate(eq, W, W.diag_embed, cand) == W.identity
-    ]
-    assert any(cand in res.subgroup for cand in shift1_solutions)
-    assert res.root in shift1_solutions
-
-
-def test_levin_cap(s3):
-    eq = PositiveEquation((s3.parse("(1 2)"), s3.identity, s3.identity))
-    with pytest.raises(CapExceeded):
-        levin_solve(eq, s3, cap=100)
+def test_levin_shift1_solutions_meet_lemma7_set():
+    # for x*x = g with g not a square in G, Levin's answer is lemma 7's root ((g, e); 1)
+    non_squares = 0
+    for spec in ("S3", "S4", "D7", "Z3xS3"):
+        G = named_group(spec)
+        for g in G.elements():
+            eq = PositiveEquation((g.inv(), G.identity))
+            if solve_in_group(eq, G) is not None:
+                continue
+            non_squares += 1
+            assert levin_solve(eq, G).payload == lemma7_subgroup(G, g).root.payload, (spec, g)
+    assert non_squares == 31
 
 
 def test_adjoin_nth_root(s3):
