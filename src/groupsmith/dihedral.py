@@ -442,7 +442,6 @@ class Theorem1Report:
             "lemma2_intersection_order": self.lemma2_intersection_order,
             "parities": [r.to_dict() for r in self.parity_records],
             "closure_note": self.closure_note,
-            "assertions": self.assertions,
         }
 
 

@@ -103,22 +103,24 @@ def levin_solve(eq: PositiveEquation, G: Group) -> Element:
     """Solve a positive equation of degree n in G wr Z_n.
 
     The answer is (s, ..., s) at shift 0 for s = `solve_in_group(eq, G)`,
-    else (g1^-1, ..., gn^-1) at shift 1, re-verified by full evaluation.
-    Degree-1 equations are solved inside G directly (x = g1^-1), no wreath
-    product involved.
+    else (g1^-1, ..., gn^-1) at shift 1. Degree-1 equations are solved
+    inside G directly (x = g1^-1), no wreath product involved. Every answer
+    is verified by one full evaluation before it is returned.
     """
     if eq.group is not G:
         raise PreconditionError("coefficients do not live in the given group")
     n = eq.degree
     if n == 1:
-        return G.inv(eq.coefficients[0])
-    W = wreath_cyclic(G, n)
-    s = solve_in_group(eq, G)
-    if s is not None:
-        x = Element(W, W.pack((s.payload,) * n, 0))
+        H, embed, x = G, (lambda e: e), G.inv(eq.coefficients[0])
     else:
-        x = Element(W, W.pack(tuple(G._inv(g.payload) for g in eq.coefficients), 1))
-    if evaluate(eq, W, W.diag_embed, x) != W.identity:
+        H = wreath_cyclic(G, n)
+        embed = H.diag_embed
+        s = solve_in_group(eq, G)
+        if s is not None:
+            x = Element(H, H.pack((s.payload,) * n, 0))
+        else:
+            x = Element(H, H.pack(tuple(G._inv(g.payload) for g in eq.coefficients), 1))
+    if evaluate(eq, H, embed, x) != H.identity:
         raise Falsification("Levin's solution is rejected by the evaluator")
     return x
 

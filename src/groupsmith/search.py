@@ -44,7 +44,6 @@ class DihedralEmbedding:
     kind: str
     rotation: perms.Perm
     reflection: perms.Perm
-    reflections: tuple[perms.Perm, ...]
 
     @property
     def generators(self) -> tuple[perms.Perm, perms.Perm]:
@@ -52,7 +51,7 @@ class DihedralEmbedding:
 
 
 def embed_dihedral(p: int, m: int, kind: str = "natural") -> DihedralEmbedding:
-    """Generators of a D_p copy inside S_m plus its reflection list.
+    """Generators of a D_p copy inside S_m.
 
     natural: the p-gon action, tiled over every complete block of p points;
     regular: translation action on the 2p group elements, fixed-point-free.
@@ -88,15 +87,7 @@ def embed_dihedral(p: int, m: int, kind: str = "natural") -> DihedralEmbedding:
             s[p + j] = j  # s * (s r^j) = r^j
     else:
         raise PreconditionError(f"unknown embedding kind {kind!r}")
-    rotation = tuple(r)
-    reflection = tuple(s)
-    refl_list = tuple(
-        perms.compose(reflection, perms.perm_power(rotation, i)) for i in range(p)
-    )
-    return DihedralEmbedding(
-        p=p, m=m, kind=kind, rotation=rotation, reflection=reflection,
-        reflections=refl_list,
-    )
+    return DihedralEmbedding(p=p, m=m, kind=kind, rotation=tuple(r), reflection=tuple(s))
 
 
 def square_roots_in_Sm(m: int, g: perms.Perm) -> Iterator[perms.Perm]:

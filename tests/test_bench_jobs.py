@@ -28,3 +28,7 @@ def test_every_benchmark_job_passes_its_check(workload, capsys):
         report = json.loads(captured.out)
         report.pop("timing_ms")
         assert job.check(report) == [], " ".join(job.argv)
+        # each assertion is reported once, in the top-level list only
+        names = [a["name"] for a in report["assertions"]]
+        assert len(names) == len(set(names)), " ".join(job.argv)
+        assert "assertions" not in report["result"], " ".join(job.argv)

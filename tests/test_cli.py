@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import groupsmith
-from groupsmith import cli, constructions
+from groupsmith import cli, constructions, equations
 from groupsmith.cli import build_parser, main
 from groupsmith.constructions import WreathGroup, named_group
 from groupsmith.core import Element, subgroup_generated
@@ -66,6 +66,34 @@ def test_solve_positive_explicit(capsys):
     assert len(rows) == 1
     assert rows[0]["verified"] is True
     assert rows[0]["in_group_solution"] is None  # transpositions are not squares
+
+
+def test_solve_positive_exits_1_when_the_solver_check_fails(capsys, monkeypatch):
+    monkeypatch.setattr(equations, "evaluate", lambda eq, H, embed, x: None)
+    code, _, err = run(capsys, "solve-positive", "--group", "S3", "--equation", "(1 2)*x*")
+    assert code == 1
+    assert "rejected by the evaluator" in err
+
+
+def test_solve_positive_evaluates_each_solution_once(capsys, monkeypatch):
+    calls = []
+    honest = equations.evaluate
+
+    def counted(*args):
+        calls.append(args)
+        return honest(*args)
+
+    # every binding of the evaluator, the command's own import included
+    for module in (equations, cli):
+        if hasattr(module, "evaluate"):
+            monkeypatch.setattr(module, "evaluate", counted)
+    report = run_json(
+        capsys, "solve-positive", "--group", "S4", "--random", "100",
+        "--degree", "2", "--seed", "1",
+    )
+    assert report["result"]["count"] == 100
+    assert all(row["verified"] is True for row in report["result"]["solutions"])
+    assert len(calls) == 100
 
 
 @pytest.mark.parametrize(
@@ -228,7 +256,11 @@ def test_prop1_embed(capsys):
 def test_theorem1_verify(capsys):
     report = run_json(capsys, "theorem1-verify", "--p", "3")
     assert report["result"]["bound"] == "36 >= 36"
-    assert all(a["status"] == "pass" for a in report["result"]["assertions"])
+    assert "assertions" not in report["result"]
+    names = [a["name"] for a in report["assertions"]]
+    assert len(names) == len(set(names)) == 15
+    assert {"color-census-symmetric", "final-bound"} <= set(names)
+    assert all(a["status"] == "pass" for a in report["assertions"])
 
 
 def test_residue_check(capsys):

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from groupsmith import equations
 from groupsmith.constructions import lemma7_subgroup, named_group, wreath_cyclic
 from groupsmith.equations import (
     PositiveEquation,
@@ -13,7 +14,7 @@ from groupsmith.equations import (
     parse_equation,
     solve_in_group,
 )
-from groupsmith.errors import ParseError, PreconditionError
+from groupsmith.errors import Falsification, ParseError, PreconditionError
 
 from helpers import levin_solve_by_scan
 
@@ -103,6 +104,14 @@ def test_levin_solve_degree_one(s3):
     x = levin_solve(PositiveEquation((g,)), s3)
     assert x.group is s3
     assert g * x == s3.identity
+
+
+@pytest.mark.parametrize("text", ["(1 2 3)*x*", "(1 2)*x*()*x*"])
+def test_levin_solve_checks_every_answer(s3, monkeypatch, text):
+    # an evaluator that rejects everything must reach every degree, 1 included
+    monkeypatch.setattr(equations, "evaluate", lambda eq, H, embed, x: None)
+    with pytest.raises(Falsification, match="rejected by the evaluator"):
+        levin_solve(parse_equation(s3, text), s3)
 
 
 def test_levin_solve_all_identity(s3):

@@ -46,16 +46,25 @@ def test_natural_embedding_tiles_blocks():
     assert closure_order_capped(emb.generators, 100) == (6, True)
 
 
+def _reflections(emb):
+    """The p reflections s*r^i of an embedded D_p, i = 0..p-1."""
+    return [
+        perms.compose(emb.reflection, perms.perm_power(emb.rotation, i)) for i in range(emb.p)
+    ]
+
+
 def test_reflection_list(d7):
     emb = embed_dihedral(7, 7)
-    assert len(emb.reflections) == 7
-    assert emb.reflection in emb.reflections
-    for t in emb.reflections:
+    reflections = _reflections(emb)
+    assert len(set(reflections)) == 7
+    assert reflections[0] == emb.reflection
+    for t in reflections:
         assert perms.compose(t, t) == perms.identity_perm(7)
+    # s*r^i = r^-i*s: listing them from the other side gives the same list
     rot = emb.rotation
-    assert emb.reflections == tuple(
-        perms.compose(emb.reflection, perms.perm_power(rot, i)) for i in range(7)
-    )
+    assert reflections == [
+        perms.compose(perms.perm_power(rot, -i), emb.reflection) for i in range(7)
+    ]
 
 
 def test_regular_embedding_fixed_point_free():
@@ -259,7 +268,7 @@ def test_minimum_identical_across_reflections():
     # one the search fixes; spot check at p = 3
     emb = embed_dihedral(3, 6)
     minima = []
-    for g in emb.reflections:
+    for g in _reflections(emb):
         best = None
         for x in square_roots_in_Sm(6, g):
             size, complete = closure_order_capped(list(emb.generators) + [x], 1000)
