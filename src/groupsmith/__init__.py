@@ -3,6 +3,8 @@ finite groups, with exhaustive lower-bound verification."""
 
 __version__ = "0.1.0"
 
+import importlib
+
 from .core import (
     Element,
     Group,
@@ -35,25 +37,49 @@ from .equations import (
     parse_equation,
     solve_in_group,
 )
-from .dihedral import (
-    ConjugateGraph,
-    Theorem1Report,
-    build_conjugate_graph,
-    conjugation_parity,
-    lemma2_check,
-    lemma3_check,
-    lemma5_lemma6_checks,
-    minus_one_is_square_mod_p,
-    theorem1_trace,
-)
-from .search import (
-    SearchReport,
-    closure_order_capped,
-    embed_dihedral,
-    min_overgroup_search,
-    square_roots_in_Sm,
-)
 from .errors import CapExceeded, Falsification, GroupsmithError, ParseError, PreconditionError
+
+# The proof replay and the ambient search are loaded on first use, so the
+# commands that run neither do not pay for importing them.
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "ConjugateGraph",
+            "Theorem1Report",
+            "build_conjugate_graph",
+            "conjugation_parity",
+            "lemma2_check",
+            "lemma3_check",
+            "lemma5_lemma6_checks",
+            "minus_one_is_square_mod_p",
+            "theorem1_trace",
+        ),
+        "dihedral",
+    ),
+    **dict.fromkeys(
+        (
+            "SearchReport",
+            "closure_order_capped",
+            "embed_dihedral",
+            "min_overgroup_search",
+            "square_roots_in_Sm",
+        ),
+        "search",
+    ),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "CapExceeded",

@@ -32,11 +32,6 @@ from .core import (
     subgroup_generated,
     verify_group_axioms,
 )
-from .dihedral import (
-    minus_one_is_square_mod_p,
-    odd_primes_below,
-    theorem1_trace,
-)
 from .equations import (
     PositiveEquation,
     adjoin_nth_root,
@@ -44,7 +39,6 @@ from .equations import (
     parse_equation,
 )
 from .errors import CapExceeded, Falsification, ParseError, PreconditionError
-from .search import min_overgroup_search
 
 
 @functools.cache
@@ -317,6 +311,8 @@ def cmd_prop1_embed(args):
 
 
 def cmd_theorem1_verify(args):
+    from .dihedral import theorem1_trace
+
     G = dihedral_group(args.p)
     g = G.parse("s*r^0")
     res = lemma7_subgroup(G, g)
@@ -327,6 +323,10 @@ def cmd_theorem1_verify(args):
 
 
 def cmd_residue_check(args):
+    if args.max_p <= 3:  # no odd prime lies below it, so nothing would be checked
+        raise PreconditionError(f"max-p must exceed 3, got {args.max_p}")
+    from .dihedral import minus_one_is_square_mod_p, odd_primes_below
+
     rows = []
     mismatches = 0
     for p in odd_primes_below(args.max_p):
@@ -342,6 +342,8 @@ def cmd_residue_check(args):
 
 
 def cmd_search(args):
+    from .search import min_overgroup_search
+
     if args.workers is not None and args.workers < 1:
         raise PreconditionError(f"workers must be positive, got {args.workers}")
     rep = min_overgroup_search(args.p, args.m, kind=args.kind, cap=args.cap)

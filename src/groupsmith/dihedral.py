@@ -18,19 +18,9 @@ from typing import Iterator
 from . import perms
 from .core import Element, Subgroup, conjugates_in, normalizer_in, subgroup_generated
 from .errors import Falsification, PreconditionError
+from .perms import is_prime
 
 GREEN, YELLOW, RED = "green", "yellow", "red"
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def odd_primes_below(limit: int) -> Iterator[int]:

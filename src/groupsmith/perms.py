@@ -1,8 +1,9 @@
 """Raw permutations as image tuples on points 0..m-1.
 
 These are the plumbing shared by the permutation-backed groups and the
-ambient symmetric-group searches. The product convention is function
-composition: (a * b)(i) = a(b(i)).
+ambient symmetric-group searches, with the primality test that both the
+dihedral replay and the search apply to p. The product convention is
+function composition: (a * b)(i) = a(b(i)).
 """
 
 from __future__ import annotations
@@ -87,6 +88,17 @@ def cycles(p: Perm) -> list[tuple[int, ...]]:
 def parity(p: Perm) -> int:
     """0 for even, 1 for odd, from the cycle decomposition."""
     return sum(len(c) - 1 for c in cycles(p)) % 2
+
+
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
 
 
 def all_perms_lex(m: int) -> Iterator[Perm]:

@@ -31,7 +31,6 @@ from typing import Callable, Iterator, NamedTuple
 
 from . import perms
 from .core import closure_payloads
-from .dihedral import is_prime
 from .errors import Falsification, PreconditionError
 
 MAX_DEGREE = 22
@@ -56,7 +55,7 @@ def embed_dihedral(p: int, m: int, kind: str = "natural") -> DihedralEmbedding:
     natural: the p-gon action, tiled over every complete block of p points;
     regular: translation action on the 2p group elements, fixed-point-free.
     """
-    if not is_prime(p):
+    if not perms.is_prime(p):
         raise PreconditionError(f"p = {p} is not prime")
     if p == 2:  # s would fix every tiled point, so every involution is a root
         raise PreconditionError("p = 2: the search needs an odd prime")

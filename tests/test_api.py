@@ -1,4 +1,6 @@
-"""The public API takes no per-call resource limits.
+"""The public API: every exported name resolves, the proof replay and the
+ambient search loading on first use, and no function takes a per-call
+resource limit.
 
 The closure cap (GROUPSMITH_CAP), the table entry budget and the wreath
 order cap live in `groupsmith.core`; only the two searches whose caps are
@@ -6,7 +8,10 @@ part of their result, `closure_order_capped` and `min_overgroup_search`,
 take one as a parameter.
 """
 
+import importlib
 import inspect
+
+import pytest
 
 import groupsmith
 
@@ -36,3 +41,20 @@ def test_only_the_capped_searches_take_a_cap():
     assert takes_cap == CAPPED_SEARCHES
     assert takes_order_cap == set()
     assert takes_workers == set()  # the ambient search runs in one process
+
+
+def test_every_exported_name_resolves_to_its_submodule_object():
+    assert set(groupsmith.__all__) <= set(dir(groupsmith))
+    for name in groupsmith.__all__:
+        obj = getattr(groupsmith, name)
+        home = importlib.import_module(obj.__module__)
+        assert getattr(home, name) is obj, name
+    namespace = {}
+    exec("from groupsmith import *", namespace)
+    assert all(namespace[name] is getattr(groupsmith, name) for name in groupsmith.__all__)
+
+
+def test_an_unknown_attribute_is_missing():
+    assert not hasattr(groupsmith, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        groupsmith.no_such_name

@@ -278,6 +278,15 @@ def test_residue_check_csv(capsys):
     assert lines[2] == "5,1,True"
 
 
+def test_residue_check_below_the_first_odd_prime_exits_2(capsys):
+    # --max-p N checks the odd primes below N: none at all for N <= 3
+    for max_p in ("3", "-5"):
+        code, out, err = run(capsys, "residue-check", "--max-p", max_p)
+        assert code == 2
+        assert "max-p must exceed 3" in err
+        assert out == ""
+
+
 def test_search_json(capsys):
     report = run_json(
         capsys, "search", "--p", "3", "--m", "6", "--cap", "1000", "--workers", "1"
@@ -329,6 +338,39 @@ def test_importing_the_cli_loads_no_process_pool():
         capture_output=True, text=True, check=True, timeout=60,
     )
     assert done.stdout == "False\n"
+
+
+@pytest.mark.parametrize(
+    "argvs, loaded",
+    [
+        ([], []),
+        (
+            [
+                ["construct", "--group", "S3"],
+                ["lemma7-check", "--group", "S3"],
+                ["solve-positive", "--group", "S3", "--equation", "(1 2)*x*()*x*"],
+            ],
+            [],
+        ),
+        ([["search", "--p", "3", "--m", "8"]], ["search"]),
+        ([["theorem1-verify", "--p", "3"]], ["dihedral"]),
+    ],
+    ids=["import", "construct-lemma7-solve", "search", "theorem1-verify"],
+)
+def test_commands_load_the_replay_and_the_search_only_to_run_them(argvs, loaded):
+    src = str(Path(groupsmith.__file__).parents[1])
+    probe = (
+        "import contextlib, io, sys, groupsmith, groupsmith.cli\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert groupsmith.cli.main(argv) == 0, argv\n"
+        "print([m for m in ('dihedral', 'search') if 'groupsmith.' + m in sys.modules])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert done.stdout == f"{loaded!r}\n"
 
 
 def _without_timing(out: str) -> str:
