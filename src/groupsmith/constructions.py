@@ -21,6 +21,7 @@ from typing import Callable, Iterator
 
 from . import perms
 from .core import (
+    CosetGroup,
     Element,
     Group,
     PermGroup,
@@ -500,7 +501,7 @@ class Lemma8Result:
     subgroup_k: Subgroup
     normal: bool
     witness: tuple[Element, Element] | None  # (member of K, conjugator)
-    quotient: TableGroup | None
+    quotient: CosetGroup | None
     project: Callable[[Element], Element] | None = field(repr=False, default=None)
     embed: Callable[[Element], Element] | None = field(repr=False, default=None)
     embed_injective: bool | None = None
@@ -584,6 +585,18 @@ class Prop1Result:
 
 
 def prop1_embedding(G: Group, g: Element) -> Prop1Result:
+    """An overgroup of G in which g is a square, by the first strategy of
+    `Prop1Result` that succeeds.
+
+    The lemma 8 branch is reached only for a perfect G with a nontrivial
+    odd abelian normal subgroup: the lemma 7 test 2|G||C| <= |G|^2 fails
+    only when |C| > |G|/2, and as |C| divides |G| that means
+    C = [<<g>>, G] = G, so G = [G, G]. No group `named_group` builds is
+    one: a perfect product of named groups has only A<m> (m >= 5) and
+    trivial factors, and no abelian normal subgroup. On such a group the
+    chain goes from lemma 7 straight to the fallback (on A5, for every g
+    but the identity).
+    """
     G._check(g)
     target = G.order**2
 

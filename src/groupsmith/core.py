@@ -1,10 +1,12 @@
-"""Finite group engine with three interchangeable backends.
+"""Finite group engine with four interchangeable backends.
 
 A Group exposes one contract (multiply, invert, identity, enumerate,
-render/parse) over three element representations:
+render/parse) over four element representations:
 
 * dense-table: elements are indices into a list whose products fill one
   flat 16-bit Cayley table, refused before its first row is filled,
+* coset: elements are the indices of a quotient's cosets, multiplied
+  through their representatives in the parent group (see Group.quotient),
 * perm-closure: elements are permutation image tuples,
 * wreath-structured: elements (base tuple, shift) are stored as one
   permutation over a permutation base and as the pair itself over any
@@ -24,6 +26,7 @@ from __future__ import annotations
 import os
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iproduct, repeat
 from operator import itemgetter
 from types import SimpleNamespace
@@ -33,10 +36,10 @@ from . import perms
 from .errors import CapExceeded, Falsification, ParseError, PreconditionError
 
 # The limits on building groups, for every backend. A permutation closure
-# stops as it outgrows the closure cap; a dense table is refused before its
-# first row is filled (the entry budget, then the cap); a wreath product,
-# whose elements are never enumerated when it is built, has its own order
-# cap.
+# stops as it outgrows the closure cap, a quotient above it is refused before
+# its cosets are listed, and a dense table before its first row is filled
+# (the entry budget, then the cap); a wreath product, whose elements are
+# never enumerated when it is built, has its own order cap.
 DEFAULT_CAP = 10_000
 # n*n entries, 32 MB as array("H"); n <= 4096 also keeps each entry in 16 bits
 TABLE_ENTRY_BUDGET = 1 << 24
@@ -327,17 +330,17 @@ class Group:
     def is_normal(self, H: "Subgroup") -> bool:
         return self.normality_witness(H) is None
 
-    def quotient(self, N: "Subgroup") -> tuple["TableGroup", Callable[[Element], Element]]:
-        """Cosets of a normal subgroup as a dense-table group, plus the
+    def quotient(self, N: "Subgroup") -> tuple["CosetGroup", Callable[[Element], Element]]:
+        """Cosets of a normal subgroup as a `CosetGroup`, plus the
         projection map.
 
-        The table is filled by columns, column j holding the cosets of
-        reps[i] * reps[j]. Column 0 is the identity; every other column is
-        reached breadth first by the right action of a generator's coset,
-        |Q| products per distinct generator coset in place of one product
-        per pair of cosets. N is normal, so cosets multiply as their
-        representatives do: acting by g on column j gives the column of the
-        coset of reps[j] * g.
+        N must be normal, and G/N within the closure cap, before any coset
+        is listed; cosets are numbered by their least members, N first. The
+        right action of each generator's coset must reach every coset. No
+        product is tabulated or tested: as N is normal, n*x * n'*y =
+        n*(x*n'*x^-1) * x*y lies in N*x*y, so the coset of a product does
+        not depend on the representatives, and the cosets inherit
+        associativity, the identity N and the inverses N*x^-1 from G.
         """
         witness = self.normality_witness(N)
         if witness is not None:
@@ -346,7 +349,9 @@ class Group:
                 f"subgroup is not normal in {self.name}: conjugating "
                 f"{self.render(h)} by {self.render(y)} leaves it"
             )
-        check_table_order(self.order // N.order)
+        m, limit = self.order // N.order, default_cap()
+        if m > limit:
+            raise CapExceeded(f"quotient order {m} exceeds cap {limit}", m)
         coset_index: dict = {}
         reps: list = []
         for p in self._iter_payloads():
@@ -356,36 +361,22 @@ class Group:
             reps.append(p)
             for n_pay in N.payloads:
                 coset_index[self._mul(n_pay, p)] = idx
-        mul, m = self._mul, len(reps)
+        mul = self._mul
         listed = self._generator_payloads()
         actions: dict = {}  # the coset of g -> its right action c -> coset of reps[c] * g
         for g in listed or self._iter_payloads():
             idx = coset_index[g]
             if idx and idx not in actions:
-                actions[idx] = array("H", [coset_index[mul(r, g)] for r in reps])
-        columns: list = [None] * m
-        columns[0] = array("H", range(m))
-        frontier = [0]
-        while frontier:
-            level = []
-            for j in frontier:
-                for act in actions.values():
-                    k = act[j]
-                    if columns[k] is None:
-                        columns[k] = array("H", map(act.__getitem__, columns[j]))
-                        level.append(k)
-            frontier = level
-        missed = columns.count(None)
-        if missed:
+                actions[idx] = [coset_index[mul(r, g)] for r in reps]
+        reached, _ = closure_payloads(0, actions.values(), lambda c, act: act[c])
+        if len(reached) != m:
             raise Falsification(
-                f"the generators of {self.name} reach {m - missed} of the {m} cosets"
+                f"the generators of {self.name} reach {len(reached)} of the {m} cosets"
             )
-        quot = TableGroup(
-            range(m),
-            lambda i, j: columns[j][i],
-            ListNamer([f"[{self._render(p)}]" for p in reps]),
+        quot = CosetGroup(
+            self, coset_index, reps,
             name=f"{self.name}/{N.describe()}",
-            generators=list(actions) if listed else (),
+            generators=tuple(actions) if listed else (),
         )
 
         def project(a: Element) -> Element:
@@ -537,10 +528,34 @@ class CycleNamer:
         return perms.parse_cycles(s, self.degree, base=1)
 
 
-# -- dense Cayley table backend -------------------------------------------
+# -- index backends: dense Cayley tables and cosets -----------------------
 
 
-class TableGroup(Group):
+class _IndexedGroup(Group):
+    """Payloads are the indices 0..n-1 (n in `_n`), the identity is 0 and
+    the listed generators are in `_gens`."""
+
+    @property
+    def order(self) -> int:
+        return self._n
+
+    def _id(self) -> int:
+        return 0
+
+    def _iter_payloads(self) -> Iterator[int]:
+        return iter(range(self._n))
+
+    def _key(self, p: int) -> int:
+        return p
+
+    def _contains_payload(self, p) -> bool:
+        return type(p) is int and 0 <= p < self._n
+
+    def _generator_payloads(self) -> tuple:
+        return self._gens
+
+
+class TableGroup(_IndexedGroup):
     """Group on a list of elements, stored as a dense Cayley table.
 
     `elements` lists every element once, the identity first; a payload is
@@ -616,29 +631,13 @@ class TableGroup(Group):
         self._elements = elements
         self._index = index
         self._namer = namer
-        self._gen_indices = gens
-
-    @property
-    def order(self) -> int:
-        return self._n
+        self._gens = gens
 
     def _mul(self, p: int, q: int) -> int:
         return self._table[p * self._n + q]
 
     def _inv(self, p: int) -> int:
         return self._invtab[p]
-
-    def _id(self) -> int:
-        return 0
-
-    def _iter_payloads(self) -> Iterator[int]:
-        return iter(range(self._n))
-
-    def _key(self, p: int) -> int:
-        return p
-
-    def _contains_payload(self, p) -> bool:
-        return type(p) is int and 0 <= p < self._n
 
     def _render(self, p: int) -> str:
         return self._namer.render(self._elements[p])
@@ -649,8 +648,35 @@ class TableGroup(Group):
             raise ParseError(s, f"not an element of {self.name}")
         return self._index[e]
 
-    def _generator_payloads(self) -> tuple:
-        return self._gen_indices
+
+class CosetGroup(_IndexedGroup):
+    """The cosets of a normal subgroup of `parent`, numbered, named and
+    checked by `Group.quotient`. A product or inverse is taken on the
+    representatives `reps` in the parent and mapped back by `coset_index`,
+    so no table is stored; the names are rendered when first needed."""
+
+    backend = "coset"
+
+    def __init__(self, parent: Group, coset_index: dict, reps: list, *, name: str, generators):
+        super().__init__(name)
+        self._parent, self._coset_index, self._reps = parent, coset_index, reps
+        self._n, self._gens = len(reps), generators
+
+    @cached_property
+    def _namer(self) -> ListNamer:
+        return ListNamer([f"[{self._parent._render(p)}]" for p in self._reps])
+
+    def _mul(self, p: int, q: int) -> int:
+        return self._coset_index[self._parent._mul(self._reps[p], self._reps[q])]
+
+    def _inv(self, p: int) -> int:
+        return self._coset_index[self._parent._inv(self._reps[p])]
+
+    def _render(self, p: int) -> str:
+        return self._namer.render(p)
+
+    def _parse(self, s: str) -> int:
+        return self._namer.parse(s)
 
 
 # -- permutation closure backend -------------------------------------------

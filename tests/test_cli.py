@@ -236,6 +236,16 @@ def test_lemma8_check_default_subgroup(capsys):
     assert report["result"]["embed_injective"] is True
 
 
+@pytest.mark.parametrize("spec, order", [("Z3xA4", 864), ("Z3xS4", 3456)])
+def test_lemma8_check_larger_quotients(capsys, spec, order):
+    # quotients of order 864 and 3456, whose cosets multiply through the
+    # wreath product instead of a table of order^2 entries
+    report = run_json(capsys, "lemma8-check", "--group", spec)
+    assert report["result"]["n_order"] == 3
+    assert report["result"]["quotient_order"] == order
+    assert report["result"]["embed_injective"] is True
+
+
 def test_lemma8_check_witness(capsys):
     report = run_json(
         capsys, "lemma8-check", "--group", "S3", "--normal-gens", "(1 2 3)"
@@ -453,7 +463,7 @@ def test_env_cap_refuses_quotient_table(capsys, monkeypatch):
     monkeypatch.setenv("GROUPSMITH_CAP", "100")
     code, out, err = run(capsys, "lemma8-check", "--group", "Z3xS3")
     assert code == 3
-    assert "table group order 216 exceeds cap 100" in err
+    assert "quotient order 216 exceeds cap 100" in err
 
 
 def test_csv_not_supported_elsewhere(capsys):

@@ -186,6 +186,14 @@ def test_quotient_matches_the_all_pairs_fill(case, z6):
     assert [Q.render(e) for e in Q.elements()] == [want.render(e) for e in want.elements()]
 
 
+@pytest.mark.parametrize("case", ["Z6", "Z3xS3", "S3xZ3", "Z12"])
+def test_lemma8_quotients_satisfy_the_group_laws(case):
+    """`Group.quotient` does not test the laws it derives from normality;
+    `test_group_axioms_quotient` checks Z6/<2>."""
+    rep = verify_group_axioms(_lemma8_quotient(case)[2])
+    assert rep.ok, rep.detail
+
+
 def test_quotient_refuses_generators_that_miss_a_coset():
     Z4 = _BareTable("Z4", [[(i + j) % 4 for j in range(4)] for i in range(4)], (2,))
     with pytest.raises(Falsification, match="reach 2 of the 4 cosets"):

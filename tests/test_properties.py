@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from groupsmith import perms
 from groupsmith.constructions import WreathGroup, lemma8_construct, named_group, wreath_cyclic
-from groupsmith.core import PermGroup, TableGroup, odd_abelian_normal_candidates
+from groupsmith.core import CosetGroup, PermGroup, TableGroup, odd_abelian_normal_candidates
 from groupsmith.errors import PreconditionError
 
 from helpers import perm_table, wreath_mul_by_coordinates
@@ -171,4 +171,6 @@ def test_parse_inverts_render_on_every_backend(e):
 
 def test_round_trip_groups_cover_every_backend():
     backends = {G.backend for G in ROUND_TRIP_GROUPS}
-    assert backends == {cls.backend for cls in (PermGroup, TableGroup, WreathGroup)}
+    assert backends == {
+        cls.backend for cls in (CosetGroup, PermGroup, TableGroup, WreathGroup)
+    }
