@@ -156,8 +156,10 @@ class WreathGroup(Group):
     """Wreath product of a base group with the cyclic shift of n coordinates.
 
     Elements are (f, k) with f a tuple of n base elements and k a shift mod
-    n; the order is n * |base|^n. No table is materialized, so orders in
-    the millions are representable as long as nothing enumerates them.
+    n; the order is n * |base|^n. No table is materialized, and listing the
+    elements is refused above the order cap. Building is refused where
+    n^2 * |base| exceeds that cap, as `levin_root` and `evaluate` make O(n)
+    products of n blocks.
 
     Over a permutation base of degree d, the payload of (f, k) is the
     permutation of n*d points, n blocks of d, that sends i*d + j to
@@ -173,13 +175,11 @@ class WreathGroup(Group):
         if arity < 2:
             raise PreconditionError(f"wreath arity must be at least 2, got {arity}")
         super().__init__(f"{base.name} wr Z{arity}")
+        if arity * arity * base.order > WREATH_ORDER_CAP:
+            raise CapExceeded(f"{self.name}: arity^2 * |base| exceeds cap {WREATH_ORDER_CAP}")
         self.base = base
         self.arity = arity
         self._order = arity * base.order**arity
-        if self._order > WREATH_ORDER_CAP:
-            raise CapExceeded(
-                f"wreath order {self._order} exceeds cap {WREATH_ORDER_CAP}", self._order
-            )
         self._base_id = base._id()
         # the block size d of flat payloads; 0 for (f, k) payloads
         self._d = base.degree if isinstance(base, PermGroup) else 0
@@ -235,6 +235,7 @@ class WreathGroup(Group):
         return self.pack((self._base_id,) * self.arity, 0)
 
     def _iter_payloads(self) -> Iterator:
+        _refuse_listing("wreath", self._order)
         base_pays = list(self.base._iter_payloads())
         for k in range(self.arity):
             for combo in iproduct(base_pays, repeat=self.arity):
@@ -314,6 +315,12 @@ class WreathGroup(Group):
         return Element(self, self.pack((g.payload,) * self.arity, 0))
 
 
+def _refuse_listing(what: str, order: int) -> None:
+    """Refuse to list more wreath elements than the wreath order cap."""
+    if order > WREATH_ORDER_CAP:
+        raise CapExceeded(f"{what} order {order} exceeds cap {WREATH_ORDER_CAP}", order)
+
+
 def wreath_cyclic(G: Group, n: int) -> WreathGroup:
     """G wr Z_n with the shift convention documented at module top."""
     return WreathGroup(G, n)
@@ -364,6 +371,7 @@ class Lemma7Result:
     def subgroup(self) -> Subgroup:
         """L = {(c*f, f; k) : (c, k) a label, f in G}."""
         W, G = self.wreath, self.wreath.base
+        _refuse_listing("lemma 7 subgroup", self.order)
         members = [
             Element(W, W.pack((G._mul(c, f), f), k))
             for c, k in self.labels

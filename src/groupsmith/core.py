@@ -38,8 +38,8 @@ from .errors import CapExceeded, Falsification, ParseError, PreconditionError
 # The limits on building groups, for every backend. A permutation closure
 # stops as it outgrows the closure cap, a quotient above it is refused before
 # its cosets are listed, and a dense table before its first row is filled
-# (the entry budget, then the cap); a wreath product, whose elements are
-# never enumerated when it is built, has its own order cap.
+# (the entry budget, then the cap); a wreath product's own order cap refuses
+# to list its elements, and to build it where arity^2 * |base| passes the cap.
 DEFAULT_CAP = 10_000
 # n*n entries, 32 MB as array("H"); n <= 4096 also keeps each entry in 16 bits
 TABLE_ENTRY_BUDGET = 1 << 24
@@ -818,14 +818,23 @@ def subgroup_generated(G: Group, S: Iterable[Element]) -> Subgroup:
 
 
 def normal_closure(G: Group, S: Iterable[Element]) -> Subgroup:
-    """Least normal subgroup of G containing S: the closure of the union of
-    its members' classes."""
-    members: set = set()
+    """Least normal subgroup <<S>> of G containing S: the walk of e under
+    right multiplication by each member of S and conjugation x -> a^-1 x a
+    by each generating payload a of G. The reached set X contains e and is
+    closed under conjugation by G and right multiplication by S, hence by
+    every conjugate: c*(y^-1 s y) = y^-1 (y c y^-1 * s) y. As G is finite,
+    X contains <<S>>, and every move stays inside <<S>>.
+    """
+    mul = G._mul
+    moves = [lambda x, a=a, b=G._inv(a): mul(mul(b, x), a) for a in G._generating_payloads()]
+    pays = set()
     for e in S:
         G._check(e)
-        if e.payload not in members:
-            members.update(G._class_payloads(e.payload))
-    return subgroup_generated(G, [Element(G, p) for p in members])
+        pays.add(e.payload)
+    pays.discard(G._id())
+    moves += [lambda x, s=s: mul(x, s) for s in sorted(pays, key=G._key)]
+    ordered, _ = closure_payloads(G._id(), moves, lambda x, move: move(x))
+    return Subgroup(G, [Element(G, p) for p in ordered], _trusted=True)
 
 
 def normalizer_in(universe: Subgroup, H: Subgroup) -> Subgroup:

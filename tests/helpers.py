@@ -68,10 +68,10 @@ def pairwise_closure(G: Group, seed_payloads) -> frozenset:
         current = nxt
 
 
-def brute_normal_closure(G: Group, g: Element) -> frozenset:
-    """Conjugate-then-close oracle for the normal closure."""
+def brute_normal_closure(G: Group, S) -> frozenset:
+    """Conjugate-then-close oracle for the normal closure of the elements S."""
     conjugates = {
-        G._mul(G._mul(G._inv(y), g.payload), y) for y in G._iter_payloads()
+        G._mul(G._mul(G._inv(y), g.payload), y) for g in S for y in G._iter_payloads()
     }
     return pairwise_closure(G, conjugates)
 

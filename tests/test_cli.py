@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,7 @@ from groupsmith import cli, constructions, equations
 from groupsmith.cli import build_parser, main
 from groupsmith.constructions import WreathGroup, named_group
 from groupsmith.core import Element, subgroup_generated
-from groupsmith.equations import parse_equation, solve_in_group
+from groupsmith.equations import evaluate, parse_equation, solve_in_group
 
 from helpers import lemma7_rows_by_scan
 
@@ -151,6 +153,28 @@ def test_lemma7_check_s5_by_class(capsys):
     assert (identity["commutator_order"], identity["subgroup_order"]) == (1, 240)
     assert len(rest) == 119
     assert all((r["commutator_order"], r["subgroup_order"]) == (60, 14400) for r in rest)
+
+
+@pytest.mark.parametrize("spec, order", [("A6", 360), ("A7", 2520)])
+def test_lemma7_check_at_degree_6_and_7(capsys, spec, order):
+    report = run_json(capsys, "lemma7-check", "--group", spec)
+    rows = report["result"]["subgroups"]
+    assert report["result"]["checked"] == order == len(rows)
+    assert all(r["subgroup_order"] == r["order_formula"] for r in rows)
+    assert Counter(r["commutator_order"] for r in rows) == {1: 1, order: order - 1}
+    assert all(a["status"] == "pass" for a in report["assertions"])
+
+
+def test_prop1_embed_a7_falls_back_to_the_wreath_product(capsys):
+    result = run_json(capsys, "prop1-embed", "--group", "A7", "--element", "(1 2 3)")["result"]
+    assert result["strategy"] == "fallback"
+    assert result["overgroup_order"] == 12_700_800
+    assert result["meets_bound"] is False
+
+
+def test_adjoin_nth_root_past_the_wreath_order_cap(capsys):
+    report = run_json(capsys, "adjoin-nth-root", "--group", "S5", "--element", "(1 2)", "--n", "4")
+    assert report["result"]["wreath_order"] == 829_440_000
 
 
 def test_lemma7_check_never_builds_the_subgroup(capsys, monkeypatch):
@@ -443,13 +467,32 @@ def test_unknown_flag_exits_2(capsys):
     assert exc.value.code == 2
 
 
-def test_cap_exit_3(capsys):
-    # S3 wr Z9 has order 9 * 6^9 > WREATH_ORDER_CAP
-    code, out, err = run(
-        capsys, "solve-positive", "--group", "S3", "--random", "1", "--degree", "9"
-    )
-    assert code == 3
-    assert "resource-cap" in err and "wreath order" in err
+def test_solve_positive_in_a_wreath_product_past_the_cap(capsys):
+    # S3 wr Z9 has order 9 * 6^9 > WREATH_ORDER_CAP, but the solver lists
+    # none of its elements
+    report = run_json(capsys, "solve-positive", "--group", "S3", "--random", "1", "--degree", "9")
+    (row,) = report["result"]["solutions"]
+    assert row["solved_in"] == "S3 wr Z9"
+    G = named_group("S3")
+    H = WreathGroup(G, 9)
+    eq = parse_equation(G, row["equation"])
+    assert evaluate(eq, H, H.diag_embed, H.parse(row["solution"])) == H.identity
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("adjoin-nth-root", "--group", "S5", "--element", "(1 2)", "--n", "5000"),
+        ("solve-positive", "--group", "S3", "--random", "1", "--degree", "100000"),
+    ],
+)
+def test_wreath_arity_past_the_cap_exits_3_at_once(capsys, argv):
+    # n^2 * |G| > WREATH_ORDER_CAP: refused before any of the n products of
+    # n blocks, which would take hours
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and time.perf_counter() - start < 5
+    assert "arity^2 * |base| exceeds cap 10000000" in err
 
 
 def test_env_cap_override(capsys, monkeypatch):

@@ -17,6 +17,7 @@ from groupsmith.core import (
     normal_closure,
     perm_closure,
     subgroup_generated,
+    verify_group_axioms,
 )
 from groupsmith.errors import CapExceeded, Falsification, ParseError, PreconditionError
 
@@ -73,8 +74,17 @@ def test_wreath_orders(s3):
     assert wreath_cyclic(z2, 3).order == 24
     with pytest.raises(PreconditionError):
         wreath_cyclic(s3, 1)
-    with pytest.raises(CapExceeded):
-        wreath_cyclic(named_group("S5"), 4)  # 4 * 120^4 is past the order cap
+    # 4 * 120^4 is past the wreath order cap: the product builds, but
+    # listing its elements is refused
+    W = wreath_cyclic(named_group("S5"), 4)
+    assert W.order == 829_440_000
+    for listing in (lambda: list(W.elements()), W.whole, lambda: verify_group_axioms(W)):
+        with pytest.raises(CapExceeded, match="wreath order 829440000 exceeds cap 10000000"):
+            listing()
+    # built where arity^2 * |base| fits the same cap: 1290^2 * 6 = 9,984,600
+    assert wreath_cyclic(s3, 1290).arity == 1290
+    with pytest.raises(CapExceeded, match=r"S3 wr Z1291: arity\^2 \* \|base\| exceeds cap 10000000"):
+        wreath_cyclic(s3, 1291)
 
 
 def test_wreath_enumeration_matches_order(z6):
@@ -206,6 +216,31 @@ def test_commutator_part_matches_all_pairs_oracle(z6):
         for g in G.elements():
             oracle = mutual_commutator(G, normal_closure(G, [g]), G.whole())
             assert constructions._commutator_part(G, g) == oracle, (G.name, G.render(g))
+
+
+def test_commutator_part_walks_its_normal_closure_once(monkeypatch):
+    # one walk of C makes |C| * (|S| + 2 * #gens) products for the
+    # |S| = #gens commutators, which take 3 products each
+    G = named_group("A6")
+    gens = len(G._generating_payloads())
+    count, mul = [0], G._mul
+
+    def counted(p, q):
+        count[0] += 1
+        return mul(p, q)
+
+    monkeypatch.setattr(G, "_mul", counted)
+    C = constructions._commutator_part(G, G.parse("(1 2 3)"))
+    assert C.order == 360
+    assert count[0] <= C.order * (gens + 2 * gens) + 3 * gens == 4332
+
+
+def test_lemma7_subgroup_of_a7_is_refused_before_it_is_listed():
+    G = named_group("A7")
+    res = lemma7_subgroup(G, G.parse("(1 2 3)"))
+    assert res.order == 12_700_800
+    with pytest.raises(CapExceeded, match="lemma 7 subgroup order 12700800 exceeds cap 10000000"):
+        res.subgroup
 
 
 def test_lemma7_walk_refuses_a_root_move_without_the_inverse(monkeypatch):

@@ -509,9 +509,9 @@ def test_lagrange_for_generated_subgroups(s3, d5, z6, a4):
 def test_normal_closure_against_oracle(s3):
     t = s3.parse("(1 2)")
     c = s3.parse("(1 2 3)")
-    assert normal_closure(s3, [t]).payload_set == brute_normal_closure(s3, t)
+    assert normal_closure(s3, [t]).payload_set == brute_normal_closure(s3, {t})
     assert normal_closure(s3, [t]).order == 6
-    assert normal_closure(s3, [c]).payload_set == brute_normal_closure(s3, c)
+    assert normal_closure(s3, [c]).payload_set == brute_normal_closure(s3, {c})
     assert normal_closure(s3, [c]).order == 3
     assert normal_closure(s3, [s3.identity]).order == 1
     assert normal_closure(s3, []).order == 1
@@ -520,7 +520,14 @@ def test_normal_closure_against_oracle(s3):
     assert normal_closure(s3, [c, t]).order == 6
     for G in conjugation_inputs():
         for g in G.elements():
-            assert normal_closure(G, [g]).payload_set == brute_normal_closure(G, g)
+            assert normal_closure(G, [g]).payload_set == brute_normal_closure(G, {g})
+    rng = random.Random(1)
+    groups = [named_group(spec) for spec in ("S4", "A5", "D7", "Z3xS3")]
+    for G in groups + [_lemma8_quotient("Z3xS3")[2]]:
+        elems = list(G.elements())
+        for size in (2, 2, 3, 3):
+            S = set(rng.sample(elems, size))
+            assert normal_closure(G, S).payload_set == brute_normal_closure(G, S), G.name
 
 
 def test_normal_closure_is_normal(s3, d5, d7, a4):
