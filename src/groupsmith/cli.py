@@ -191,7 +191,9 @@ def cmd_adjoin_nth_root(args):
 def cmd_solve_positive(args):
     G = named_group(args.group)
     equations: list[PositiveEquation] = []
-    if args.equation:
+    if args.random < 0:
+        raise PreconditionError(f"--random must be nonnegative, got {args.random}")
+    if args.equation is not None:
         equations.append(parse_equation(G, args.equation))
     if args.random:
         if args.degree < 1:
@@ -230,7 +232,7 @@ def cmd_solve_positive(args):
 
 def cmd_lemma7_check(args):
     G = named_group(args.group)
-    if args.element:
+    if args.element is not None:
         g = G.parse(args.element)
         checked = [(g, lemma7_subgroup(G, g))]
     else:
@@ -255,7 +257,7 @@ def cmd_lemma7_check(args):
 
 def cmd_lemma8_check(args):
     G = named_group(args.group)
-    if args.normal_gens:
+    if args.normal_gens is not None:
         gens = [G.parse(s) for s in args.normal_gens.split(",")]
         N = subgroup_generated(G, gens)
     else:
@@ -317,7 +319,7 @@ def cmd_theorem1_verify(args):
     g = G.parse("s*r^0")
     res = lemma7_subgroup(G, g)
     W = res.wreath
-    diag_copy = Subgroup(W, [W.diag_embed(a) for a in G.elements()], _trusted=True)
+    diag_copy = Subgroup.of_payloads(W, (W.diag_embed(a).payload for a in G.elements()))
     report = theorem1_trace(res.subgroup, diag_copy, res.root)
     return report.to_dict(), report.assertions
 

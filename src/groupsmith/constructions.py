@@ -372,12 +372,9 @@ class Lemma7Result:
         """L = {(c*f, f; k) : (c, k) a label, f in G}."""
         W, G = self.wreath, self.wreath.base
         _refuse_listing("lemma 7 subgroup", self.order)
-        members = [
-            Element(W, W.pack((G._mul(c, f), f), k))
-            for c, k in self.labels
-            for f in G._iter_payloads()
-        ]
-        return Subgroup(W, members, _trusted=True)
+        return Subgroup.of_payloads(
+            W, (W.pack((G._mul(c, f), f), k) for c, k in self.labels for f in G._iter_payloads())
+        )
 
 
 def lemma7_subgroup(G: Group, g: Element) -> Lemma7Result:

@@ -12,8 +12,9 @@ render/parse) over four element representations:
   permutation over a permutation base and as the pair itself over any
   other, and no table is ever materialized (see constructions.WreathGroup).
 
-Subgroups are explicit sorted element sets; at desk scale set semantics
-beat generator-only laziness and keep fixtures stable.
+Subgroups are explicit sorted payload tuples; at desk scale set semantics
+beat generator-only laziness and keep fixtures stable. An `Element` is a
+view, built when a caller reads one; no group holds its own.
 
 Conjugation has one path: `Group._conjugate_set` maps a payload set
 through one conjugator, and every orbit (the class of an element, the
@@ -134,9 +135,6 @@ class Group:
 
     def __init__(self, name: str):
         self.name = name
-        self._identity_element: Element | None = None
-        self._whole: "Subgroup | None" = None
-        self._center: "Subgroup | None" = None
 
     # -- payload-level API implemented by each backend --
 
@@ -191,9 +189,7 @@ class Group:
 
     @property
     def identity(self) -> Element:
-        if self._identity_element is None:
-            self._identity_element = Element(self, self._id())
-        return self._identity_element
+        return Element(self, self._id())
 
     @property
     def generators(self) -> tuple[Element, ...]:
@@ -253,9 +249,7 @@ class Group:
         return Element(self, self._parse(s))
 
     def whole(self) -> "Subgroup":
-        if self._whole is None:
-            self._whole = Subgroup(self, list(self.elements()), _trusted=True)
-        return self._whole
+        return Subgroup.of_payloads(self, self._iter_payloads())
 
     def is_abelian(self) -> bool:
         gens = self._generating_payloads()
@@ -268,15 +262,10 @@ class Group:
     # -- structural queries --
 
     def center(self) -> "Subgroup":
-        if self._center is None:
-            gens = self._generating_payloads()
-            members = [
-                Element(self, p)
-                for p in self._iter_payloads()
-                if all(self._mul(p, g) == self._mul(g, p) for g in gens)
-            ]
-            self._center = Subgroup(self, members, _trusted=True)
-        return self._center
+        gens, mul = self._generating_payloads(), self._mul
+        return Subgroup.of_payloads(
+            self, (p for p in self._iter_payloads() if all(mul(p, g) == mul(g, p) for g in gens))
+        )
 
     def _class_payloads(self, p) -> list:
         """The conjugacy class of payload p, walked breadth first under the
@@ -390,76 +379,78 @@ class Group:
 
 
 class Subgroup:
-    """Subgroup as a canonical sorted element set with its parent group."""
+    """Subgroup of `parent` as its payloads, sorted by the parent's key, and
+    their set; its `Element`s are built only when they are read."""
 
-    __slots__ = ("parent", "elements", "_pset")
+    __slots__ = ("parent", "payloads", "payload_set")
 
-    def __init__(self, parent: Group, elements: Iterable[Element], *, _trusted: bool = False):
-        elems = list(elements)
-        if not elems:
-            raise PreconditionError("a subgroup needs at least the identity")
-        for e in elems:
+    def __init__(self, parent: Group, elements: Iterable[Element]):
+        """The checked constructor: the elements must hold the identity and
+        be closed under the product."""
+        pays = []
+        for e in elements:
             parent._check(e)
-        uniq = {e.payload: e for e in elems}
-        ordered = tuple(
-            Element(parent, p) for p in sorted(uniq, key=parent._key)
-        )
-        self.parent = parent
-        self.elements = ordered
-        self._pset = frozenset(uniq)
-        if not _trusted:
-            self._validate()
-        if parent.order % len(ordered) != 0:
-            raise Falsification(
-                f"subgroup size {len(ordered)} does not divide group order {parent.order}"
-            )
-
-    def _validate(self) -> None:
-        if self.parent._id() not in self._pset:
+            pays.append(e.payload)
+        pset = frozenset(pays)
+        if parent._id() not in pset:
             raise PreconditionError("subgroup must contain the identity")
-        mul = self.parent._mul
-        for p in self._pset:
-            for q in self._pset:
-                if mul(p, q) not in self._pset:
+        mul = parent._mul
+        for p in pset:
+            for q in pset:
+                if mul(p, q) not in pset:
                     raise PreconditionError(
-                        f"set is not closed: {self.parent._render(p)} * "
-                        f"{self.parent._render(q)} falls outside"
+                        f"set is not closed: {parent._render(p)} * "
+                        f"{parent._render(q)} falls outside"
                     )
+        self._fill(parent, pset)
+
+    @classmethod
+    def of_payloads(cls, parent: Group, payloads: Iterable) -> "Subgroup":
+        """The unchecked constructor, for payloads that form a subgroup by
+        construction; only their number must divide the group order."""
+        H = cls.__new__(cls)
+        H._fill(parent, frozenset(payloads))
+        return H
+
+    def _fill(self, parent: Group, pset: frozenset) -> None:
+        if not pset or parent.order % len(pset):
+            raise Falsification(
+                f"subgroup size {len(pset)} does not divide group order {parent.order}"
+            )
+        self.parent = parent
+        self.payloads = tuple(sorted(pset, key=parent._key))
+        self.payload_set = pset
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.payloads)
 
     @property
-    def payloads(self) -> tuple:
-        return tuple(e.payload for e in self.elements)
-
-    @property
-    def payload_set(self) -> frozenset:
-        return self._pset
+    def elements(self) -> tuple[Element, ...]:
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.payloads)
 
     def __iter__(self) -> Iterator[Element]:
-        return iter(self.elements)
+        return (Element(self.parent, p) for p in self.payloads)
 
     def __contains__(self, e: Element) -> bool:
-        return isinstance(e, Element) and e.group is self.parent and e.payload in self._pset
+        return isinstance(e, Element) and e.group is self.parent and e.payload in self.payload_set
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subgroup)
             and other.parent is self.parent
-            and other._pset == self._pset
+            and other.payload_set == self.payload_set
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.parent), self._pset))
+        return hash((id(self.parent), self.payload_set))
 
     def key(self) -> tuple:
         """Canonical sort key: (size, ordered element keys)."""
-        return (len(self.elements), tuple(e.key for e in self.elements))
+        return (len(self.payloads), tuple(map(self.parent._key, self.payloads)))
 
     def is_abelian(self) -> bool:
         mul = self.parent._mul
@@ -472,7 +463,7 @@ class Subgroup:
 
     def describe(self) -> str:
         shown = ",".join(self.parent._render(p) for p in self.payloads[:4])
-        suffix = ",..." if len(self.elements) > 4 else ""
+        suffix = ",..." if len(self.payloads) > 4 else ""
         return f"<{shown}{suffix}>"
 
     def __repr__(self) -> str:
@@ -526,6 +517,25 @@ class CycleNamer:
 
     def parse(self, s: str) -> perms.Perm:
         return perms.parse_cycles(s, self.degree, base=1)
+
+
+class PairNamer:
+    """"(a|b)" names for the payload pairs of a direct product A x B."""
+
+    def __init__(self, A: Group, B: Group):
+        self.A, self.B = A, B
+
+    def render(self, pair) -> str:
+        return f"({self.A._render(pair[0])}|{self.B._render(pair[1])})"
+
+    def parse(self, s: str) -> tuple:
+        text = s.strip()
+        if not (text.startswith("(") and text.endswith(")")):
+            raise ParseError(s, "product elements look like (a|b)")
+        head, *tail = _split_top(text[1:-1], "|")
+        if not tail:
+            raise ParseError(s, "missing top-level '|'")
+        return self.A._parse(head), self.B._parse("|".join(tail))
 
 
 # -- index backends: dense Cayley tables and cosets -----------------------
@@ -814,7 +824,7 @@ def subgroup_generated(G: Group, S: Iterable[Element]) -> Subgroup:
         gens.append(e.payload)
     gens = sorted(set(gens), key=G._key)
     ordered, _ = closure_payloads(G._id(), gens, G._mul, key=G._key)
-    return Subgroup(G, [Element(G, p) for p in ordered], _trusted=True)
+    return Subgroup.of_payloads(G, ordered)
 
 
 def normal_closure(G: Group, S: Iterable[Element]) -> Subgroup:
@@ -834,7 +844,7 @@ def normal_closure(G: Group, S: Iterable[Element]) -> Subgroup:
     pays.discard(G._id())
     moves += [lambda x, s=s: mul(x, s) for s in sorted(pays, key=G._key)]
     ordered, _ = closure_payloads(G._id(), moves, lambda x, move: move(x))
-    return Subgroup(G, [Element(G, p) for p in ordered], _trusted=True)
+    return Subgroup.of_payloads(G, ordered)
 
 
 def normalizer_in(universe: Subgroup, H: Subgroup) -> Subgroup:
@@ -851,12 +861,9 @@ def normalizer_in(universe: Subgroup, H: Subgroup) -> Subgroup:
         if h not in span:
             gens.append(h)
             span = set(closure_payloads(idp, gens, parent._mul, key=parent._key)[0])
-    members = [
-        Element(parent, y)
-        for y in universe.payloads
-        if parent._conjugate_set(gens, y) <= H.payload_set
-    ]
-    return Subgroup(parent, members, _trusted=True)
+    return Subgroup.of_payloads(
+        parent, (y for y in universe.payloads if parent._conjugate_set(gens, y) <= H.payload_set)
+    )
 
 
 def conjugates_in(universe: Subgroup, H: Subgroup, conjugators) -> list[Subgroup]:
@@ -875,10 +882,7 @@ def conjugates_in(universe: Subgroup, H: Subgroup, conjugators) -> list[Subgroup
         parent._conjugate_set,
         key=sorted,
     )
-    return [
-        Subgroup(parent, [Element(parent, q) for q in pays], _trusted=True)
-        for pays in orbit
-    ]
+    return [Subgroup.of_payloads(parent, pays) for pays in orbit]
 
 
 def mutual_commutator(G: Group, A: Subgroup, B: Subgroup) -> Subgroup:
@@ -976,24 +980,10 @@ def _split_top(s: str, sep: str) -> list[str]:
 def direct_product(A: Group, B: Group) -> TableGroup:
     """Direct product as a dense-table group with "(a|b)" element names."""
     check_table_order(A.order * B.order)
-
-    class _PairNamer:
-        def render(self, pair) -> str:
-            return f"({A._render(pair[0])}|{B._render(pair[1])})"
-
-        def parse(self, s: str) -> tuple:
-            text = s.strip()
-            if not (text.startswith("(") and text.endswith(")")):
-                raise ParseError(s, "product elements look like (a|b)")
-            head, *tail = _split_top(text[1:-1], "|")
-            if not tail:
-                raise ParseError(s, "missing top-level '|'")
-            return A._parse(head), B._parse("|".join(tail))
-
     return TableGroup(
         list(iproduct(A._iter_payloads(), B._iter_payloads())),
         lambda p, q: (A._mul(p[0], q[0]), B._mul(p[1], q[1])),
-        _PairNamer(),
+        PairNamer(A, B),
         name=f"{A.name}x{B.name}",
         generators=[(g, B._id()) for g in A._generating_payloads()]
         + [(A._id(), g) for g in B._generating_payloads()],

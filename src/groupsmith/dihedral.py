@@ -53,7 +53,7 @@ class DihedralShape:
         """The first non-identity rotation in canonical order; with any
         reflection it generates the whole copy."""
         idp = self.subgroup.parent._id()
-        return next(r for r in self.rotations.elements if r.payload != idp)
+        return next(r for r in self.rotations if r.payload != idp)
 
 
 def dihedral_shape(G: Subgroup) -> DihedralShape:
@@ -67,7 +67,7 @@ def dihedral_shape(G: Subgroup) -> DihedralShape:
         raise PreconditionError(f"order {G.order} is not twice an odd prime")
     rot = []
     refl = []
-    for e in G.elements:
+    for e in G:
         k = parent.element_order(e)
         if k in (1, p):
             rot.append(e)
@@ -83,7 +83,7 @@ def dihedral_shape(G: Subgroup) -> DihedralShape:
         )
     rotations = Subgroup(parent, rot)
     for s in refl:
-        for r in rotations.elements:
+        for r in rot:
             if r.conj(s) != r.inv():
                 raise PreconditionError(
                     f"{parent.render(s)} does not invert {parent.render(r)}: not dihedral"

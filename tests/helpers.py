@@ -169,7 +169,7 @@ def conjugates_by_scan(universe: Subgroup, H: Subgroup) -> list[Subgroup]:
         yinv = parent._inv(y)
         pays = frozenset(parent._mul(parent._mul(yinv, h), y) for h in H.payloads)
         if pays not in seen:
-            seen[pays] = Subgroup(parent, [Element(parent, q) for q in pays], _trusted=True)
+            seen[pays] = Subgroup.of_payloads(parent, pays)
     return list(seen.values())
 
 

@@ -1,0 +1,155 @@
+"""A catalogue of mutants: small breaks of the program that the tests must catch.
+
+Each mutant names a source file, an exact snippet that occurs once in it,
+the snippet's replacement, and the tests that must fail once it is applied.
+`python tests/mutants.py [NAME ...]` applies each mutant (or the named ones)
+to a temporary copy of `src`, `tests` and `bench`, runs the mutant's tests there with
+pytest, and reports every mutant that survives: one of its tests still
+passes. The exit status is 1 when a mutant survives or a snippet no longer
+matches. pytest does not collect this file; `test_mutants.py` checks that
+each snippet occurs exactly once, so a change that rewrites a checked line
+must update its mutant here.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the repository root
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]  # pytest node ids; a parametrized id covers its cases
+
+
+MUTANTS = (
+    Mutant(
+        "subgroup-without-identity-check",
+        "src/groupsmith/core.py",
+        "        if parent._id() not in pset:\n",
+        "        if False:\n",
+        ("tests/test_core.py::test_subgroup_validation",),
+    ),
+    Mutant(
+        "subgroup-without-closure-check",
+        "src/groupsmith/core.py",
+        "                if mul(p, q) not in pset:\n",
+        "                if False:\n",
+        ("tests/test_core.py::test_subgroup_validation",),
+    ),
+    Mutant(
+        "subgroup-without-divisibility-check",
+        "src/groupsmith/core.py",
+        "        if not pset or parent.order % len(pset):\n",
+        "        if not pset:\n",
+        ("tests/test_core.py::test_the_checked_and_unchecked_subgroup_constructors_agree",),
+    ),
+    Mutant(
+        "quotient-without-normality-check",
+        "src/groupsmith/core.py",
+        "        witness = self.normality_witness(N)\n        if witness is not None:\n",
+        "        witness = self.normality_witness(N)\n        if False:\n",
+        ("tests/test_core.py::test_quotient_rejects_non_normal",),
+    ),
+    Mutant(
+        "compose-b-after-a",
+        "src/groupsmith/perms.py",
+        "    return tuple([a[i] for i in b])\n",
+        "    return tuple([b[i] for i in a])\n",
+        (
+            "tests/test_perms.py::test_compose_applies_right_then_left",
+            "tests/test_properties.py::test_compose_is_the_definition_and_associative",
+        ),
+    ),
+    Mutant(
+        "wreath-mul-shifts-by-right-k",
+        "src/groupsmith/constructions.py",
+        "            tuple(bmul(f[i], f2[(i - k) % n]) for i in range(n)),\n",
+        "            tuple(bmul(f[i], f2[(i - k2) % n]) for i in range(n)),\n",
+        (
+            "tests/test_equations.py::test_adjoin_nth_root",
+            "tests/test_constructions.py::test_lemma8_z6_central",
+        ),
+    ),
+    Mutant(
+        "pack-without-block-offsets",
+        "src/groupsmith/constructions.py",
+        "            out += [src * d + x for x in f[src]]\n",
+        "            out += [x for x in f[src]]\n",
+        (
+            "tests/test_properties.py::test_flat_kernel_matches_oracle_exhaustively",
+            "tests/test_constructions.py::test_levin_root_squares_exhaustively",
+        ),
+    ),
+    Mutant(
+        "lemma7-shift-coset-g-inverse-c",
+        "src/groupsmith/constructions.py",
+        "    return C.payload_set, frozenset(G._mul(g.payload, c) for c in C.payloads)\n",
+        "    return C.payload_set, frozenset(G._mul(G._inv(g.payload), c) for c in C.payloads)\n",
+        (
+            "tests/test_constructions.py::test_lemma7_abelian_doubles",
+            "tests/test_constructions.py::test_lemma7_matches_independent_closure",
+        ),
+    ),
+)
+
+
+def _unkilled(tests: tuple[str, ...], failed: set[str]) -> list[str]:
+    """The named tests of which no case failed."""
+    return [t for t in tests if not any(f == t or f.startswith(t + "[") for f in failed)]
+
+
+def run_mutant(m: Mutant, workdir: Path) -> str:
+    """Apply `m` to a fresh copy of the tree in `workdir` and run its tests;
+    the verdict is "killed", or why the mutant survives."""
+    tree = workdir / m.name
+    for part in ("src", "tests", "bench"):
+        shutil.copytree(ROOT / part, tree / part, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "pyproject.toml", tree)
+    target = tree / m.path
+    text = target.read_text()
+    if text.count(m.snippet) != 1:
+        return f"snippet occurs {text.count(m.snippet)} times in {m.path}"
+    target.write_text(text.replace(m.snippet, m.replacement))
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *m.tests],
+        cwd=tree, env=env, capture_output=True, text=True,
+    )
+    if proc.returncode not in (0, 1):
+        return f"pytest exited {proc.returncode}:\n{proc.stdout[-2000:]}"
+    failed = set(re.findall(r"^FAILED (\S+)", proc.stdout, re.M))
+    survivors = _unkilled(m.tests, failed)
+    return "killed" if not survivors else "survives: passes " + ", ".join(survivors)
+
+
+def main(names: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    bad = 0
+    with tempfile.TemporaryDirectory(prefix="groupsmith-mutants-") as tmp:
+        for m in chosen:
+            verdict = run_mutant(m, Path(tmp))
+            bad += verdict != "killed"
+            print(f"{m.name}: {verdict}", flush=True)
+    print(f"{len(chosen) - bad} of {len(chosen)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

@@ -195,7 +195,7 @@ def test_criterion_8_proof_replay():
         G = named_group(f"D{p}")
         res = lemma7_subgroup(G, G.parse("s"))
         W = res.wreath
-        diag = Subgroup(W, [W.diag_embed(a) for a in G.elements()], _trusted=True)
+        diag = Subgroup.of_payloads(W, (W.diag_embed(a).payload for a in G.elements()))
         rep = theorem1_trace(res.subgroup, diag, res.root)
         ok = ok and rep.bound_line() == expected[p]
         ok = ok and all(a["status"] == "pass" for a in rep.assertions)

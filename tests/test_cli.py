@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import groupsmith
 from groupsmith import cli, constructions, equations
 from groupsmith.cli import build_parser, main
 from groupsmith.constructions import WreathGroup, named_group
-from groupsmith.core import Element, subgroup_generated
+from groupsmith.core import Element, Group, Subgroup, subgroup_generated
 from groupsmith.equations import evaluate, parse_equation, solve_in_group
 
 from helpers import lemma7_rows_by_scan
@@ -465,6 +466,53 @@ def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["construct", "--group", "S3", "--frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lemma7-check", "--group", "S3", "--element", ""], "empty element string"),
+        (["lemma8-check", "--group", "Z3xS3", "--normal-gens", ""], "look like (a|b)"),
+        (["solve-positive", "--group", "S3", "--equation", "", "--random", "1"], "'*x*'"),
+        (["solve-positive", "--group", "S3", "--random", "-1"], "--random must be nonnegative"),
+    ],
+    ids=["element", "normal-gens", "equation", "negative-random"],
+)
+def test_empty_or_negative_option_values_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
+def test_jobs_leave_no_group_in_cyclic_garbage(capsys):
+    """Groups, subgroups and elements hold no reference cycle, so each job
+    frees them by reference counting and none waits for the collector."""
+    jobs = [
+        ["construct", "--group", "Z3xS3"],
+        ["lemma8-check", "--group", "Z3xS3"],
+        ["prop1-embed", "--group", "Z3xS3", "--element", "(1|(1 2 3))"],
+        ["theorem1-verify", "--p", "7"],
+        ["solve-positive", "--group", "S3", "--random", "3"],
+    ]
+    was_enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    try:
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        for argv in jobs:
+            assert main([*argv, "--format", "json"]) == 0, argv
+        gc.collect()
+        leaked = Counter(
+            type(o).__name__ for o in gc.garbage if issubclass(type(o), (Group, Subgroup, Element))
+        )
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+    capsys.readouterr()
+    assert not leaked
 
 
 def test_solve_positive_in_a_wreath_product_past_the_cap(capsys):

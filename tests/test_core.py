@@ -493,10 +493,31 @@ def test_subgroup_generated_examples(d7, s3):
 
 
 def test_subgroup_validation(s3):
-    with pytest.raises(PreconditionError):
-        Subgroup(s3, [s3.parse("(1 2)")])  # no identity
-    with pytest.raises(PreconditionError):
-        Subgroup(s3, [s3.identity, s3.parse("(1 2 3)")])  # not closed
+    with pytest.raises(PreconditionError, match="must contain the identity"):
+        Subgroup(s3, [s3.parse("(1 2)")])
+    with pytest.raises(PreconditionError, match="must contain the identity"):
+        Subgroup(s3, [])
+    with pytest.raises(PreconditionError, match="not closed"):
+        Subgroup(s3, [s3.identity, s3.parse("(1 2 3)")])
+
+
+def test_the_checked_and_unchecked_subgroup_constructors_agree(s3, z6):
+    rng = random.Random(7)
+    W = wreath_cyclic(s3, 2)  # payload keys differ from the payloads' own order
+    for G in (s3, z6, W):
+        for gens in ([], *([g] for g in G.generators), G.generators):
+            pays = list(subgroup_generated(G, gens).payloads)
+            mixed = pays + rng.sample(pays, min(2, len(pays)))
+            rng.shuffle(mixed)
+            checked = Subgroup(G, [G.element(p) for p in mixed])
+            unchecked = Subgroup.of_payloads(G, iter(mixed))
+            assert checked.payloads == unchecked.payloads == tuple(sorted(set(pays), key=G._key))
+            assert checked.elements == unchecked.elements == tuple(unchecked)
+            assert checked == unchecked and hash(checked) == hash(unchecked)
+            assert checked.key() == unchecked.key()
+    four = [s3.identity.payload] + [s3.parse(t).payload for t in ("(1 2)", "(1 3)", "(2 3)")]
+    with pytest.raises(Falsification, match="size 4 does not divide group order 6"):
+        Subgroup.of_payloads(s3, four)
 
 
 def test_lagrange_for_generated_subgroups(s3, d5, z6, a4):
@@ -583,7 +604,7 @@ def test_quotient_rejects_non_normal(s3):
     assert "(1 2)" in str(err.value)
 
 
-def test_center(d7, z6, s3):
+def test_center_orders(d7, z6, s3):
     assert d7.center().order == 1
     assert z6.center().order == 6
     assert s3.center().order == 1

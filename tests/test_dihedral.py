@@ -28,7 +28,7 @@ from helpers import colors_preserved_by_scan, conjugates_by_scan, parity_by_inve
 
 
 def diag_copy(W, G):
-    return Subgroup(W, [W.diag_embed(a) for a in G.elements()], _trusted=True)
+    return Subgroup.of_payloads(W, (W.diag_embed(a).payload for a in G.elements()))
 
 
 def lemma7_setup(p):
