@@ -315,12 +315,14 @@ def cmd_prop1_embed(args):
 def cmd_theorem1_verify(args):
     from .dihedral import theorem1_trace
 
+    if args.p % 4 != 3:  # refused before any group is built
+        raise PreconditionError(f"p = {args.p} is not 3 mod 4; the bound does not apply")
     G = dihedral_group(args.p)
     g = G.parse("s*r^0")
     res = lemma7_subgroup(G, g)
-    W = res.wreath
+    W, ambient = res.wreath, res.subgroup  # the subgroup refuses by the caps first
     diag_copy = Subgroup.of_payloads(W, (W.diag_embed(a).payload for a in G.elements()))
-    report = theorem1_trace(res.subgroup, diag_copy, res.root)
+    report = theorem1_trace(ambient, diag_copy, res.root)
     return report.to_dict(), report.assertions
 
 

@@ -28,6 +28,7 @@ from .core import (
     Subgroup,
     TableGroup,
     IntegerNamer,
+    TABLE_ENTRY_BUDGET,
     WREATH_ORDER_CAP,
     _split_top,
     closure_payloads,
@@ -159,7 +160,8 @@ class WreathGroup(Group):
     n; the order is n * |base|^n. No table is materialized, and listing the
     elements is refused above the order cap. Building is refused where
     n^2 * |base| exceeds that cap, as `levin_root` and `evaluate` make O(n)
-    products of n blocks.
+    products of n blocks. Listing is also refused where the payloads would
+    hold more entries than the table entry budget.
 
     Over a permutation base of degree d, the payload of (f, k) is the
     permutation of n*d points, n blocks of d, that sends i*d + j to
@@ -205,9 +207,13 @@ class WreathGroup(Group):
         d = self._d
         if not d:
             return p
-        k, blocks = self._key(p)
+        # k sends block 0 to block k; rotating the blocks back by k leaves
+        # block i as i*d + f[i]
+        n, k = self.arity, p[0] // d
+        r = (n - k) % n * d
+        blocks = p[r:] + p[:r]
         f = tuple(
-            tuple([x - i * d for x in blocks[i * d : (i + 1) * d]]) for i in range(self.arity)
+            tuple([x - i * d for x in blocks[i * d : (i + 1) * d]]) for i in range(n)
         )
         return f, k
 
@@ -235,22 +241,11 @@ class WreathGroup(Group):
         return self.pack((self._base_id,) * self.arity, 0)
 
     def _iter_payloads(self) -> Iterator:
-        _refuse_listing("wreath", self._order)
+        self._refuse_listing("wreath", self._order)
         base_pays = list(self.base._iter_payloads())
         for k in range(self.arity):
             for combo in iproduct(base_pays, repeat=self.arity):
                 yield self.pack(combo, k)
-
-    def _key(self, p):
-        d = self._d
-        if d:
-            # k sends block 0 to block k; rotating the blocks back by k
-            # leaves block i as i*d + f[i], which sorts as (k, f) below
-            k = p[0] // d
-            r = (self.arity - k) % self.arity * d
-            return (k, p[r:] + p[:r])
-        f, k = p
-        return (k, tuple(self.base._key(x) for x in f))
 
     def _contains_payload(self, p) -> bool:
         if self._d:
@@ -309,16 +304,24 @@ class WreathGroup(Group):
         gens.append(self.pack((idp,) * self.arity, 1))
         return tuple(gens)
 
+    def _refuse_listing(self, what: str, order: int) -> None:
+        """Refuse to list `order` elements of this product above the wreath
+        order cap, or when their payloads hold more entries than the table
+        entry budget: n*d for a flat payload, n for an (f, k)."""
+        if order > WREATH_ORDER_CAP:
+            raise CapExceeded(f"{what} order {order} exceeds cap {WREATH_ORDER_CAP}", order)
+        entries = order * self.arity * (self._d or 1)
+        if entries > TABLE_ENTRY_BUDGET:
+            raise CapExceeded(
+                f"{what} order {order} needs {entries} payload entries, "
+                f"above the table entry budget {TABLE_ENTRY_BUDGET}",
+                order,
+            )
+
     def diag_embed(self, g: Element) -> Element:
         """The diagonal copy of a base element: constant tuple, zero shift."""
         self.base._check(g)
         return Element(self, self.pack((g.payload,) * self.arity, 0))
-
-
-def _refuse_listing(what: str, order: int) -> None:
-    """Refuse to list more wreath elements than the wreath order cap."""
-    if order > WREATH_ORDER_CAP:
-        raise CapExceeded(f"{what} order {order} exceeds cap {WREATH_ORDER_CAP}", order)
 
 
 def wreath_cyclic(G: Group, n: int) -> WreathGroup:
@@ -371,7 +374,7 @@ class Lemma7Result:
     def subgroup(self) -> Subgroup:
         """L = {(c*f, f; k) : (c, k) a label, f in G}."""
         W, G = self.wreath, self.wreath.base
-        _refuse_listing("lemma 7 subgroup", self.order)
+        W._refuse_listing("lemma 7 subgroup", self.order)
         return Subgroup.of_payloads(
             W, (W.pack((G._mul(c, f), f), k) for c, k in self.labels for f in G._iter_payloads())
         )
@@ -490,7 +493,7 @@ def lemma7_by_class(G: Group) -> list[tuple[Element, Lemma7Result]]:
 
 def _class_conjugators(G: Group, g: Element) -> dict:
     """Each member q of the class of g, mapped to the first h in G (in
-    payload order) with q = h^-1 g h."""
+    listed order) with q = h^-1 g h."""
     out: dict = {}
     for h in G._iter_payloads():
         out.setdefault(G._mul(G._mul(G._inv(h), g.payload), h), h)

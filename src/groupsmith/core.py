@@ -37,10 +37,11 @@ from . import perms
 from .errors import CapExceeded, Falsification, ParseError, PreconditionError
 
 # The limits on building groups, for every backend. A permutation closure
-# stops as it outgrows the closure cap, a quotient above it is refused before
-# its cosets are listed, and a dense table before its first row is filled
-# (the entry budget, then the cap); a wreath product's own order cap refuses
-# to list its elements, and to build it where arity^2 * |base| passes the cap.
+# stops as it outgrows the closure cap or the entry budget, a quotient above
+# the cap is refused before its cosets are listed, and a dense table before
+# its first row is filled (the entry budget, then the cap); a wreath listing
+# is refused by its own order cap and the entry budget, and a wreath product
+# by the order cap where arity^2 * |base| passes it.
 DEFAULT_CAP = 10_000
 # n*n entries, 32 MB as array("H"); n <= 4096 also keeps each entry in 16 bits
 TABLE_ENTRY_BUDGET = 1 << 24
@@ -89,10 +90,6 @@ class Element:
         self.group = group
         self.payload = payload
 
-    @property
-    def key(self):
-        return self.group._key(self.payload)
-
     def __mul__(self, other: "Element") -> "Element":
         return self.group.mul(self, other)
 
@@ -122,7 +119,7 @@ class Element:
     def __lt__(self, other: "Element") -> bool:
         if not isinstance(other, Element) or other.group is not self.group:
             raise PreconditionError("cannot order elements of different groups")
-        return self.key < other.key
+        return self.payload < other.payload
 
     def __repr__(self) -> str:
         return f"<{self.group.name}:{self.group.render(self)}>"
@@ -153,9 +150,6 @@ class Group:
 
     def _iter_payloads(self) -> Iterator:
         """Canonical enumeration; the identity comes first."""
-        raise NotImplementedError
-
-    def _key(self, p):
         raise NotImplementedError
 
     def _contains_payload(self, p) -> bool:
@@ -273,9 +267,7 @@ class Group:
         so the walk reaches the whole class."""
         mul = self._mul
         pairs = [(self._inv(y), y) for y in self._generating_payloads()]
-        orbit, _ = closure_payloads(
-            p, pairs, lambda q, pair: mul(mul(pair[0], q), pair[1]), key=self._key
-        )
+        orbit, _ = closure_payloads(p, pairs, lambda q, pair: mul(mul(pair[0], q), pair[1]))
         return orbit
 
     def _conjugate_set(self, payloads, y) -> frozenset:
@@ -284,14 +276,14 @@ class Group:
         return frozenset(mul(mul(yinv, h), y) for h in payloads)
 
     def conjugacy_classes(self) -> list[tuple[Element, ...]]:
-        """The classes in order of their least member, each sorted."""
+        """The classes in order of their first listed member, each sorted."""
         seen: set = set()
         classes = []
         for p in self._iter_payloads():
             if p not in seen:
                 orbit = self._class_payloads(p)
                 seen.update(orbit)
-                classes.append(tuple(Element(self, q) for q in sorted(orbit, key=self._key)))
+                classes.append(tuple(Element(self, q) for q in sorted(orbit)))
         return classes
 
     def normality_witness(self, H: "Subgroup", conjugators=None):
@@ -300,7 +292,7 @@ class Group:
         `conjugators` must generate the group H is asked to be normal in
         (default: this group's generating set); a finite H mapped into
         itself by each generator is normal. Members are scanned in
-        canonical order, each against every conjugator in turn, so the
+        sorted order, each against every conjugator in turn, so the
         witness is the first member that leaves H.
         """
         if H.parent is not self:
@@ -324,12 +316,13 @@ class Group:
         projection map.
 
         N must be normal, and G/N within the closure cap, before any coset
-        is listed; cosets are numbered by their least members, N first. The
-        right action of each generator's coset must reach every coset. No
-        product is tabulated or tested: as N is normal, n*x * n'*y =
-        n*(x*n'*x^-1) * x*y lies in N*x*y, so the coset of a product does
-        not depend on the representatives, and the cosets inherit
-        associativity, the identity N and the inverses N*x^-1 from G.
+        is listed; cosets are numbered by their first listed members, N
+        first, and must hold |G| elements together. The right action of
+        each generator's coset must reach every coset. No product is
+        tabulated or tested: as N is normal, n*x * n'*y = n*(x*n'*x^-1) *
+        x*y lies in N*x*y, so the coset of a product does not depend on the
+        representatives, and the cosets inherit associativity, the identity
+        N and the inverses N*x^-1 from G.
         """
         witness = self.normality_witness(N)
         if witness is not None:
@@ -350,6 +343,8 @@ class Group:
             reps.append(p)
             for n_pay in N.payloads:
                 coset_index[self._mul(n_pay, p)] = idx
+        if len(coset_index) != self.order:
+            raise Falsification(f"the cosets of N in {self.name} hold {len(coset_index)} elements")
         mul = self._mul
         listed = self._generator_payloads()
         actions: dict = {}  # the coset of g -> its right action c -> coset of reps[c] * g
@@ -379,8 +374,8 @@ class Group:
 
 
 class Subgroup:
-    """Subgroup of `parent` as its payloads, sorted by the parent's key, and
-    their set; its `Element`s are built only when they are read."""
+    """Subgroup of `parent` as its payloads, sorted, and their set; its
+    `Element`s are built only when they are read."""
 
     __slots__ = ("parent", "payloads", "payload_set")
 
@@ -418,7 +413,7 @@ class Subgroup:
                 f"subgroup size {len(pset)} does not divide group order {parent.order}"
             )
         self.parent = parent
-        self.payloads = tuple(sorted(pset, key=parent._key))
+        self.payloads = tuple(sorted(pset))
         self.payload_set = pset
 
     @property
@@ -449,8 +444,8 @@ class Subgroup:
         return hash((id(self.parent), self.payload_set))
 
     def key(self) -> tuple:
-        """Canonical sort key: (size, ordered element keys)."""
-        return (len(self.payloads), tuple(map(self.parent._key, self.payloads)))
+        """Canonical sort key: (size, sorted payloads)."""
+        return (len(self.payloads), self.payloads)
 
     def is_abelian(self) -> bool:
         mul = self.parent._mul
@@ -554,9 +549,6 @@ class _IndexedGroup(Group):
 
     def _iter_payloads(self) -> Iterator[int]:
         return iter(range(self._n))
-
-    def _key(self, p: int) -> int:
-        return p
 
     def _contains_payload(self, p) -> bool:
         return type(p) is int and 0 <= p < self._n
@@ -709,11 +701,14 @@ class PermGroup(Group):
         if degree < 0:
             raise PreconditionError("degree must be nonnegative")
         self.degree = degree
+        # the walk stops past the cap, or within the entry budget's points
         limit = default_cap()
-        gens, ordered, complete = perm_closure(generator_perms, limit + 1, degree)
+        abort_at = min(limit + 1, TABLE_ENTRY_BUDGET // max(degree, 1))
+        gens, ordered, complete = perm_closure(generator_perms, abort_at, degree)
         if not complete:
             raise CapExceeded(
-                f"closure of {name} is too large (cap {limit})", len(ordered)
+                f"closure of {name} is too large (cap {limit}, or {TABLE_ENTRY_BUDGET} points)",
+                len(ordered),
             )
         self._sorted_payloads = tuple(sorted(ordered))
         self._pset = frozenset(ordered)
@@ -735,9 +730,6 @@ class PermGroup(Group):
 
     def _iter_payloads(self) -> Iterator[perms.Perm]:
         return iter(self._sorted_payloads)
-
-    def _key(self, p):
-        return p
 
     def _contains_payload(self, p) -> bool:
         # exact ints: a tuple of floats or bools can equal a member
@@ -765,19 +757,17 @@ def closure_payloads(
     act: Callable,
     *,
     abort_at: int | None = None,
-    key: Callable | None = None,
 ) -> tuple[list, bool]:
     """Breadth-first orbit of `start` under `act(point, generator)`.
 
     With the identity as start and the multiplication as action this is
     the product closure; with an element or a subgroup and a conjugation
     action it is a conjugacy class. Returns (ordered list, completed).
-    Discovery is level by level with new points of each level sorted (by
-    `key`, default natural order), which pins a deterministic numbering.
+    Discovery is level by level with the new points of each level sorted,
+    which pins a deterministic numbering.
     When `abort_at` is given the walk stops as soon as the partial set
     reaches that size, returning completed=False.
     """
-    sort_key = key if key is not None else (lambda p: p)
     seen = {start}
     ordered = [start]
     frontier = [start]
@@ -793,7 +783,7 @@ def closure_payloads(
                     level.add(q)
         if not level:
             break
-        new = sorted(level, key=sort_key)
+        new = sorted(level)
         for q in new:
             seen.add(q)
             ordered.append(q)
@@ -818,12 +808,11 @@ def perm_closure(
 
 def subgroup_generated(G: Group, S: Iterable[Element]) -> Subgroup:
     """Least subgroup of G containing S."""
-    gens = []
+    gens = set()
     for e in S:
         G._check(e)
-        gens.append(e.payload)
-    gens = sorted(set(gens), key=G._key)
-    ordered, _ = closure_payloads(G._id(), gens, G._mul, key=G._key)
+        gens.add(e.payload)
+    ordered, _ = closure_payloads(G._id(), sorted(gens), G._mul)
     return Subgroup.of_payloads(G, ordered)
 
 
@@ -842,7 +831,7 @@ def normal_closure(G: Group, S: Iterable[Element]) -> Subgroup:
         G._check(e)
         pays.add(e.payload)
     pays.discard(G._id())
-    moves += [lambda x, s=s: mul(x, s) for s in sorted(pays, key=G._key)]
+    moves += [lambda x, s=s: mul(x, s) for s in sorted(pays)]
     ordered, _ = closure_payloads(G._id(), moves, lambda x, move: move(x))
     return Subgroup.of_payloads(G, ordered)
 
@@ -851,7 +840,7 @@ def normalizer_in(universe: Subgroup, H: Subgroup) -> Subgroup:
     """Elements of `universe` that conjugate H onto itself, by exhaustive
     scan, so that it can cross-check orbits built from generators. Each
     element is tried on the members of H outside the span of the members
-    before them in canonical order; they generate H."""
+    before them in sorted order; they generate H."""
     parent = universe.parent
     if H.parent is not parent:
         raise PreconditionError("subgroups live in different parent groups")
@@ -860,7 +849,7 @@ def normalizer_in(universe: Subgroup, H: Subgroup) -> Subgroup:
     for h in H.payloads:
         if h not in span:
             gens.append(h)
-            span = set(closure_payloads(idp, gens, parent._mul, key=parent._key)[0])
+            span = set(closure_payloads(idp, gens, parent._mul)[0])
     return Subgroup.of_payloads(
         parent, (y for y in universe.payloads if parent._conjugate_set(gens, y) <= H.payload_set)
     )
@@ -877,10 +866,9 @@ def conjugates_in(universe: Subgroup, H: Subgroup, conjugators) -> list[Subgroup
     if H.parent is not parent:
         raise PreconditionError("subgroups live in different parent groups")
     orbit, _ = closure_payloads(
-        H.payload_set,
+        H.payloads,
         [y.payload for y in conjugators],
-        parent._conjugate_set,
-        key=sorted,
+        lambda pays, y: tuple(sorted(parent._conjugate_set(pays, y))),
     )
     return [Subgroup.of_payloads(parent, pays) for pays in orbit]
 

@@ -50,7 +50,7 @@ class DihedralShape:
 
     @property
     def rotation(self) -> Element:
-        """The first non-identity rotation in canonical order; with any
+        """The first non-identity rotation in sorted order; with any
         reflection it generates the whole copy."""
         idp = self.subgroup.parent._id()
         return next(r for r in self.rotations if r.payload != idp)

@@ -148,8 +148,8 @@ def all_subgroups(G: Group) -> list[Subgroup]:
 
 
 def conjugacy_classes_by_scan(G: Group) -> list[frozenset]:
-    """The conjugacy classes in order of their least member, each found by
-    conjugating that member with every element of G."""
+    """The conjugacy classes in order of their first listed member, each
+    found by conjugating that member with every element of G."""
     classes: list[frozenset] = []
     seen: set = set()
     for p in G._iter_payloads():

@@ -57,6 +57,23 @@ MUTANTS = (
         ("tests/test_core.py::test_the_checked_and_unchecked_subgroup_constructors_agree",),
     ),
     Mutant(
+        "subgroup-payloads-unsorted",
+        "src/groupsmith/core.py",
+        "        self.payloads = tuple(sorted(pset))\n",
+        "        self.payloads = tuple(pset)\n",
+        (
+            "tests/test_cli.py::test_theorem1_verify",
+            "tests/test_acceptance.py::test_criterion_8_proof_replay",
+        ),
+    ),
+    Mutant(
+        "closure-level-unsorted",
+        "src/groupsmith/core.py",
+        "        new = sorted(level)\n",
+        "        new = list(level)\n",
+        ("tests/test_core.py::test_perm_closure_lists_each_breadth_first_level_sorted",),
+    ),
+    Mutant(
         "quotient-without-normality-check",
         "src/groupsmith/core.py",
         "        witness = self.normality_witness(N)\n        if witness is not None:\n",
@@ -81,6 +98,7 @@ MUTANTS = (
         (
             "tests/test_equations.py::test_adjoin_nth_root",
             "tests/test_constructions.py::test_lemma8_z6_central",
+            "tests/test_properties.py::test_wreath_law",
         ),
     ),
     Mutant(
@@ -102,6 +120,33 @@ MUTANTS = (
             "tests/test_constructions.py::test_lemma7_abelian_doubles",
             "tests/test_constructions.py::test_lemma7_matches_independent_closure",
         ),
+    ),
+    Mutant(
+        "lemma7-without-label-predicate",
+        "src/groupsmith/constructions.py",
+        "        if c not in cosets[k]:\n",
+        "        if False:\n",
+        (
+            "tests/test_constructions.py::test_lemma7_walk_refuses_a_root_move_without_the_inverse",
+            "tests/test_constructions.py::test_lemma7_predicate_rejects_a_shifted_coset",
+        ),
+    ),
+    Mutant(
+        "lemma7-by-class-without-root-check",
+        "src/groupsmith/constructions.py",
+        "            if root != rep.root.conj(W.diag_embed(Element(G, h))):\n",
+        "            if False:\n",
+        (
+            "tests/test_cli.py::test_lemma7_check_refuses_a_wrong_conjugator",
+            "tests/test_cli.py::test_lemma7_check_refuses_a_skewed_transported_root",
+        ),
+    ),
+    Mutant(
+        "lemma7-by-class-without-coset-check",
+        "src/groupsmith/constructions.py",
+        "            if G._mul(ginv, q) not in C.payload_set:\n",
+        "            if False:\n",
+        ("tests/test_cli.py::test_lemma7_check_refuses_a_member_outside_the_coset",),
     ),
 )
 

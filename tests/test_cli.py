@@ -298,6 +298,28 @@ def test_theorem1_verify(capsys):
     assert all(a["status"] == "pass" for a in report["assertions"])
 
 
+def test_theorem1_verify_refuses_p_1_mod_4_before_building(capsys, monkeypatch):
+    def unbuilt(p):
+        raise AssertionError(f"D{p} was built")
+
+    monkeypatch.setattr(cli, "dihedral_group", unbuilt)
+    code, _, err = run(capsys, "theorem1-verify", "--p", "101")
+    assert code == 2
+    assert "p = 101 is not 3 mod 4" in err
+
+
+def test_theorem1_verify_refuses_the_ambient_before_the_dihedral_copy(capsys, monkeypatch):
+    # L for D131 holds 4 * 131^2 = 68,644 flat payloads of 262 entries,
+    # above the table entry budget; the diagonal copy lists D131's elements
+    def unlisted(self):
+        raise AssertionError(f"the elements of {self.name} were listed")
+
+    monkeypatch.setattr(Group, "elements", unlisted)
+    code, _, err = run(capsys, "theorem1-verify", "--p", "131")
+    assert code == 3
+    assert "lemma 7 subgroup order 68644 needs 17984728 payload entries" in err
+
+
 def test_residue_check(capsys):
     report = run_json(capsys, "residue-check", "--max-p", "1000")
     assert report["result"]["mismatches"] == 0
@@ -541,6 +563,21 @@ def test_wreath_arity_past_the_cap_exits_3_at_once(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 3 and time.perf_counter() - start < 5
     assert "arity^2 * |base| exceeds cap 10000000" in err
+
+
+def test_lemma8_quotient_under_a_broken_wreath_law_is_falsified(capsys, monkeypatch):
+    # shifting by the right operand's k: e * p is not always p, so the
+    # cosets of K miss elements of the wreath product
+    def mul_shifted_by_right_k(self, p, q):
+        (f, k), (f2, k2) = p, q
+        n = self.arity
+        return tuple(self.base._mul(f[i], f2[(i - k2) % n]) for i in range(n)), (k + k2) % n
+
+    monkeypatch.setattr(WreathGroup, "_mul", mul_shifted_by_right_k)
+    for spec in ("Z6", "Z3xS3"):
+        code, _, err = run(capsys, "lemma8-check", "--group", spec)
+        assert code == 1, err
+        assert f"the cosets of N in {spec} wr Z2 hold" in err
 
 
 def test_env_cap_override(capsys, monkeypatch):

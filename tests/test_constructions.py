@@ -11,6 +11,7 @@ from groupsmith.constructions import (
 )
 from groupsmith import perms
 from groupsmith.core import (
+    TABLE_ENTRY_BUDGET,
     CycleNamer,
     TableGroup,
     mutual_commutator,
@@ -31,6 +32,15 @@ def test_d7_shape(d7):
     outside = [e for e in d7.elements() if e not in rot]
     assert len(outside) == 7
     assert all(e.order() == 2 for e in outside)
+
+
+def test_permutation_closure_stops_within_the_table_entry_budget():
+    # D5003 has 10,006 elements, past the closure cap of 10,000; the walk
+    # stops first at the 3,353 permutations of degree 5003 that fit 2^24
+    with pytest.raises(CapExceeded) as info:
+        constructions.dihedral_group(5003)
+    count = info.value.partial_count
+    assert count * 5003 <= TABLE_ENTRY_BUDGET < (count + 1) * 5003
 
 
 def test_d3_is_s3_up_to_relabeling(s3):
@@ -240,6 +250,16 @@ def test_lemma7_subgroup_of_a7_is_refused_before_it_is_listed():
     res = lemma7_subgroup(G, G.parse("(1 2 3)"))
     assert res.order == 12_700_800
     with pytest.raises(CapExceeded, match="lemma 7 subgroup order 12700800 exceeds cap 10000000"):
+        res.subgroup
+
+
+def test_lemma7_subgroup_past_the_table_entry_budget_is_refused():
+    # 4 * 131^2 = 68,644 elements, within the wreath order cap, but each
+    # flat payload holds 262 entries
+    G = named_group("D131")
+    res = lemma7_subgroup(G, G.parse("s*r^0"))
+    assert res.order == 68_644
+    with pytest.raises(CapExceeded, match="above the table entry budget 16777216"):
         res.subgroup
 
 
