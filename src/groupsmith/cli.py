@@ -351,11 +351,8 @@ def cmd_search(args):
     if args.workers is not None and args.workers < 1:
         raise PreconditionError(f"workers must be positive, got {args.workers}")
     rep = min_overgroup_search(args.p, args.m, kind=args.kind, cap=args.cap)
-    status = "pass"
-    if rep.verdict.startswith("not-applicable"):
-        status = "skip"
-    elif rep.verdict.startswith("inconclusive"):
-        status = "skip"
+    skipped = rep.verdict.startswith(("not-applicable", "inconclusive"))
+    status = "skip" if skipped else "pass"
     assertions = [
         {"name": "theorem1-bound-in-universe", "status": status, "witness": rep.verdict}
     ]
@@ -416,24 +413,25 @@ def _emit_text(report: dict, out) -> None:
     print(f"timing_ms: {report['timing_ms']}", file=out)
 
 
-def _emit_csv(report: dict, out) -> None:
-    command = report["command"]
-    if command == "search":
-        print("order,count", file=out)
-        for label, count in report["result"]["histogram"].items():
-            print(f"{label},{count}", file=out)
-    elif command == "residue-check":
-        print("p,p_mod_4,minus_one_square", file=out)
-        for row in report["result"]["rows"]:
-            print(f"{row['p']},{row['p_mod_4']},{row['minus_one_square']}", file=out)
-    else:
-        raise PreconditionError(f"csv output is not defined for {command!r}")
+# the commands with csv output: each one's header and the rows of its result
+CSV_TABLES = {
+    "search": (
+        "order,count",
+        lambda result: (f"{label},{count}" for label, count in result["histogram"].items()),
+    ),
+    "residue-check": (
+        "p,p_mod_4,minus_one_square",
+        lambda result: (
+            f"{row['p']},{row['p_mod_4']},{row['minus_one_square']}" for row in result["rows"]
+        ),
+    ),
+}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.format == "csv" and args.command not in ("search", "residue-check"):
+    if args.format == "csv" and args.command not in CSV_TABLES:
         print(
             f"groupsmith: usage: csv output is not defined for {args.command!r}",
             file=sys.stderr,
@@ -466,7 +464,8 @@ def main(argv=None) -> int:
     if args.format == "json":
         print(json.dumps(report, indent=2))
     elif args.format == "csv":
-        _emit_csv(report, sys.stdout)
+        header, rows = CSV_TABLES[args.command]
+        print(header, *rows(result), sep="\n")
     else:
         _emit_text(report, sys.stdout)
     return 0

@@ -297,7 +297,7 @@ class WreathGroup(Group):
     def _generator_payloads(self) -> tuple:
         idp = self._base_id
         gens = []
-        for g in self.base._generating_payloads():
+        for g in self.base._generator_payloads():
             f = [idp] * self.arity
             f[0] = g
             gens.append(self.pack(tuple(f), 0))
@@ -407,7 +407,8 @@ def _lemma7_from(G: Group, g: Element, C: Subgroup) -> Lemma7Result:
     labels, _ = closure_payloads(
         (G._id(), 0), _lemma7_moves(G, g), lambda label, move: move(*label)
     )
-    cosets = _lemma7_cosets(G, g, C)
+    # where f0*f1^-1 lies in the closed form at shift 0 and 1: C and gC
+    cosets = C.payload_set, frozenset(G._mul(g.payload, c) for c in C.payloads)
     for c, k in labels:
         if c not in cosets[k]:
             coset = W._render(W.pack((c, G._id()), k))
@@ -429,13 +430,8 @@ def _lemma7_moves(G: Group, g: Element) -> list[Callable]:
     diag(a), for each generating payload a of G, sends (c, k) to
     (a*c*a^-1, k); the root ((g, e); 1) sends it to (g*c^-1, k+1)."""
     mul, inv = G._mul, G._inv
-    moves = [lambda c, k, a=a, b=inv(a): (mul(mul(a, c), b), k) for a in G._generating_payloads()]
+    moves = [lambda c, k, a=a, b=inv(a): (mul(mul(a, c), b), k) for a in G._generator_payloads()]
     return moves + [lambda c, k: (mul(g.payload, inv(c)), 1 - k)]
-
-
-def _lemma7_cosets(G: Group, g: Element, C: Subgroup) -> tuple[frozenset, frozenset]:
-    """Where f0*f1^-1 lies in the closed form at shift 0 and 1: C and gC."""
-    return C.payload_set, frozenset(G._mul(g.payload, c) for c in C.payloads)
 
 
 def _commutator_part(G: Group, g: Element) -> Subgroup:
@@ -451,7 +447,7 @@ def _commutator_part(G: Group, g: Element) -> Subgroup:
     mul, inv = G._mul, G._inv
     p, pinv = g.payload, inv(g.payload)
     return normal_closure(
-        G, [Element(G, mul(mul(pinv, inv(x)), mul(p, x))) for x in G._generating_payloads()]
+        G, [Element(G, mul(mul(pinv, inv(x)), mul(p, x))) for x in G._generator_payloads()]
     )
 
 

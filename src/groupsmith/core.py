@@ -19,7 +19,8 @@ view, built when a caller reads one; no group holds its own.
 Conjugation has one path: `Group._conjugate_set` maps a payload set
 through one conjugator, and every orbit (the class of an element, the
 conjugates of a subgroup) is the breadth-first walk of `closure_payloads`
-under a generating set.
+under a generating set. A walk lists its points in discovery order; only
+what is reported is sorted.
 """
 
 from __future__ import annotations
@@ -162,11 +163,8 @@ class Group:
         raise NotImplementedError
 
     def _generator_payloads(self) -> tuple:
-        return ()
-
-    def _generating_payloads(self) -> tuple:
-        """The listed generators, or every element when the group lists none."""
-        return self._generator_payloads() or tuple(self._iter_payloads())
+        """A generating set; empty only for the trivial group."""
+        raise NotImplementedError
 
     # -- uniform element-level API --
 
@@ -246,7 +244,7 @@ class Group:
         return Subgroup.of_payloads(self, self._iter_payloads())
 
     def is_abelian(self) -> bool:
-        gens = self._generating_payloads()
+        gens = self._generator_payloads()
         for p in gens:
             for q in gens:
                 if self._mul(p, q) != self._mul(q, p):
@@ -256,7 +254,7 @@ class Group:
     # -- structural queries --
 
     def center(self) -> "Subgroup":
-        gens, mul = self._generating_payloads(), self._mul
+        gens, mul = self._generator_payloads(), self._mul
         return Subgroup.of_payloads(
             self, (p for p in self._iter_payloads() if all(mul(p, g) == mul(g, p) for g in gens))
         )
@@ -266,7 +264,7 @@ class Group:
         generating set; the inverse of a generator is one of its powers,
         so the walk reaches the whole class."""
         mul = self._mul
-        pairs = [(self._inv(y), y) for y in self._generating_payloads()]
+        pairs = [(self._inv(y), y) for y in self._generator_payloads()]
         orbit, _ = closure_payloads(p, pairs, lambda q, pair: mul(mul(pair[0], q), pair[1]))
         return orbit
 
@@ -298,7 +296,7 @@ class Group:
         if H.parent is not self:
             raise PreconditionError("subgroup belongs to a different group")
         if conjugators is None:
-            ys = self._generating_payloads()
+            ys = self._generator_payloads()
         else:
             ys = [y.payload for y in conjugators]
         pairs = [(self._inv(y), y) for y in ys]
@@ -346,9 +344,8 @@ class Group:
         if len(coset_index) != self.order:
             raise Falsification(f"the cosets of N in {self.name} hold {len(coset_index)} elements")
         mul = self._mul
-        listed = self._generator_payloads()
         actions: dict = {}  # the coset of g -> its right action c -> coset of reps[c] * g
-        for g in listed or self._iter_payloads():
+        for g in self._generator_payloads():
             idx = coset_index[g]
             if idx and idx not in actions:
                 actions[idx] = [coset_index[mul(r, g)] for r in reps]
@@ -360,7 +357,7 @@ class Group:
         quot = CosetGroup(
             self, coset_index, reps,
             name=f"{self.name}/{N.describe()}",
-            generators=tuple(actions) if listed else (),
+            generators=tuple(actions),
         )
 
         def project(a: Element) -> Element:
@@ -563,7 +560,8 @@ class TableGroup(_IndexedGroup):
     `elements` lists every element once, the identity first; a payload is
     an element's index in that list, so the identity is 0. `mul` is the
     product of two listed elements and `namer` renders and parses listed
-    elements; `generators` are listed elements too. `check_table_order`
+    elements; `generators` are listed elements too, and without them every
+    element but the identity is a generator. `check_table_order`
     refuses the order before any element is read. The table is one flat
     array("H") filled row by row with the indices of the products. Listed
     generators must reach every element and the product must pass Light's
@@ -595,7 +593,7 @@ class TableGroup(_IndexedGroup):
         try:
             for a in elements:
                 flat.extend(map(index.__getitem__, map(mul, repeat(a), elements)))
-            gens = tuple(index[g] for g in generators)
+            gens = tuple(index[g] for g in generators) or tuple(range(1, n))
         except KeyError as exc:
             raise PreconditionError(f"{exc.args[0]!r} is not an element of {name}") from None
         identity_row = array("H", range(n))
@@ -610,18 +608,17 @@ class TableGroup(_IndexedGroup):
                     f"{elements[a]!r} lacks a unique two-sided inverse in {name}"
                 )
             inverses.append(b)
-        # Light's test: when the generators reach every element (as every
-        # element does when none are listed), the product is associative
-        # exactly when row[x*g] = row[x] o row[g] for every x and generator g
-        if gens:
-            reached, _ = closure_payloads(0, gens, lambda x, g: flat[x * n + g])
-            if len(reached) != n:
-                raise PreconditionError(
-                    f"the generators of {name} reach {len(reached)} of its {n} elements"
-                )
+        # Light's test: when the generators reach every element, the product
+        # is associative exactly when row[x*g] = row[x] o row[g] for every x
+        # and generator g
+        reached, _ = closure_payloads(0, gens, lambda x, g: flat[x * n + g])
+        if len(reached) != n:
+            raise PreconditionError(
+                f"the generators of {name} reach {len(reached)} of its {n} elements"
+            )
         # the identity passes by its checks above; any other row has the two
         # or more entries that make itemgetter return a tuple
-        for g in set(gens or range(n)) - {0}:
+        for g in set(gens) - {0}:
             times_g = itemgetter(*flat[g * n : (g + 1) * n])
             for x in range(n):
                 xg = flat[x * n + g]
@@ -762,34 +759,25 @@ def closure_payloads(
 
     With the identity as start and the multiplication as action this is
     the product closure; with an element or a subgroup and a conjugation
-    action it is a conjugacy class. Returns (ordered list, completed).
-    Discovery is level by level with the new points of each level sorted,
-    which pins a deterministic numbering.
-    When `abort_at` is given the walk stops as soon as the partial set
-    reaches that size, returning completed=False.
+    action it is a conjugacy class. Returns (ordered list, completed): the
+    points in discovery order, unsorted. The loop walks the list while it
+    grows, so each point is acted on after every point found before it,
+    which is breadth first.
+    When `abort_at` is given the walk stops as soon as the list reaches
+    that size, returning completed=False.
     """
-    seen = {start}
-    ordered = [start]
-    frontier = [start]
     gens = list(generators)
-    if abort_at is not None and len(seen) >= abort_at:
+    ordered, seen = [start], {start}
+    if abort_at is not None and len(ordered) >= abort_at:
         return ordered, False
-    while frontier:
-        level = set()
-        for p in frontier:
-            for g in gens:
-                q = act(p, g)
-                if q not in seen and q not in level:
-                    level.add(q)
-        if not level:
-            break
-        new = sorted(level)
-        for q in new:
-            seen.add(q)
-            ordered.append(q)
-            if abort_at is not None and len(seen) >= abort_at:
-                return ordered, False
-        frontier = new
+    for p in ordered:
+        for g in gens:
+            q = act(p, g)
+            if q not in seen:
+                seen.add(q)
+                ordered.append(q)
+                if abort_at is not None and len(ordered) >= abort_at:
+                    return ordered, False
     return ordered, True
 
 
@@ -808,11 +796,11 @@ def perm_closure(
 
 def subgroup_generated(G: Group, S: Iterable[Element]) -> Subgroup:
     """Least subgroup of G containing S."""
-    gens = set()
+    gens = {}
     for e in S:
         G._check(e)
-        gens.add(e.payload)
-    ordered, _ = closure_payloads(G._id(), sorted(gens), G._mul)
+        gens[e.payload] = None
+    ordered, _ = closure_payloads(G._id(), gens, G._mul)
     return Subgroup.of_payloads(G, ordered)
 
 
@@ -825,13 +813,13 @@ def normal_closure(G: Group, S: Iterable[Element]) -> Subgroup:
     X contains <<S>>, and every move stays inside <<S>>.
     """
     mul = G._mul
-    moves = [lambda x, a=a, b=G._inv(a): mul(mul(b, x), a) for a in G._generating_payloads()]
-    pays = set()
+    moves = [lambda x, a=a, b=G._inv(a): mul(mul(b, x), a) for a in G._generator_payloads()]
+    pays = {}
     for e in S:
         G._check(e)
-        pays.add(e.payload)
-    pays.discard(G._id())
-    moves += [lambda x, s=s: mul(x, s) for s in sorted(pays)]
+        pays[e.payload] = None
+    pays.pop(G._id(), None)
+    moves += [lambda x, s=s: mul(x, s) for s in pays]
     ordered, _ = closure_payloads(G._id(), moves, lambda x, move: move(x))
     return Subgroup.of_payloads(G, ordered)
 
@@ -866,9 +854,7 @@ def conjugates_in(universe: Subgroup, H: Subgroup, conjugators) -> list[Subgroup
     if H.parent is not parent:
         raise PreconditionError("subgroups live in different parent groups")
     orbit, _ = closure_payloads(
-        H.payloads,
-        [y.payload for y in conjugators],
-        lambda pays, y: tuple(sorted(parent._conjugate_set(pays, y))),
+        H.payload_set, [y.payload for y in conjugators], parent._conjugate_set
     )
     return [Subgroup.of_payloads(parent, pays) for pays in orbit]
 
@@ -933,7 +919,7 @@ def verify_group_axioms(G: Group) -> AxiomReport:
     check_table_order(len(pays))
     namer = SimpleNamespace(render=G._render, parse=G._parse)
     try:
-        T = TableGroup(pays, G._mul, namer, name=G.name, generators=G._generating_payloads())
+        T = TableGroup(pays, G._mul, namer, name=G.name, generators=G._generator_payloads())
     except PreconditionError as exc:
         return AxiomReport(G.name, len(pays), str(exc))
     wrong = [p for i, p in enumerate(pays) if G._inv(p) != pays[T._inv(i)]]
@@ -973,6 +959,6 @@ def direct_product(A: Group, B: Group) -> TableGroup:
         lambda p, q: (A._mul(p[0], q[0]), B._mul(p[1], q[1])),
         PairNamer(A, B),
         name=f"{A.name}x{B.name}",
-        generators=[(g, B._id()) for g in A._generating_payloads()]
-        + [(A._id(), g) for g in B._generating_payloads()],
+        generators=[(g, B._id()) for g in A._generator_payloads()]
+        + [(A._id(), g) for g in B._generator_payloads()],
     )

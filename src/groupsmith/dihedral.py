@@ -279,32 +279,23 @@ def lemma5_lemma6_checks(graph: ConjugateGraph) -> Lemma56Result:
         return Lemma56Result(red_edges_present=True)
     checks = []
 
-    assigned = [None] * n
-    components: list[list[int]] = []
-    for start in range(n):
-        if assigned[start] is not None:
-            continue
-        comp = [start]
-        assigned[start] = len(components)
-        frontier = [start]
-        while frontier:
-            i = frontier.pop()
-            for j in range(n):
-                if j != i and assigned[j] is None and graph.color(i, j) == YELLOW:
-                    assigned[j] = len(components)
-                    comp.append(j)
-                    frontier.append(j)
-        components.append(sorted(comp))
-
-    for comp in components:
-        for a in range(len(comp)):
-            for b in range(a + 1, len(comp)):
-                if graph.color(comp[a], comp[b]) != YELLOW:
-                    raise Falsification(
-                        f"yellow component {comp} is not complete: edge "
-                        f"({comp[a]},{comp[b]}) is {graph.color(comp[a], comp[b])}"
-                    )
+    # the yellow components are complete exactly when every vertex shares
+    # its closed yellow neighbourhood N[i] with each of its yellow
+    # neighbours; the components are then the distinct N[i]
+    closed = [
+        frozenset(j for j in range(n) if j == i or graph.color(i, j) == YELLOW)
+        for i in range(n)
+    ]
+    for i, near in enumerate(closed):
+        for j in near:
+            if closed[j] != near:
+                raise Falsification(
+                    f"yellow component of {i} is not complete: its yellow "
+                    f"neighbour {j} has closed yellow neighbourhood "
+                    f"{sorted(closed[j])}, not {sorted(near)}"
+                )
     checks.append("yellow-components-complete")
+    components = set(closed)
 
     sizes = {len(comp) for comp in components}
     if len(sizes) != 1:

@@ -33,8 +33,8 @@ from groupsmith.search import (
 
 def perm_table(generator_perms) -> TableGroup:
     """A dense-table group on the closure of permutations, numbered as
-    `perm_closure` walks it: breadth first from the identity, each level in
-    lexicographic order. The table's own checks refuse it above the cap."""
+    `perm_closure` walks it: breadth first from the identity, in discovery
+    order. The table's own checks refuse it above the cap."""
     gens, ordered, complete = perm_closure(generator_perms, 1 << 16)
     assert complete
     return TableGroup(

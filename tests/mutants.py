@@ -62,16 +62,16 @@ MUTANTS = (
         "        self.payloads = tuple(sorted(pset))\n",
         "        self.payloads = tuple(pset)\n",
         (
-            "tests/test_cli.py::test_theorem1_verify",
-            "tests/test_acceptance.py::test_criterion_8_proof_replay",
+            "tests/test_core.py::test_the_checked_and_unchecked_subgroup_constructors_agree",
+            "tests/test_constructions.py::test_lemma8_witness_is_first_failing_member",
         ),
     ),
     Mutant(
-        "closure-level-unsorted",
+        "closure-abort-past-the-bound",
         "src/groupsmith/core.py",
-        "        new = sorted(level)\n",
-        "        new = list(level)\n",
-        ("tests/test_core.py::test_perm_closure_lists_each_breadth_first_level_sorted",),
+        "                if abort_at is not None and len(ordered) >= abort_at:\n",
+        "                if abort_at is not None and len(ordered) > abort_at:\n",
+        ("tests/test_core.py::test_perm_closure_lists_each_point_once_breadth_first",),
     ),
     Mutant(
         "quotient-without-normality-check",
@@ -114,8 +114,8 @@ MUTANTS = (
     Mutant(
         "lemma7-shift-coset-g-inverse-c",
         "src/groupsmith/constructions.py",
-        "    return C.payload_set, frozenset(G._mul(g.payload, c) for c in C.payloads)\n",
-        "    return C.payload_set, frozenset(G._mul(G._inv(g.payload), c) for c in C.payloads)\n",
+        "    cosets = C.payload_set, frozenset(G._mul(g.payload, c) for c in C.payloads)\n",
+        "    cosets = C.payload_set, frozenset(G._mul(G._inv(g.payload), c) for c in C.payloads)\n",
         (
             "tests/test_constructions.py::test_lemma7_abelian_doubles",
             "tests/test_constructions.py::test_lemma7_matches_independent_closure",
@@ -126,10 +126,14 @@ MUTANTS = (
         "src/groupsmith/constructions.py",
         "        if c not in cosets[k]:\n",
         "        if False:\n",
-        (
-            "tests/test_constructions.py::test_lemma7_walk_refuses_a_root_move_without_the_inverse",
-            "tests/test_constructions.py::test_lemma7_predicate_rejects_a_shifted_coset",
-        ),
+        ("tests/test_constructions.py::test_lemma7_walk_refuses_a_root_move_without_the_inverse",),
+    ),
+    Mutant(
+        "lemma5-without-completeness-check",
+        "src/groupsmith/dihedral.py",
+        "            if closed[j] != near:\n",
+        "            if False:\n",
+        ("tests/test_dihedral.py::test_lemma56_detects_recolored_graph",),
     ),
     Mutant(
         "lemma7-by-class-without-root-check",

@@ -431,9 +431,9 @@ def test_direct_product_keeps_a_factor_without_generators():
     assert product.center().order == 3
 
 
-def test_perm_closure_lists_each_breadth_first_level_sorted():
+def test_perm_closure_lists_each_point_once_breadth_first():
     # S4 under a transposition and a 4-cycle, levelled here by distance
-    # from the identity; a set of permutations does not iterate sorted
+    # from the identity
     gens = [(1, 0, 2, 3), (1, 2, 3, 0)]
     e = perms.identity_perm(4)
     dist, frontier = {e: 0}, [e]
@@ -443,7 +443,12 @@ def test_perm_closure_lists_each_breadth_first_level_sorted():
             dist[q] = dist[frontier[0]] + 1
         frontier = list(level)
     _, ordered, complete = perm_closure(gens, 25)
-    assert complete and ordered == sorted(dist, key=lambda p: (dist[p], p))
+    assert complete and ordered[0] == e
+    assert sorted(ordered) == sorted(dist)
+    assert all(dist[p] <= dist[q] for p, q in zip(ordered, ordered[1:]))
+    for abort_at in (1, 2, 13, 24):
+        _, partial, complete = perm_closure(gens, abort_at)
+        assert not complete and partial == ordered[:abort_at]
 
 
 # -- subgroup machinery -------------------------------------------------------
@@ -651,22 +656,20 @@ AMBIENT_SPECS = ("S3", "Z6", "A4", "D7", "S4", "S4xZ2", "Z48")
 
 
 def conjugation_inputs():
-    """The ambient groups, S4 as a table listing no generators (so the
-    generating set falls back to every element), and D3 wr Z2."""
+    """The ambient groups, S4 as a table built without generators (so it
+    lists every element but the identity), and D3 wr Z2."""
     _, s4_perms, _ = perm_closure([(1, 0, 2, 3), (1, 2, 3, 0)], 25)
     bare = TableGroup(s4_perms, perms.compose, CycleNamer(4), name="S4-bare")
-    assert bare.generators == ()
+    assert bare.generators == tuple(bare.elements())[1:]
     named = [named_group(spec) for spec in AMBIENT_SPECS]
     return named + [bare, wreath_cyclic(named_group("D3"), 2)]
 
 
 def test_orbit_stabilizer_for_all_subgroups():
     for G in conjugation_inputs():
-        # a group listing no generators is generated by all its elements
-        gens = G.generators or tuple(G.elements())
         for H in all_subgroups(G):
             conjugates = conjugates_by_scan(G.whole(), H)
-            walked = conjugates_in(G.whole(), H, gens)
+            walked = conjugates_in(G.whole(), H, G.generators)
             assert sorted(walked, key=Subgroup.key) == sorted(conjugates, key=Subgroup.key)
             normalizer = normalizer_in(G.whole(), H)
             assert G.order == len(conjugates) * normalizer.order

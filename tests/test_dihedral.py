@@ -203,7 +203,9 @@ def test_lemma56_detects_recolored_graph():
     broken = dict(graph.colors)
     broken[yellow_edge] = GREEN
     bad = replace(graph, colors=broken)
-    with pytest.raises(Falsification):
+    # the green degrees are no longer uniform either; the completeness
+    # check must be the one that reports it
+    with pytest.raises(Falsification, match=r"yellow component of \d+ is not complete"):
         lemma5_lemma6_checks(bad)
 
 

@@ -134,21 +134,6 @@ def test_flat_payloads_outside_the_wreath_are_rejected(a4):
         W.element(cross)
 
 
-def test_pack_without_block_offsets_fails_the_oracle(monkeypatch):
-    W = wreath_cyclic(named_group("S3"), 2)
-    pairs = coordinate_pairs(W)
-
-    def pack_without_offsets(self, f, k):
-        return tuple(x for i in range(self.arity) for x in f[(i + k) % self.arity])
-
-    monkeypatch.setattr(WreathGroup, "pack", pack_without_offsets)
-    assert any(
-        W._mul(W.pack(*x), W.pack(*y)) != W.pack(*wreath_mul_by_coordinates(W.base, 2, x, y))
-        for x in pairs
-        for y in pairs
-    )
-
-
 @cache
 def round_trip_groups() -> tuple:
     """One group per backend and namer: cycle, dihedral, integer, product,
