@@ -111,7 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="minimum overgroup order inside S_m")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--kind", choices=["natural", "regular"], default="natural")
     p.add_argument("--cap", type=int, default=1000)
     p.add_argument(
         "--workers", type=int, default=None, help="ignored; the search runs in one process"
@@ -313,10 +312,10 @@ def cmd_prop1_embed(args):
 
 
 def cmd_theorem1_verify(args):
-    from .dihedral import theorem1_trace
+    from .dihedral import is_prime, theorem1_trace
 
-    if args.p % 4 != 3:  # refused before any group is built
-        raise PreconditionError(f"p = {args.p} is not 3 mod 4; the bound does not apply")
+    if args.p % 4 != 3 or not is_prime(args.p):  # refused before any group is built
+        raise PreconditionError(f"p = {args.p} is not 3 mod 4 or not prime; the bound needs both")
     G = dihedral_group(args.p)
     g = G.parse("s*r^0")
     res = lemma7_subgroup(G, g)
@@ -350,7 +349,7 @@ def cmd_search(args):
 
     if args.workers is not None and args.workers < 1:
         raise PreconditionError(f"workers must be positive, got {args.workers}")
-    rep = min_overgroup_search(args.p, args.m, kind=args.kind, cap=args.cap)
+    rep = min_overgroup_search(args.p, args.m, cap=args.cap)
     skipped = rep.verdict.startswith(("not-applicable", "inconclusive"))
     status = "skip" if skipped else "pass"
     assertions = [

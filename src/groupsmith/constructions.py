@@ -45,7 +45,7 @@ from .errors import CapExceeded, Falsification, ParseError, PreconditionError
 class DihedralNamer:
     """Dihedral naming on p points: rotations "r^k", reflections "s*r^k"."""
 
-    _FORM = re.compile(r"^(e|r\^?(\d+)?|s(?:\*r\^?(\d+))?)$")
+    _FORM = re.compile(r"^(e|r(?:\^?(\d+))?|s(?:\*r\^?(\d+))?)$")
 
     def __init__(self, p: int):
         self.p = p

@@ -7,13 +7,13 @@ scanning S_m) and the order of <r, s, x> comes from a Schreier-Sims chain
 that stops once it proves the cap; the histogram of observed orders is the
 empirical content of the bound.
 
-The "natural" embedding tiles the p-gon action across every complete block
-of p points (leftover points stay fixed). With a single block a reflection
-has (p-1)/2 transpositions, an odd count when p = 3 mod 4, so it has no
-square root anywhere in S_m and the search is vacuous; the tiled copy at
-m >= 2p is what admits roots and realizes the bound tightly. The "regular"
-embedding's reflection is p transpositions, an odd count for every odd p,
-so it has no square root at any m and its search is always vacuous.
+The embedded copy tiles the p-gon action across every complete block of p
+points (leftover points stay fixed). With a single block a reflection has
+(p-1)/2 transpositions, an odd count when p = 3 mod 4, so it has no square
+root anywhere in S_m and the search is vacuous; the tiled copy at m >= 2p
+is what admits roots and realizes the bound tightly. D_p acting on its own
+2p elements is not offered: its reflection is p transpositions, an odd
+count, and an odd count of transpositions has no square root.
 
 A permutation c that commutes with s and maps r into <r> normalizes
 <r, s>, so c x c^-1 is again a root and <r, s, c x c^-1> = c <r, s, x> c^-1
@@ -36,57 +36,25 @@ from .errors import Falsification, PreconditionError
 MAX_DEGREE = 22
 
 
-@dataclass(frozen=True)
-class DihedralEmbedding:
-    p: int
-    m: int
-    kind: str
-    rotation: perms.Perm
-    reflection: perms.Perm
-
-    @property
-    def generators(self) -> tuple[perms.Perm, perms.Perm]:
-        return (self.rotation, self.reflection)
-
-
-def embed_dihedral(p: int, m: int, kind: str = "natural") -> DihedralEmbedding:
-    """Generators of a D_p copy inside S_m.
-
-    natural: the p-gon action, tiled over every complete block of p points;
-    regular: translation action on the 2p group elements, fixed-point-free.
-    """
+def embed_dihedral(p: int, m: int) -> tuple[perms.Perm, perms.Perm]:
+    """The rotation and reflection of a D_p copy inside S_m: the p-gon
+    action, tiled over every complete block of p points."""
     if not perms.is_prime(p):
         raise PreconditionError(f"p = {p} is not prime")
     if p == 2:  # s would fix every tiled point, so every involution is a root
         raise PreconditionError("p = 2: the search needs an odd prime")
     if m > MAX_DEGREE:
         raise PreconditionError(f"degree {m} exceeds the limit {MAX_DEGREE}")
-    if kind == "natural":
-        if m < p:
-            raise PreconditionError(f"natural embedding needs m >= p, got m = {m}")
-        r = list(range(m))
-        s = list(range(m))
-        for block in range(m // p):
-            off = block * p
-            for j in range(p):
-                r[off + j] = off + (j + 1) % p
-                s[off + j] = off + (-j) % p
-    elif kind == "regular":
-        if m < 2 * p:
-            raise PreconditionError(f"regular embedding needs m >= 2p, got m = {m}")
-        # points 0..p-1 are rotations r^j, points p..2p-1 reflections s*r^j;
-        # left translation is a homomorphism under composition and acts
-        # fixed-point-freely on the 2p points
-        r = list(range(m))
-        s = list(range(m))
+    if m < p:
+        raise PreconditionError(f"the embedding needs m >= p, got m = {m}")
+    r = list(range(m))
+    s = list(range(m))
+    for block in range(m // p):
+        off = block * p
         for j in range(p):
-            r[j] = (j + 1) % p  # r * r^j = r^(j+1)
-            r[p + j] = p + (j - 1) % p  # r * (s r^j) = s r^(j-1)
-            s[j] = p + j  # s * r^j
-            s[p + j] = j  # s * (s r^j) = r^j
-    else:
-        raise PreconditionError(f"unknown embedding kind {kind!r}")
-    return DihedralEmbedding(p=p, m=m, kind=kind, rotation=tuple(r), reflection=tuple(s))
+            r[off + j] = off + (j + 1) % p
+            s[off + j] = off + (-j) % p
+    return tuple(r), tuple(s)
 
 
 def square_roots_in_Sm(m: int, g: perms.Perm) -> Iterator[perms.Perm]:
@@ -217,15 +185,11 @@ def _chain_order(gens, stop: int) -> int:
     return prod(len(orbit) for _, _, orbit in levels)
 
 
-def _symmetries(emb: DihedralEmbedding) -> list[perms.Perm]:
+def _symmetries(p: int, m: int) -> list[perms.Perm]:
     """Permutations meant to commute with the reflection and map the
-    rotation into its own powers. Natural embedding: j -> a*j mod p on
-    every block (a a primitive root mod p), then a swap and a cycle of the
-    blocks and of the points the tiling leaves over. Regular: none, since
-    its reflection has no square root."""
-    if emb.kind != "natural":
-        return []
-    p, m = emb.p, emb.m
+    rotation into its own powers: j -> a*j mod p on every block (a a
+    primitive root mod p), then a swap and a cycle of the blocks and of
+    the points the tiling leaves over."""
     a = next(a for a in range(1, p) if len({pow(a, k, p) for k in range(1, p)}) == p - 1)
     tiled = m - m % p
     moves = [tuple(i - i % p + a * i % p if i < tiled else i for i in range(m))]
@@ -247,7 +211,6 @@ def _conjugation(c: perms.Perm) -> Callable[[perms.Perm], perms.Perm]:
 class SearchReport:
     p: int
     m: int
-    kind: str
     cap: int
     reflection: perms.Perm
     root_count: int
@@ -268,7 +231,6 @@ class SearchReport:
         return {
             "p": self.p,
             "m": self.m,
-            "kind": self.kind,
             "cap": self.cap,
             "reflection": perms.render_cycles(self.reflection, base=0),
             "root_count": self.root_count,
@@ -284,7 +246,7 @@ class SearchReport:
         }
 
 
-def min_overgroup_search(p: int, m: int, kind: str = "natural", cap: int = 1000) -> SearchReport:
+def min_overgroup_search(p: int, m: int, cap: int = 1000) -> SearchReport:
     """Histogram |<D_p generators, x>| over all square roots x of the
     canonical reflection, with a one-sided cap, closing one root per orbit.
 
@@ -293,13 +255,12 @@ def min_overgroup_search(p: int, m: int, kind: str = "natural", cap: int = 1000)
     """
     if cap < 1:
         raise PreconditionError(f"cap must be positive, got {cap}")
-    emb = embed_dihedral(p, m, kind)
-    g = emb.reflection
-    rotations = {perms.perm_power(emb.rotation, k) for k in range(p)}
+    r, g = embed_dihedral(p, m)
+    rotations = {perms.perm_power(r, k) for k in range(p)}
     moves = [perms.invert]
-    for c in _symmetries(emb):
+    for c in _symmetries(p, m):
         moves.append(_conjugation(c))
-        if perms.compose(c, g) != perms.compose(g, c) or moves[-1](emb.rotation) not in rotations:
+        if perms.compose(c, g) != perms.compose(g, c) or moves[-1](r) not in rotations:
             raise Falsification(
                 f"{perms.render_cycles(c)} does not commute with s and normalize <r>"
             )
@@ -315,7 +276,7 @@ def min_overgroup_search(p: int, m: int, kind: str = "natural", cap: int = 1000)
         if not uncounted.issuperset(orbit):
             raise Falsification(f"the orbit of {perms.render_cycles(x)} leaves the uncounted roots")
         uncounted.difference_update(orbit)
-        size, complete = closure_order_capped([*emb.generators, x], cap)
+        size, complete = closure_order_capped([r, g, x], cap)
         if complete:
             exact[size] += len(orbit)
             best = min(best or (size, x), (size, x))  # roots are in lex order
@@ -345,7 +306,7 @@ def min_overgroup_search(p: int, m: int, kind: str = "natural", cap: int = 1000)
         verdict = "not-applicable (p = 1 mod 4)"
 
     return SearchReport(
-        p=p, m=m, kind=kind, cap=cap, reflection=g, root_count=len(roots),
+        p=p, m=m, cap=cap, reflection=g, root_count=len(roots),
         exact_counts=dict(exact), capped_count=capped, minimum=minimum,
         min_witness=min_witness, verdict=verdict, bound=bound,
     )

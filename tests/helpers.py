@@ -245,18 +245,18 @@ def sqrt_count_by_cycle_type(g: perms.Perm) -> int:
     return total
 
 
-def min_overgroup_search_by_scan(p: int, m: int, kind: str = "natural", cap: int = 1000) -> SearchReport:
+def min_overgroup_search_by_scan(p: int, m: int, cap: int = 1000) -> SearchReport:
     """The ambient search without the orbit reduction: close <r, s, x>
     breadth first (`perm_closure`, aborted at the cap) for every square
     root x, keep the first root of least exact order, and decide the
     verdict from the whole histogram."""
-    emb = embed_dihedral(p, m, kind)
-    roots = list(square_roots_in_Sm(m, emb.reflection))
+    r, s = embed_dihedral(p, m)
+    roots = list(square_roots_in_Sm(m, s))
     exact: dict[int, int] = {}
     capped = 0
     best = None
     for x in roots:
-        _, ordered, complete = perm_closure(list(emb.generators) + [x], cap)
+        _, ordered, complete = perm_closure([r, s, x], cap)
         size = len(ordered)
         if complete:
             exact[size] = exact.get(size, 0) + 1
@@ -276,7 +276,7 @@ def min_overgroup_search_by_scan(p: int, m: int, kind: str = "natural", cap: int
     else:
         verdict = "bound holds in universe"
     return SearchReport(
-        p=p, m=m, kind=kind, cap=cap, reflection=emb.reflection, root_count=len(roots),
+        p=p, m=m, cap=cap, reflection=s, root_count=len(roots),
         exact_counts=exact, capped_count=capped, minimum=best and best[0],
         min_witness=best and best[1], verdict=verdict, bound=bound,
     )

@@ -81,6 +81,44 @@ MUTANTS = (
         ("tests/test_core.py::test_quotient_rejects_non_normal",),
     ),
     Mutant(
+        "levin-coefficients-uninverted",
+        "src/groupsmith/equations.py",
+        "            x = Element(H, H.pack(tuple(G._inv(g.payload) for g in eq.coefficients), 1))\n",
+        "            x = Element(H, H.pack(tuple(g.payload for g in eq.coefficients), 1))\n",
+        (
+            "tests/test_equations.py::test_levin_solve_matches_scan_oracle",
+            "tests/test_equations.py::test_levin_shift1_solutions_meet_lemma7_set",
+        ),
+    ),
+    Mutant(
+        "levin-tuple-reversed",
+        "src/groupsmith/equations.py",
+        "            x = Element(H, H.pack(tuple(G._inv(g.payload) for g in eq.coefficients), 1))\n",
+        "            x = Element(H, H.pack(tuple(G._inv(g.payload) for g in eq.coefficients)[::-1], 1))\n",
+        ("tests/test_equations.py::test_levin_solve_matches_scan_oracle",),
+    ),
+    Mutant(
+        "levin-without-shift-0",
+        "src/groupsmith/equations.py",
+        "        s = solve_in_group(eq, G)\n",
+        "        s = None\n",
+        (
+            "tests/test_equations.py::test_levin_solve_matches_scan_oracle",
+            "tests/test_equations.py::test_levin_solve_is_lex_minimal",
+        ),
+    ),
+    Mutant(
+        "chain-order-without-sifting",
+        "src/groupsmith/search.py",
+        "    while level >= 0 and prod(len(orbit) for _, _, orbit in levels) < stop:\n",
+        "    while False:\n",
+        (
+            "tests/test_search.py::test_chain_matches_breadth_first_closure",
+            "tests/test_search.py::test_closure_agrees_with_table_groups",
+            "tests/test_search.py::test_search_p3_m6_minimum_36",
+        ),
+    ),
+    Mutant(
         "compose-b-after-a",
         "src/groupsmith/perms.py",
         "    return tuple([a[i] for i in b])\n",

@@ -84,7 +84,7 @@ def test_criterion_3_tightness_orders():
 
 def test_criterion_4_universe_lower_bound():
     started = time.perf_counter()
-    rep3 = min_overgroup_search(3, 6, kind="natural", cap=1000)
+    rep3 = min_overgroup_search(3, 6, cap=1000)
     ok = rep3.minimum == 36
     ok = ok and all(order >= 36 for order in rep3.exact_counts)
     ok = ok and rep3.capped_count == 0
@@ -92,7 +92,7 @@ def test_criterion_4_universe_lower_bound():
 
     for m in (7, 9):
         t0 = time.perf_counter()
-        rep7 = min_overgroup_search(7, m, kind="natural", cap=196)
+        rep7 = min_overgroup_search(7, m, cap=196)
         t_m = time.perf_counter() - t0
         below = [order for order in rep7.exact_counts if order < 196]
         ok = ok and not below
@@ -102,7 +102,7 @@ def test_criterion_4_universe_lower_bound():
     # m = 14 tiles two heptagons, so the reflection has six transpositions
     # and real square roots: the only check of p = 7 that is not vacuous
     t0 = time.perf_counter()
-    rep14 = min_overgroup_search(7, 14, kind="natural", cap=197)
+    rep14 = min_overgroup_search(7, 14, cap=197)
     t_m = time.perf_counter() - t0
     ok = ok and rep14.root_count == 240
     ok = ok and rep14.exact_counts == {196: 6} and rep14.capped_count == 234

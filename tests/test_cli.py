@@ -306,6 +306,10 @@ def test_theorem1_verify_refuses_p_1_mod_4_before_building(capsys, monkeypatch):
     code, _, err = run(capsys, "theorem1-verify", "--p", "101")
     assert code == 2
     assert "p = 101 is not 3 mod 4" in err
+    for p in (15, 91, 1003):  # 3 mod 4 but not prime
+        code, _, err = run(capsys, "theorem1-verify", "--p", str(p))
+        assert code == 2
+        assert f"p = {p} is not 3 mod 4 or not prime" in err
 
 
 def test_theorem1_verify_refuses_the_ambient_before_the_dihedral_copy(capsys, monkeypatch):
@@ -497,8 +501,9 @@ def test_unknown_flag_exits_2(capsys):
         (["lemma8-check", "--group", "Z3xS3", "--normal-gens", ""], "look like (a|b)"),
         (["solve-positive", "--group", "S3", "--equation", "", "--random", "1"], "'*x*'"),
         (["solve-positive", "--group", "S3", "--random", "-1"], "--random must be nonnegative"),
+        (["prop1-embed", "--group", "D3", "--element", "r^"], "look like r^k or s*r^k"),
     ],
-    ids=["element", "normal-gens", "equation", "negative-random"],
+    ids=["element", "normal-gens", "equation", "negative-random", "exponent"],
 )
 def test_empty_or_negative_option_values_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)

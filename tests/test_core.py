@@ -489,9 +489,9 @@ def test_orders_match_sympy_schreier_sims(monkeypatch):
             assert closure_order_capped(gens, want) == (want, False)
     assert len(orders) >= 6  # the seeded sets are not all one group
     for p, m in ((5, 10), (7, 14)):  # the search's own ambients <r, s, x>
-        emb = embed_dihedral(p, m)
-        for x in islice(square_roots_in_Sm(m, emb.reflection), 10):
-            gens = [*emb.generators, x]
+        r, s = embed_dihedral(p, m)
+        for x in islice(square_roots_in_Sm(m, s), 10):
+            gens = [r, s, x]
             want = combinatorics.PermutationGroup(
                 [combinatorics.Permutation(list(g)) for g in gens]
             ).order()

@@ -421,11 +421,11 @@ def test_trace_every_search_overgroup():
     from groupsmith.core import PermGroup
     from groupsmith.search import embed_dihedral, square_roots_in_Sm
 
-    emb = embed_dihedral(3, 6)
+    r, s = embed_dihedral(3, 6)
     s6 = PermGroup(6, [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)], name="S6")
-    copy = subgroup_generated(s6, [s6.element(emb.rotation), s6.element(emb.reflection)])
+    copy = subgroup_generated(s6, [s6.element(r), s6.element(s)])
     assert copy.order == 6
-    for x_perm in square_roots_in_Sm(6, emb.reflection):
+    for x_perm in square_roots_in_Sm(6, s):
         x = s6.element(x_perm)
         report = theorem1_trace(s6.whole(), copy, x)
         assert report.bound_ok

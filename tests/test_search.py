@@ -25,65 +25,41 @@ from helpers import (
 
 
 def test_natural_embedding_single_block():
-    emb = embed_dihedral(7, 7)
-    assert emb.rotation == (1, 2, 3, 4, 5, 6, 0)
-    moved = [i for i in range(7) if emb.reflection[i] != i]
+    r, s = embed_dihedral(7, 7)
+    assert r == (1, 2, 3, 4, 5, 6, 0)
+    moved = [i for i in range(7) if s[i] != i]
     assert len(moved) == 6  # reflection fixes exactly one point
-    assert closure_order_capped(emb.generators, 100) == (14, True)
+    assert closure_order_capped([r, s], 100) == (14, True)
 
 
 def test_natural_embedding_fixes_leftover_points():
-    emb = embed_dihedral(7, 9)
-    for g in emb.generators:
+    for g in embed_dihedral(7, 9):
         assert g[7] == 7 and g[8] == 8
 
 
 def test_natural_embedding_tiles_blocks():
-    emb = embed_dihedral(3, 6)
-    assert emb.rotation == (1, 2, 0, 4, 5, 3)
-    assert emb.reflection == (0, 2, 1, 3, 5, 4)
+    r, s = embed_dihedral(3, 6)
+    assert r == (1, 2, 0, 4, 5, 3)
+    assert s == (0, 2, 1, 3, 5, 4)
     # the tiled copy is still just D3
-    assert closure_order_capped(emb.generators, 100) == (6, True)
+    assert closure_order_capped([r, s], 100) == (6, True)
 
 
-def _reflections(emb):
-    """The p reflections s*r^i of an embedded D_p, i = 0..p-1."""
-    return [
-        perms.compose(emb.reflection, perms.perm_power(emb.rotation, i)) for i in range(emb.p)
-    ]
+def _reflections(p, m):
+    """The p reflections s*r^i of the embedded D_p, i = 0..p-1."""
+    r, s = embed_dihedral(p, m)
+    return [perms.compose(s, perms.perm_power(r, i)) for i in range(p)]
 
 
 def test_reflection_list(d7):
-    emb = embed_dihedral(7, 7)
-    reflections = _reflections(emb)
+    r, s = embed_dihedral(7, 7)
+    reflections = _reflections(7, 7)
     assert len(set(reflections)) == 7
-    assert reflections[0] == emb.reflection
+    assert reflections[0] == s
     for t in reflections:
         assert perms.compose(t, t) == perms.identity_perm(7)
     # s*r^i = r^-i*s: listing them from the other side gives the same list
-    rot = emb.rotation
-    assert reflections == [
-        perms.compose(perms.perm_power(rot, -i), emb.reflection) for i in range(7)
-    ]
-
-
-def test_regular_embedding_fixed_point_free():
-    emb = embed_dihedral(3, 6, kind="regular")
-    assert closure_order_capped(emb.generators, 100) == (6, True)
-    seen = {perms.identity_perm(6)}
-    frontier = [perms.identity_perm(6)]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in emb.generators:
-                q = perms.compose(p, g)
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    for p in seen:
-        if p != perms.identity_perm(6):
-            assert all(p[i] != i for i in range(6))
+    assert reflections == [perms.compose(perms.perm_power(r, -i), s) for i in range(7)]
 
 
 def test_embedding_preconditions():
@@ -91,8 +67,6 @@ def test_embedding_preconditions():
         embed_dihedral(4, 8)  # not prime
     with pytest.raises(PreconditionError):
         embed_dihedral(7, 5)  # m < p
-    with pytest.raises(PreconditionError):
-        embed_dihedral(3, 5, kind="regular")  # m < 2p
     with pytest.raises(PreconditionError):
         embed_dihedral(3, 99)  # degree limit
     with pytest.raises(PreconditionError, match="exceeds the limit 22"):
@@ -135,26 +109,13 @@ def test_square_roots_count_sampled_larger_degrees():
     cases = [
         (m, tuple(rng.sample(range(m), m))) for m in (7, 8, 9) for _ in range(12)
     ]
-    cases += [
-        (m, embed_dihedral(p, m, kind).reflection)
-        for p, m, kinds in ((3, 8, ("natural", "regular")),
-                            (5, 10, ("natural", "regular")),
-                            (7, 9, ("natural",)))
-        for kind in kinds
-    ]
+    cases += [(m, embed_dihedral(p, m)[1]) for p, m in ((3, 8), (5, 10), (7, 9))]
+    # p transpositions on 2p of m points, an odd count: no square root
+    cases += [(8, (3, 4, 5, 0, 1, 2, 6, 7)), (10, (5, 6, 7, 8, 9, 0, 1, 2, 3, 4))]
     for m, g in cases:
         roots = list(square_roots_in_Sm(m, g))
         assert roots == square_roots_by_scan(m, g)
         assert len(roots) == sqrt_count_by_cycle_type(g)
-
-
-def test_regular_embedding_reflection_has_no_square_root():
-    # its reflection is p transpositions, an odd count for every odd p
-    for p in (3, 5, 7):
-        for m in range(2 * p, search.MAX_DEGREE + 1):
-            emb = embed_dihedral(p, m, kind="regular")
-            assert list(square_roots_in_Sm(m, emb.reflection)) == []
-        assert search._symmetries(emb) == []
 
 
 # -- capped closure ----------------------------------------------------------------
@@ -266,34 +227,30 @@ def test_search_p5_reports_without_verdict():
 def test_minimum_identical_across_reflections():
     # all reflections are conjugate, so the minimum cannot depend on which
     # one the search fixes; spot check at p = 3
-    emb = embed_dihedral(3, 6)
     minima = []
-    for g in _reflections(emb):
+    for g in _reflections(3, 6):
         best = None
         for x in square_roots_in_Sm(6, g):
-            size, complete = closure_order_capped(list(emb.generators) + [x], 1000)
+            size, complete = closure_order_capped([*embed_dihedral(3, 6), x], 1000)
             assert complete
             best = size if best is None else min(best, size)
         minima.append(best)
     assert minima == [36, 36, 36]
 
 
+ORACLE_CASES = [
+    (3, 6, 1000), (3, 8, 1000), (5, 10, 1000), (7, 9, 196), (7, 14, 197), (3, 12, 1000),
+    (5, 15, 200),
+]
+
+
+# "natural" names the tiled p-gon embedding in each case's id
 @pytest.mark.parametrize(
-    "p, m, kind, cap",
-    [
-        (3, 6, "natural", 1000),
-        (3, 8, "natural", 1000),
-        (5, 10, "natural", 1000),
-        (7, 9, "natural", 196),
-        (7, 14, "natural", 197),
-        (7, 14, "regular", 1000),
-        (3, 12, "natural", 1000),
-        (5, 15, "natural", 200),
-    ],
+    "p, m, cap", ORACLE_CASES, ids=[f"{p}-{m}-natural-{cap}" for p, m, cap in ORACLE_CASES]
 )
-def test_search_matches_unreduced_oracle(p, m, kind, cap):
-    rep = min_overgroup_search(p, m, kind, cap)
-    assert rep.to_dict() == min_overgroup_search_by_scan(p, m, kind, cap).to_dict()
+def test_search_matches_unreduced_oracle(p, m, cap):
+    rep = min_overgroup_search(p, m, cap)
+    assert rep.to_dict() == min_overgroup_search_by_scan(p, m, cap).to_dict()
 
 
 @settings(max_examples=12, deadline=None)
@@ -311,14 +268,14 @@ def test_search_matches_unreduced_oracle_property(pm, cap):
 
 def test_search_refuses_a_symmetry_that_moves_the_reflection(monkeypatch):
     # (0 1) does not commute with the reflection (1 2)(4 5) of D_3 in S_8
-    monkeypatch.setattr(search, "_symmetries", lambda emb: [(1, 0, 2, 3, 4, 5, 6, 7)])
+    monkeypatch.setattr(search, "_symmetries", lambda p, m: [(1, 0, 2, 3, 4, 5, 6, 7)])
     with pytest.raises(Falsification, match="does not commute"):
         min_overgroup_search(3, 8)
 
 
 def test_search_refuses_an_orbit_outside_the_roots(monkeypatch):
     # with one root missing from the list, its orbit leaves the roots
-    roots = list(square_roots_in_Sm(8, embed_dihedral(3, 8).reflection))
+    roots = list(square_roots_in_Sm(8, embed_dihedral(3, 8)[1]))
     monkeypatch.setattr(search, "square_roots_in_Sm", lambda m, g: iter(roots[:-1]))
     with pytest.raises(Falsification, match="leaves the uncounted roots"):
         min_overgroup_search(3, 8)
