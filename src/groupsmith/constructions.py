@@ -237,6 +237,11 @@ class WreathGroup(Group):
         binv = self.base._inv
         return (tuple(binv(f[(j + k) % n]) for j in range(n)), (-k) % n)
 
+    def _conjugate_set(self, payloads, y) -> frozenset:
+        if self._d:
+            return perms.conjugates(payloads, y)
+        return super()._conjugate_set(payloads, y)
+
     def _id(self):
         return self.pack((self._base_id,) * self.arity, 0)
 

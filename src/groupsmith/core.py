@@ -16,11 +16,12 @@ Subgroups are explicit sorted payload tuples; at desk scale set semantics
 beat generator-only laziness and keep fixtures stable. An `Element` is a
 view, built when a caller reads one; no group holds its own.
 
-Conjugation has one path: `Group._conjugate_set` maps a payload set
-through one conjugator, and every orbit (the class of an element, the
-conjugates of a subgroup) is the breadth-first walk of `closure_payloads`
-under a generating set. A walk lists its points in discovery order; only
-what is reported is sorted.
+Conjugation has one path, `Group._conjugate_set`, which maps a payload set
+through one conjugator with a per-backend kernel (`perms.conjugates` for
+permutation payloads, two products per member elsewhere). Every orbit (the
+class of an element, the conjugates of a subgroup) is the breadth-first
+walk of `closure_payloads` under a generating set. A walk lists its points
+in discovery order; only what is reported is sorted.
 """
 
 from __future__ import annotations
@@ -721,6 +722,8 @@ class PermGroup(Group):
 
     def _inv(self, p):
         return perms.invert(p)
+
+    _conjugate_set = staticmethod(perms.conjugates)
 
     def _id(self):
         return perms.identity_perm(self.degree)

@@ -8,12 +8,15 @@ builds only after verifying the copy; the lemma checks take it in place of
 a raw subgroup, so the copy is verified once per replay. Ambient groups are
 passed as subgroups (`G.whole()` for a whole group), and every conjugation
 goes through `core`: the conjugates are `core.conjugates_in`'s orbit.
+
+A vertex of the conjugate graph is named by two of its members that no
+other vertex holds together, so conjugation sends it to the one vertex
+holding both images. The records here are `NamedTuple`s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import perms
 from .core import Element, Subgroup, conjugates_in, normalizer_in, subgroup_generated
@@ -39,8 +42,7 @@ def minus_one_is_square_mod_p(p: int) -> bool:
 # -- dihedral recognition ------------------------------------------------------
 
 
-@dataclass
-class DihedralShape:
+class DihedralShape(NamedTuple):
     """A verified copy of D_p: its rotation subgroup and reflection list."""
 
     subgroup: Subgroup
@@ -94,8 +96,7 @@ def dihedral_shape(G: Subgroup) -> DihedralShape:
 # -- individual lemma checks ---------------------------------------------------
 
 
-@dataclass
-class Lemma2Verdict:
+class Lemma2Verdict(NamedTuple):
     universe: Subgroup  # <G, x>, closed over (r, x)
     normal: bool
     intersection_order: int
@@ -172,17 +173,19 @@ def _intersection_colors(vertices, p: int) -> dict[tuple[int, int], str | None]:
     }
 
 
-@dataclass
-class ConjugateGraph:
+class ConjugateGraph(NamedTuple):
     """Complete graph on the conjugates of a dihedral copy, edges colored
-    by intersection size: 2 green, p yellow, 1 red."""
+    by intersection size: 2 green, p yellow, 1 red. `holders` maps each
+    member of a vertex to the vertices that hold it; `names[i]` is a pair
+    of members of vertex i that no other vertex holds together."""
 
     ambient: Subgroup
     shape: DihedralShape
     base_index: int
     vertices: tuple[Subgroup, ...]
     colors: dict[tuple[int, int], str]
-    _index_of: dict[frozenset, int] = field(repr=False, default_factory=dict)
+    holders: dict[object, frozenset[int]]
+    names: tuple[tuple, ...]
 
     def color(self, i: int, j: int) -> str:
         if i == j:
@@ -206,15 +209,24 @@ class ConjugateGraph:
         )
 
     def vertex_perm(self, y: Element) -> perms.Perm:
-        """The permutation of vertex indices induced by conjugation by y."""
+        """The permutation of vertex indices induced by conjugation by y:
+        vertex i goes to the one vertex that holds both images of its
+        naming pair."""
         parent = self.ambient.parent
         parent._check(y)
         if y.payload not in self.ambient.payload_set:
             raise PreconditionError("conjugator lies outside the ambient group")
-        return tuple(
-            self._index_of[parent._conjugate_set(v.payloads, y.payload)]
-            for v in self.vertices
-        )
+        out = []
+        for i, pair in enumerate(self.names):
+            a, b = parent._conjugate_set(pair, y.payload)
+            found = self.holders[a] & self.holders[b]
+            if len(found) != 1:
+                raise Falsification(
+                    f"conjugation by {parent.render(y)} sends the naming pair of "
+                    f"vertex {i} into {len(found)} vertices, not one"
+                )
+            out += found
+        return tuple(out)
 
     def colors_preserved_by(self, conjugators) -> bool:
         """Whether conjugation by each given element maps every edge to an
@@ -241,7 +253,6 @@ def build_conjugate_graph(
         raise PreconditionError("the dihedral copy must lie inside the ambient group")
     p = shape.p
     vertices = sorted(conjugates_in(universe, G, conjugators), key=lambda s: s.key())
-    index_of = {v.payload_set: i for i, v in enumerate(vertices)}
     colors = _intersection_colors(vertices, p)
     for (i, j), color in colors.items():
         if color is None:
@@ -250,18 +261,35 @@ def build_conjugate_graph(
                 f"unexpected intersection size {size} between conjugates "
                 f"{i} and {j}; only 1, 2, {p} can occur off-diagonal"
             )
+    holders: dict = {}
+    for i, v in enumerate(vertices):
+        for h in v.payloads:
+            holders[h] = holders.get(h, frozenset()) | {i}
     return ConjugateGraph(
         ambient=universe,
         shape=shape,
-        base_index=index_of[G.payload_set],
+        base_index=vertices.index(G),
         vertices=tuple(vertices),
         colors=colors,
-        _index_of=index_of,
+        holders=holders,
+        names=tuple(_naming_pair(v, i, holders) for i, v in enumerate(vertices)),
     )
 
 
-@dataclass
-class Lemma56Result:
+def _naming_pair(vertex: Subgroup, i: int, holders) -> tuple:
+    """Vertex i's least non-identity member a, and the least other member b
+    such that vertex i is the only vertex holding both. A reflection b
+    always qualifies: with a nontrivial rotation, or with a second
+    reflection, it generates the whole copy, which no other conjugate is."""
+    idp = vertex.parent._id()
+    a = next(h for h in vertex.payloads if h != idp)
+    for b in vertex.payloads:
+        if b not in (idp, a) and holders[a] & holders[b] == {i}:
+            return a, b
+    raise Falsification(f"no two members of conjugate {i} name it alone")
+
+
+class Lemma56Result(NamedTuple):
     red_edges_present: bool
     u: int | None = None
     v: int | None = None
@@ -330,8 +358,7 @@ def lemma5_lemma6_checks(graph: ConjugateGraph) -> Lemma56Result:
     )
 
 
-@dataclass
-class ParityRecord:
+class ParityRecord(NamedTuple):
     element_name: str
     vertex_perm: perms.Perm
     parity: int  # 0 even, 1 odd
@@ -380,8 +407,7 @@ def conjugation_parity(graph: ConjugateGraph, y: Element) -> ParityRecord:
 # -- the full proof replay -----------------------------------------------------
 
 
-@dataclass
-class Theorem1Report:
+class Theorem1Report(NamedTuple):
     ambient_order: int
     dihedral_order: int
     p: int

@@ -52,6 +52,12 @@ def invert(p: Perm) -> Perm:
     return tuple(inv)
 
 
+def conjugates(payloads: Iterable[Perm], y: Perm) -> frozenset:
+    """{y^-1 h y : h in payloads}, each one pass: i -> y^-1(h(y(i)))."""
+    yinv = invert(y)
+    return frozenset([tuple([yinv[h[j]] for j in y]) for h in payloads])
+
+
 def perm_power(p: Perm, k: int) -> Perm:
     m = len(p)
     if k < 0:

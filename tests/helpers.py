@@ -173,12 +173,27 @@ def conjugates_by_scan(universe: Subgroup, H: Subgroup) -> list[Subgroup]:
     return list(seen.values())
 
 
+def vertex_perm_by_sets(graph, y: Element) -> perms.Perm:
+    """The permutation of a conjugate graph's vertex indices induced by
+    conjugation by y, by conjugating every member of each vertex with two
+    products and looking the image set up among the vertices."""
+    parent = graph.ambient.parent
+    index_of = {v.payload_set: i for i, v in enumerate(graph.vertices)}
+    yp = y.payload
+    yinv = parent._inv(yp)
+    return tuple(
+        index_of[frozenset(parent._mul(parent._mul(yinv, h), yp) for h in v.payloads)]
+        for v in graph.vertices
+    )
+
+
 def colors_preserved_by_scan(graph) -> bool:
     """Whether conjugation by every element of a conjugate graph's ambient
-    group maps each edge to an edge of the same color."""
+    group maps each edge to an edge of the same color, with the vertex
+    action from `vertex_perm_by_sets`."""
     K = len(graph.vertices)
     for y in graph.ambient.elements:
-        pi = graph.vertex_perm(y)
+        pi = vertex_perm_by_sets(graph, y)
         for i in range(K):
             for j in range(i + 1, K):
                 if graph.color(pi[i], pi[j]) != graph.color(i, j):

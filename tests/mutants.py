@@ -129,6 +129,17 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "conjugates-by-inverse",
+        "src/groupsmith/perms.py",
+        "    return frozenset([tuple([yinv[h[j]] for j in y]) for h in payloads])\n",
+        "    return frozenset([tuple([y[h[j]] for j in yinv]) for h in payloads])\n",
+        (
+            "tests/test_properties.py::test_conjugates_is_the_two_product_conjugate",
+            "tests/test_properties.py::test_conjugation_kernel_matches_the_generic_path",
+            "tests/test_dihedral.py::test_vertex_perm_is_a_homomorphism",
+        ),
+    ),
+    Mutant(
         "wreath-mul-shifts-by-right-k",
         "src/groupsmith/constructions.py",
         "            tuple(bmul(f[i], f2[(i - k) % n]) for i in range(n)),\n",
@@ -172,6 +183,27 @@ MUTANTS = (
         "            if closed[j] != near:\n",
         "            if False:\n",
         ("tests/test_dihedral.py::test_lemma56_detects_recolored_graph",),
+    ),
+    Mutant(
+        "vertex-named-by-one-member",
+        "src/groupsmith/dihedral.py",
+        "            found = self.holders[a] & self.holders[b]\n",
+        "            found = self.holders[a]\n",
+        (
+            "tests/test_dihedral.py::test_generator_checks_match_scan_oracles",
+            "tests/test_dihedral.py::test_vertex_perm_matches_set_oracle_on_the_generators",
+            "tests/test_dihedral.py::test_trace_d7",
+        ),
+    ),
+    Mutant(
+        "naming-pair-not-unique",
+        "src/groupsmith/dihedral.py",
+        "        if b not in (idp, a) and holders[a] & holders[b] == {i}:\n",
+        "        if b not in (idp, a):\n",
+        (
+            "tests/test_dihedral.py::test_vertex_names_pass_over_a_shared_rotation_pair",
+            "tests/test_dihedral.py::test_vertex_perm_refuses_a_pair_held_by_several_vertices",
+        ),
     ),
     Mutant(
         "lemma7-by-class-without-root-check",

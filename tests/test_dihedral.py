@@ -1,11 +1,10 @@
 import random
-from dataclasses import replace
 
 import pytest
 
 from groupsmith import dihedral, perms
 from groupsmith.constructions import lemma7_subgroup, named_group, wreath_cyclic
-from groupsmith.core import Subgroup, subgroup_generated
+from groupsmith.core import PermGroup, Subgroup, subgroup_generated
 from groupsmith.dihedral import (
     GREEN,
     RED,
@@ -24,7 +23,12 @@ from groupsmith.dihedral import (
 )
 from groupsmith.errors import Falsification, PreconditionError
 
-from helpers import colors_preserved_by_scan, conjugates_by_scan, parity_by_inversions
+from helpers import (
+    colors_preserved_by_scan,
+    conjugates_by_scan,
+    parity_by_inversions,
+    vertex_perm_by_sets,
+)
 
 
 def diag_copy(W, G):
@@ -202,7 +206,7 @@ def test_lemma56_detects_recolored_graph():
     yellow_edge = next(k for k, c in graph.colors.items() if c == YELLOW)
     broken = dict(graph.colors)
     broken[yellow_edge] = GREEN
-    bad = replace(graph, colors=broken)
+    bad = graph._replace(colors=broken)
     # the green degrees are no longer uniform either; the completeness
     # check must be the one that reports it
     with pytest.raises(Falsification, match=r"yellow component of \d+ is not complete"):
@@ -215,7 +219,7 @@ def test_lemma56_red_edge_tag():
     edge = next(iter(graph.colors))
     broken = dict(graph.colors)
     broken[edge] = RED
-    bad = replace(graph, colors=broken)
+    bad = graph._replace(colors=broken)
     res = lemma5_lemma6_checks(bad)
     assert res.red_edges_present
     assert res.u is None
@@ -253,6 +257,19 @@ def test_parity_matches_inversion_oracle_on_vertex_perms():
         assert rec.parity == parity_by_inversions(rec.vertex_perm)
 
 
+def assert_naming_pairs_name_one_vertex(graph):
+    idp = graph.ambient.parent._id()
+    for i, (v, (a, b)) in enumerate(zip(graph.vertices, graph.names)):
+        assert a == min(h for h in v.payloads if h != idp)
+        assert b in v.payload_set and b not in (idp, a)
+        assert graph.holders[a] & graph.holders[b] == {i}
+    assert graph.holders == {
+        h: frozenset(i for i, v in enumerate(graph.vertices) if h in v.payload_set)
+        for v in graph.vertices
+        for h in v.payloads
+    }
+
+
 def assert_generator_checks_match_scans(universe, H, x):
     shape = dihedral_shape(H)
     gens = (shape.rotation, x)
@@ -266,6 +283,9 @@ def assert_generator_checks_match_scans(universe, H, x):
         for j in range(i + 1, len(scanned))
     }
     assert graph.colors_preserved_by(gens) is colors_preserved_by_scan(graph) is True
+    assert_naming_pairs_name_one_vertex(graph)
+    for y in universe.elements:
+        assert graph.vertex_perm(y) == vertex_perm_by_sets(graph, y)
 
 
 def test_generator_checks_match_scan_oracles():
@@ -286,6 +306,44 @@ def test_vertex_perm_is_a_homomorphism():
         assert graph.vertex_perm(a * b) == perms.compose(
             graph.vertex_perm(b), graph.vertex_perm(a)
         )
+
+
+@pytest.mark.parametrize("p", [11, 19])
+def test_vertex_perm_matches_set_oracle_on_the_generators(p):
+    G, W, H, diag, root = lemma7_setup(p)
+    graph = lemma7_graph(H, diag, root)
+    assert_naming_pairs_name_one_vertex(graph)
+    for y in (graph.shape.rotation, root, root * root):
+        assert graph.vertex_perm(y) == vertex_perm_by_sets(graph, y)
+
+
+def test_vertex_names_pass_over_a_shared_rotation_pair():
+    # D_3 acting by its sign on {0, 1} and on {5, 6}, and naturally on
+    # {2, 3, 4}; conjugating by (1 5) gives a second copy with the same
+    # rotations, and in each copy the two least members are rotations
+    r, s, t = (0, 1, 3, 4, 2, 5, 6), (1, 0, 2, 4, 3, 6, 5), (0, 5, 2, 3, 4, 1, 6)
+    U = PermGroup(7, [r, s, t])
+    shape = dihedral_shape(subgroup_generated(U, [U.element(r), U.element(s)]))
+    graph = build_conjugate_graph(U.whole(), shape, U.generators)
+    assert graph.census() == {GREEN: 0, YELLOW: 1, RED: 0}
+    rotations = shape.rotations.payload_set
+    assert set(graph.vertices[0].payloads[1:3]) <= rotations
+    assert_naming_pairs_name_one_vertex(graph)
+    assert graph.vertex_perm(U.element(t)) == (1, 0)
+    for y in U.elements():
+        assert graph.vertex_perm(y) == vertex_perm_by_sets(graph, y)
+
+
+def test_vertex_perm_refuses_a_pair_held_by_several_vertices():
+    G, W, H, diag, root = lemma7_setup(3)
+    graph = lemma7_graph(H, diag, root)
+    everywhere = frozenset(range(len(graph.vertices)))
+    blurred = graph._replace(holders=dict.fromkeys(graph.holders, everywhere))
+    with pytest.raises(Falsification, match="naming pair of vertex 0 into 6 vertices"):
+        blurred.vertex_perm(root)
+    # building the names from such an index finds no pair at all
+    with pytest.raises(Falsification, match="name it alone"):
+        dihedral._naming_pair(graph.vertices[0], 0, blurred.holders)
 
 
 def test_vertex_perm_is_color_automorphism():
@@ -380,7 +438,7 @@ def test_colors_match_intersections_rejects_mutated_graphs():
     reversed_key = {**dropped, (j, i): color}
     recolored = {**graph.colors, (i, j): RED}
     for colors in (dropped, reversed_key, recolored):
-        assert not replace(graph, colors=colors).colors_match_intersections()
+        assert not graph._replace(colors=colors).colors_match_intersections()
 
 
 @pytest.mark.parametrize("p", [3, 7])

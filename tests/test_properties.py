@@ -1,6 +1,6 @@
-"""Property tests for the element kernels: permutation composition, the
-wreath multiplication law, the flat wreath payloads over permutation bases
-and the parse/render round trip."""
+"""Property tests for the element kernels: permutation composition and
+conjugation, the wreath multiplication law, the flat wreath payloads over
+permutation bases and the parse/render round trip."""
 
 from functools import cache
 from itertools import product
@@ -10,7 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from groupsmith import perms
 from groupsmith.constructions import WreathGroup, lemma8_construct, named_group, wreath_cyclic
-from groupsmith.core import CosetGroup, PermGroup, TableGroup, odd_abelian_normal_candidates
+from groupsmith.core import (
+    CosetGroup,
+    Group,
+    PermGroup,
+    TableGroup,
+    odd_abelian_normal_candidates,
+)
 from groupsmith.errors import PreconditionError
 
 from helpers import perm_table, wreath_mul_by_coordinates
@@ -29,6 +35,21 @@ def test_compose_is_the_definition_and_associative(abc):
     a, b, c = abc
     assert perms.compose(a, b) == tuple(a[b[i]] for i in range(len(a)))
     assert perms.compose(perms.compose(a, b), c) == perms.compose(a, perms.compose(b, c))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=12).flatmap(
+        lambda m: st.tuples(
+            st.lists(st.permutations(range(m)).map(tuple), max_size=4),
+            st.permutations(range(m)).map(tuple),
+        )
+    )
+)
+def test_conjugates_is_the_two_product_conjugate(drawn):
+    hs, y = drawn
+    yinv = perms.invert(y)
+    assert perms.conjugates(hs, y) == {perms.compose(perms.compose(yinv, h), y) for h in hs}
 
 
 def elements_of(G):
@@ -114,6 +135,34 @@ FLAT_WREATHS = wreaths([("S3", 3), ("D5", 3), ("S4", 2)])
 def test_flat_kernel_matches_oracle(drawn):
     W, x, y = drawn
     assert_flat_kernel_matches_oracle(W, x, y)
+
+
+@cache
+def permutation_payload_groups() -> tuple:
+    """Groups whose `_conjugate_set` is `perms.conjugates`: a permutation
+    closure and flat wreath products over permutation bases."""
+    return named_group("S4"), wreath("S3", 2), wreath("D5", 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.deferred(lambda: st.sampled_from(permutation_payload_groups())).flatmap(
+        lambda G: st.tuples(st.lists(elements_of(G), max_size=4), elements_of(G))
+    )
+)
+def test_conjugation_kernel_matches_the_generic_path(drawn):
+    hs, y = drawn
+    G = y.group
+    pays = [h.payload for h in hs]
+    assert G._conjugate_set(pays, y.payload) == Group._conjugate_set(G, pays, y.payload)
+
+
+def test_table_base_wreath_conjugates_by_products(monkeypatch):
+    W = wreath("Z3xS3", 2)
+    pays = list(W._iter_payloads())[::97]
+    expected = [Group._conjugate_set(W, pays, y) for y in pays]
+    monkeypatch.setattr(perms, "conjugates", None)  # the flat kernel must not run
+    assert [W._conjugate_set(pays, y) for y in pays] == expected
 
 
 def test_flat_payloads_outside_the_wreath_are_rejected(a4):
