@@ -7,7 +7,8 @@ render/parse) over four element representations:
   flat 16-bit Cayley table, refused before its first row is filled,
 * coset: elements are the indices of a quotient's cosets, multiplied
   through their representatives in the parent group (see Group.quotient),
-* perm-closure: elements are permutation image tuples,
+* perm-closure: elements are permutation image tuples, each rendered and
+  parsed once per group,
 * wreath-structured: elements (base tuple, shift) are stored as one
   permutation over a permutation base and as the pair itself over any
   other, and no table is ever materialized (see constructions.WreathGroup).
@@ -683,7 +684,8 @@ class CosetGroup(_IndexedGroup):
 
 
 class PermGroup(Group):
-    """Group of permutations closed under composition, computed eagerly."""
+    """Group of permutations closed under composition, computed eagerly;
+    it renders each element, and parses each input string, once."""
 
     backend = "perm-closure"
 
@@ -712,6 +714,9 @@ class PermGroup(Group):
         self._pset = frozenset(ordered)
         self._gens = gens
         self._namer = namer if namer is not None else CycleNamer(degree)
+        # per group, never shared: D7 and S7 name one 7-cycle differently
+        self._names: dict = {}  # payload -> name
+        self._read: dict = {}  # input string -> member payload
 
     @property
     def order(self) -> int:
@@ -736,12 +741,18 @@ class PermGroup(Group):
         return type(p) is tuple and all(type(x) is int for x in p) and p in self._pset
 
     def _render(self, p) -> str:
-        return self._namer.render(p)
+        name = self._names.get(p)
+        if name is None:
+            name = self._names[p] = self._namer.render(p)
+        return name
 
     def _parse(self, s: str):
-        p = self._namer.parse(s)
-        if p not in self._pset:
-            raise ParseError(s, f"not an element of {self.name}")
+        p = self._read.get(s)
+        if p is None:
+            p = self._namer.parse(s)
+            if p not in self._pset:
+                raise ParseError(s, f"not an element of {self.name}")
+            self._read[s] = p
         return p
 
     def _generator_payloads(self) -> tuple:

@@ -84,12 +84,14 @@ def dihedral_shape(G: Subgroup) -> DihedralShape:
             f"expected {p} rotations and {p} reflections, found {len(rot)}/{len(refl)}"
         )
     rotations = Subgroup(parent, rot)
+    # the checked subgroup of rotations has prime order p, so any non-identity
+    # rotation r generates it, and a reflection inverting r inverts every power
+    r = next(e for e in rot if e != parent.identity)
     for s in refl:
-        for r in rot:
-            if r.conj(s) != r.inv():
-                raise PreconditionError(
-                    f"{parent.render(s)} does not invert {parent.render(r)}: not dihedral"
-                )
+        if r.conj(s) != r.inv():
+            raise PreconditionError(
+                f"{parent.render(s)} does not invert {parent.render(r)}: not dihedral"
+            )
     return DihedralShape(subgroup=G, p=p, rotations=rotations, reflections=tuple(refl))
 
 

@@ -75,24 +75,25 @@ def evaluate(
 ) -> Element:
     """embed(g1) * x * embed(g2) * x * ... * embed(gn) * x, computed in H."""
     H._check(x)
-    acc = H.identity
+    mul, xp = H._mul, x.payload
+    acc = H._id()
     for g in eq.coefficients:
         img = embed(g)
         H._check(img)
-        acc = acc * img * x
-    return acc
+        acc = mul(mul(acc, img.payload), xp)
+    return Element(H, acc)
 
 
 def solve_in_group(eq: PositiveEquation, G: Group) -> Element | None:
     """First x in G's canonical enumeration solving the equation, if any."""
     if eq.group is not G:
         raise PreconditionError("coefficients do not live in the given group")
-    coeff_pays = [g.payload for g in eq.coefficients]
+    first, *rest = [g.payload for g in eq.coefficients]
     idp = G._id()
     mul = G._mul
     for p in G._iter_payloads():
-        acc = idp
-        for c in coeff_pays:
+        acc = mul(first, p)
+        for c in rest:
             acc = mul(mul(acc, c), p)
         if acc == idp:
             return Element(G, p)

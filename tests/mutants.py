@@ -108,6 +108,20 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "scan-drops-first-coefficient",
+        "src/groupsmith/equations.py",
+        "        acc = mul(first, p)\n",
+        "        acc = p\n",
+        ("tests/test_equations.py::test_solve_in_group_matches_filter_oracle",),
+    ),
+    Mutant(
+        "evaluate-without-embed-check",
+        "src/groupsmith/equations.py",
+        "        H._check(img)\n",
+        "        pass\n",
+        ("tests/test_equations.py::test_evaluate_refuses_operands_outside_the_wreath_product",),
+    ),
+    Mutant(
         "chain-order-without-sifting",
         "src/groupsmith/search.py",
         "    while level >= 0 and prod(len(orbit) for _, _, orbit in levels) < stop:\n",

@@ -256,6 +256,34 @@ def test_element_takes_exact_int_payloads_only(backend):
             G.element(p)
 
 
+@pytest.mark.parametrize("specs", ["D7,S7", "S7,D7"])
+def test_perm_groups_keep_their_own_names(specs):
+    want = {"D7": "r^1", "S7": "(1 2 3 4 5 6 7)"}
+    groups = [(spec, named_group(spec)) for spec in specs.split(",")]
+    for _ in range(2):
+        for spec, G in groups:
+            assert G.render(G.element((1, 2, 3, 4, 5, 6, 0))) == want[spec]
+
+
+def test_perm_group_parses_no_remembered_non_member():
+    s4, a4 = named_group("S4"), named_group("A4")
+    assert s4.parse("(1 2)").payload == (1, 0, 2, 3)
+    for _ in range(2):
+        with pytest.raises(ParseError, match="not an element of A4"):
+            a4.parse("(1 2)")
+        with pytest.raises(ParseError):
+            s4.parse("(1 5)")
+
+
+@pytest.mark.parametrize("spec", ["S4", "D7", "A5"])
+def test_perm_group_names_match_the_namer(spec):
+    G = named_group(spec)
+    for _ in range(2):
+        for p in G._iter_payloads():
+            assert G.parse(G._render(p)).payload == p
+    assert G._names == {p: G._namer.render(p) for p in G._iter_payloads()}
+
+
 # -- tables on permutation closures ----------------------------------------------
 
 

@@ -62,6 +62,16 @@ def test_evaluate_examples(s3):
     assert evaluate(deg1, s3, lambda e: e, g) == s3.identity
 
 
+def test_evaluate_refuses_operands_outside_the_wreath_product(s3):
+    W = wreath_cyclic(s3, 2)
+    g = s3.parse("(1 2)")
+    eq = PositiveEquation((g, s3.identity))
+    with pytest.raises(PreconditionError):
+        evaluate(eq, W, W.diag_embed, g)
+    with pytest.raises(PreconditionError):
+        evaluate(eq, W, lambda e: e, W.identity)
+
+
 def test_solve_in_group_examples(d7):
     z7 = named_group("Z7")
     g = z7.parse("3")
