@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import product as iproduct
+from operator import itemgetter
 from typing import Callable, Iterator
 
 from . import perms
@@ -166,8 +167,8 @@ class WreathGroup(Group):
     Over a permutation base of degree d, the payload of (f, k) is the
     permutation of n*d points, n blocks of d, that sends i*d + j to
     ((i+k) % n)*d + f[(i+k) % n][j]. This is a homomorphism under
-    `perms.compose`, so a product is one composition of degree n*d. Over
-    any other base the payload is (f, k) itself. `pack` and `unpack`
+    `perms.compose`, so a product is one `itemgetter` call of degree n*d.
+    Over any other base the payload is (f, k) itself. `pack` and `unpack`
     convert between the two.
     """
 
@@ -184,7 +185,10 @@ class WreathGroup(Group):
         self._order = arity * base.order**arity
         self._base_id = base._id()
         # the block size d of flat payloads; 0 for (f, k) payloads
-        self._d = base.degree if isinstance(base, PermGroup) else 0
+        self._d = d = base.degree if isinstance(base, PermGroup) else 0
+        # where each block of a flat payload starts
+        self._offsets = range(0, arity * d, d) if d else ()
+        self._identity = self.pack((self._base_id,) * arity, 0)
 
     @property
     def order(self) -> int:
@@ -219,7 +223,8 @@ class WreathGroup(Group):
 
     def _mul(self, p, q):
         if self._d:
-            return tuple([p[i] for i in q])
+            # n*d >= 2 points, so itemgetter returns a tuple
+            return itemgetter(*q)(p)
         f, k = p
         f2, k2 = q
         n = self.arity
@@ -243,7 +248,7 @@ class WreathGroup(Group):
         return super()._conjugate_set(payloads, y)
 
     def _id(self):
-        return self.pack((self._base_id,) * self.arity, 0)
+        return self._identity
 
     def _iter_payloads(self) -> Iterator:
         self._refuse_listing("wreath", self._order)
@@ -326,6 +331,8 @@ class WreathGroup(Group):
     def diag_embed(self, g: Element) -> Element:
         """The diagonal copy of a base element: constant tuple, zero shift."""
         self.base._check(g)
+        if self._d:
+            return Element(self, tuple([o + x for o in self._offsets for x in g.payload]))
         return Element(self, self.pack((g.payload,) * self.arity, 0))
 
 

@@ -19,7 +19,9 @@ view, built when a caller reads one; no group holds its own.
 
 Conjugation has one path, `Group._conjugate_set`, which maps a payload set
 through one conjugator with a per-backend kernel (`perms.conjugates` for
-permutation payloads, two products per member elsewhere). Every orbit (the
+permutation payloads, two products per member elsewhere); right
+multiplication by a fixed payload, `Group._times`, is one too (an
+`itemgetter` over permutations, `_mul` elsewhere). Every orbit (the
 class of an element, the conjugates of a subgroup) is the breadth-first
 walk of `closure_payloads` under a generating set. A walk lists its points
 in discovery order; only what is reported is sorted.
@@ -269,6 +271,10 @@ class Group:
         pairs = [(self._inv(y), y) for y in self._generator_payloads()]
         orbit, _ = closure_payloads(p, pairs, lambda q, pair: mul(mul(pair[0], q), pair[1]))
         return orbit
+
+    def _times(self, q) -> Callable:
+        """p -> p*q, for a payload q."""
+        return lambda p: self._mul(p, q)
 
     def _conjugate_set(self, payloads, y) -> frozenset:
         """{y^-1 h y : h in payloads}, for a payload y."""
@@ -730,6 +736,9 @@ class PermGroup(Group):
 
     _conjugate_set = staticmethod(perms.conjugates)
 
+    def _times(self, q):
+        return itemgetter(*q) if len(q) > 1 else super()._times(q)
+
     def _id(self):
         return perms.identity_perm(self.degree)
 
@@ -833,7 +842,7 @@ def normal_closure(G: Group, S: Iterable[Element]) -> Subgroup:
         G._check(e)
         pays[e.payload] = None
     pays.pop(G._id(), None)
-    moves += [lambda x, s=s: mul(x, s) for s in pays]
+    moves += [G._times(s) for s in pays]
     ordered, _ = closure_payloads(G._id(), moves, lambda x, move: move(x))
     return Subgroup.of_payloads(G, ordered)
 

@@ -85,16 +85,21 @@ def evaluate(
 
 
 def solve_in_group(eq: PositiveEquation, G: Group) -> Element | None:
-    """First x in G's canonical enumeration solving the equation, if any."""
+    """First x in G's canonical enumeration solving the equation, if any.
+
+    Each product is one call of a right multiplier (`Group._times`), built
+    once per coefficient and once per candidate."""
     if eq.group is not G:
         raise PreconditionError("coefficients do not live in the given group")
     first, *rest = [g.payload for g in eq.coefficients]
+    times = G._times
+    by_rest = [times(c) for c in rest]
     idp = G._id()
-    mul = G._mul
     for p in G._iter_payloads():
-        acc = mul(first, p)
-        for c in rest:
-            acc = mul(mul(acc, c), p)
+        by_p = times(p)
+        acc = by_p(first)
+        for by_c in by_rest:
+            acc = by_p(by_c(acc))
         if acc == idp:
             return Element(G, p)
     return None

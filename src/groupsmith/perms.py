@@ -3,12 +3,17 @@
 These are the plumbing shared by the permutation-backed groups and the
 ambient symmetric-group searches, with the primality test that both the
 dihedral replay and the search apply to p. The product convention is
-function composition: (a * b)(i) = a(b(i)).
+function composition: (a * b)(i) = a(b(i)). A product is one
+`operator.itemgetter` call in C from degree 2 up, as is each member's
+conjugate; below degree 2, where itemgetter returns a scalar or cannot be
+built, it is a list comprehension. `invert` stays a loop, which beat
+rewrites by `sorted`, a dict or `list.index` at every degree from 3 to 188.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import ParseError, PreconditionError
@@ -42,6 +47,8 @@ def _checked_generators(generators: Iterable[Perm], degree: int | None = None) -
 
 def compose(a: Perm, b: Perm) -> Perm:
     """a after b: (a*b)(i) = a(b(i))."""
+    if len(b) > 1:
+        return itemgetter(*b)(a)
     return tuple([a[i] for i in b])
 
 
@@ -55,6 +62,9 @@ def invert(p: Perm) -> Perm:
 def conjugates(payloads: Iterable[Perm], y: Perm) -> frozenset:
     """{y^-1 h y : h in payloads}, each one pass: i -> y^-1(h(y(i)))."""
     yinv = invert(y)
+    if len(y) > 1:
+        at_y = itemgetter(*y)
+        return frozenset([itemgetter(*at_y(h))(yinv) for h in payloads])
     return frozenset([tuple([yinv[h[j]] for j in y]) for h in payloads])
 
 

@@ -110,7 +110,7 @@ MUTANTS = (
     Mutant(
         "scan-drops-first-coefficient",
         "src/groupsmith/equations.py",
-        "        acc = mul(first, p)\n",
+        "        acc = by_p(first)\n",
         "        acc = p\n",
         ("tests/test_equations.py::test_solve_in_group_matches_filter_oracle",),
     ),
@@ -135,18 +135,27 @@ MUTANTS = (
     Mutant(
         "compose-b-after-a",
         "src/groupsmith/perms.py",
-        "    return tuple([a[i] for i in b])\n",
-        "    return tuple([b[i] for i in a])\n",
+        "        return itemgetter(*b)(a)\n",
+        "        return itemgetter(*a)(b)\n",
         (
             "tests/test_perms.py::test_compose_applies_right_then_left",
             "tests/test_properties.py::test_compose_is_the_definition_and_associative",
         ),
     ),
     Mutant(
+        "compose-fallback-from-degree-1",
+        "src/groupsmith/perms.py",
+        "    if len(b) > 1:\n",
+        "    if len(b) > 0:\n",
+        ("tests/test_properties.py::test_compose_is_the_definition_and_associative",),
+    ),
+    Mutant(
         "conjugates-by-inverse",
         "src/groupsmith/perms.py",
-        "    return frozenset([tuple([yinv[h[j]] for j in y]) for h in payloads])\n",
-        "    return frozenset([tuple([y[h[j]] for j in yinv]) for h in payloads])\n",
+        "        at_y = itemgetter(*y)\n"
+        "        return frozenset([itemgetter(*at_y(h))(yinv) for h in payloads])\n",
+        "        at_y = itemgetter(*yinv)\n"
+        "        return frozenset([itemgetter(*at_y(h))(y) for h in payloads])\n",
         (
             "tests/test_properties.py::test_conjugates_is_the_two_product_conjugate",
             "tests/test_properties.py::test_conjugation_kernel_matches_the_generic_path",
@@ -172,6 +181,26 @@ MUTANTS = (
         (
             "tests/test_properties.py::test_flat_kernel_matches_oracle_exhaustively",
             "tests/test_constructions.py::test_levin_root_squares_exhaustively",
+        ),
+    ),
+    Mutant(
+        "diag-without-block-offsets",
+        "src/groupsmith/constructions.py",
+        "            return Element(self, tuple([o + x for o in self._offsets for x in g.payload]))\n",
+        "            return Element(self, tuple([x for o in self._offsets for x in g.payload]))\n",
+        (
+            "tests/test_properties.py::test_diag_embed_and_identity_are_packed",
+            "tests/test_properties.py::test_wreath_law",
+        ),
+    ),
+    Mutant(
+        "times-on-the-left",
+        "src/groupsmith/core.py",
+        "        return itemgetter(*q) if len(q) > 1 else super()._times(q)\n",
+        "        return (lambda p: itemgetter(*p)(q)) if len(q) > 1 else super()._times(q)\n",
+        (
+            "tests/test_properties.py::test_times_is_right_multiplication",
+            "tests/test_equations.py::test_solve_in_group_matches_filter_oracle",
         ),
     ),
     Mutant(

@@ -15,6 +15,7 @@ from groupsmith.core import (
     Group,
     PermGroup,
     TableGroup,
+    normal_closure,
     odd_abelian_normal_candidates,
 )
 from groupsmith.errors import PreconditionError
@@ -23,8 +24,8 @@ from helpers import perm_table, wreath_mul_by_coordinates
 
 
 def perm_triples(max_degree: int = 12):
-    """Three permutations of one degree between 1 and max_degree."""
-    return st.integers(min_value=1, max_value=max_degree).flatmap(
+    """Three permutations of one degree between 0 and max_degree."""
+    return st.integers(min_value=0, max_value=max_degree).flatmap(
         lambda m: st.tuples(*[st.permutations(range(m)).map(tuple)] * 3)
     )
 
@@ -112,7 +113,7 @@ def assert_flat_kernel_matches_oracle(W, x, y):
     assert W._contains_payload(pack(*x))
 
 
-@pytest.mark.parametrize("spec", ["S3", "D5"])
+@pytest.mark.parametrize("spec", ["S1", "S3", "D5"])
 def test_flat_kernel_matches_oracle_exhaustively(spec):
     W = wreath_cyclic(named_group(spec), 2)
     pairs = coordinate_pairs(W)
@@ -155,6 +156,36 @@ def test_conjugation_kernel_matches_the_generic_path(drawn):
     G = y.group
     pays = [h.payload for h in hs]
     assert G._conjugate_set(pays, y.payload) == Group._conjugate_set(G, pays, y.payload)
+
+
+@cache
+def right_multiplication_groups() -> tuple:
+    """The permutation-payload groups, S1 (below the itemgetter kernel's
+    degree), a table group and a non-abelian coset group, S4/V4."""
+    s4 = named_group("S4")
+    v4 = normal_closure(s4, [s4.parse("(1 2)(3 4)")])
+    quotient, _ = s4.quotient(v4)
+    return permutation_payload_groups() + (named_group("S1"), named_group("Z3xS3"), quotient)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.deferred(lambda: st.sampled_from(right_multiplication_groups())).flatmap(
+        lambda G: st.tuples(elements_of(G), elements_of(G))
+    )
+)
+def test_times_is_right_multiplication(drawn):
+    p, q = drawn
+    G = p.group
+    assert G._times(q.payload)(p.payload) == G._mul(p.payload, q.payload)
+
+
+@pytest.mark.parametrize("spec", ["S3", "D5"])
+def test_diag_embed_and_identity_are_packed(spec):
+    W = wreath(spec, 3)
+    assert W.identity.payload == W.pack((W.base._id(),) * 3, 0)
+    for g in W.base.elements():
+        assert W.diag_embed(g).payload == W.pack((g.payload,) * 3, 0)
 
 
 def test_table_base_wreath_conjugates_by_products(monkeypatch):
