@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import product as iproduct
+from itertools import accumulate, product as iproduct
 from operator import itemgetter
 from typing import Callable, Iterator
 
@@ -27,11 +27,10 @@ from .core import (
     Group,
     PermGroup,
     Subgroup,
-    TableGroup,
-    IntegerNamer,
     TABLE_ENTRY_BUDGET,
     WREATH_ORDER_CAP,
     _split_top,
+    check_table_order,
     closure_payloads,
     direct_product,
     normal_closure,
@@ -74,16 +73,52 @@ class DihedralNamer:
         return tuple((i + k) % p for i in range(p))
 
 
-def cyclic_group(n: int) -> TableGroup:
+class CyclicNamer:
+    """Residue names for Z_n acting on one cycle per prime-power factor q
+    of n, the cycles in increasing order of their primes: residue i steps
+    i places along each. Z1 acts on one fixed point."""
+
+    def __init__(self, n: int):
+        self.n = n
+        orders, m, p = [], n, 2
+        while m > 1:
+            q = 1
+            while m % p == 0:
+                m, q = m // p, q * p
+            if q > 1:
+                orders.append(q)
+            p += 1
+        orders = orders or [1]
+        self.degree = sum(orders)
+        self.blocks = list(zip(accumulate([0] + orders), orders))  # (first point, length)
+        # the residue that is 1 mod q and 0 mod n/q, for each cycle
+        self._units = [n // q * pow(n // q, -1, q) for q in orders]
+
+    def payload(self, i: int) -> perms.Perm:
+        out: list = []
+        for s, q in self.blocks:
+            out += [s + (x + i) % q for x in range(q)]
+        return tuple(out)
+
+    def render(self, t: perms.Perm) -> str:
+        return str(sum(u * (t[s] - s) for u, (s, _) in zip(self._units, self.blocks)) % self.n)
+
+    def parse(self, s: str) -> perms.Perm:
+        try:
+            return self.payload(int(s.strip()) % self.n)
+        except ValueError:
+            raise ParseError(s, "expected an integer residue") from None
+
+
+def cyclic_group(n: int) -> PermGroup:
+    """Z_n on `CyclicNamer`'s cycles, the least faithful degree for n > 1
+    (Johnson 1971); its order is refused as a table's would be."""
     if n < 1:
         raise PreconditionError(f"cyclic order must be positive, got {n}")
-    return TableGroup(
-        range(n),
-        lambda i, j: (i + j) % n,
-        IntegerNamer(n),
-        name=f"Z{n}",
-        generators=[1] if n > 1 else [],
-    )
+    check_table_order(n)
+    namer = CyclicNamer(n)
+    gens = [namer.payload(1)] if n > 1 else []
+    return PermGroup(namer.degree, gens, namer=namer, name=f"Z{n}")
 
 
 def dihedral_group(p: int) -> PermGroup:
@@ -155,21 +190,20 @@ def named_group(spec: str) -> Group:
 
 
 class WreathGroup(Group):
-    """Wreath product of a base group with the cyclic shift of n coordinates.
+    """Wreath product of a permutation base with the cyclic shift of n
+    coordinates.
 
     Elements are (f, k) with f a tuple of n base elements and k a shift mod
-    n; the order is n * |base|^n. No table is materialized, and listing the
-    elements is refused above the order cap. Building is refused where
-    n^2 * |base| exceeds that cap, as `levin_root` and `evaluate` make O(n)
-    products of n blocks. Listing is also refused where the payloads would
-    hold more entries than the table entry budget.
-
-    Over a permutation base of degree d, the payload of (f, k) is the
-    permutation of n*d points, n blocks of d, that sends i*d + j to
-    ((i+k) % n)*d + f[(i+k) % n][j]. This is a homomorphism under
-    `perms.compose`, so a product is one `itemgetter` call of degree n*d.
-    Over any other base the payload is (f, k) itself. `pack` and `unpack`
-    convert between the two.
+    n; the order is n * |base|^n. The base must act on d >= 1 points, and
+    the payload of (f, k) is the permutation of n*d points, n blocks of d,
+    that sends i*d + j to ((i+k) % n)*d + f[(i+k) % n][j]. This is a
+    homomorphism under `perms.compose`, so a product is one `itemgetter`
+    call of degree n*d; `pack` and `unpack` convert between (f, k) and the
+    payload. No table is materialized, and listing the elements is refused
+    above the order cap, or where the payloads would hold more entries
+    than the table entry budget. Building is refused where n^2 * |base|
+    exceeds that cap, as `levin_root` and `evaluate` make O(n) products of
+    n blocks.
     """
 
     backend = "wreath-structured"
@@ -178,42 +212,38 @@ class WreathGroup(Group):
         if arity < 2:
             raise PreconditionError(f"wreath arity must be at least 2, got {arity}")
         super().__init__(f"{base.name} wr Z{arity}")
+        self._d = d = getattr(base, "degree", 0)  # the block size
+        if not d:
+            raise PreconditionError(f"{self.name} needs a base that permutes points")
         if arity * arity * base.order > WREATH_ORDER_CAP:
             raise CapExceeded(f"{self.name}: arity^2 * |base| exceeds cap {WREATH_ORDER_CAP}")
         self.base = base
         self.arity = arity
         self._order = arity * base.order**arity
         self._base_id = base._id()
-        # the block size d of flat payloads; 0 for (f, k) payloads
-        self._d = d = base.degree if isinstance(base, PermGroup) else 0
-        # where each block of a flat payload starts
-        self._offsets = range(0, arity * d, d) if d else ()
+        # where each block of a payload starts
+        self._offsets = range(0, arity * d, d)
         self._identity = self.pack((self._base_id,) * arity, 0)
 
     @property
     def order(self) -> int:
         return self._order
 
-    def pack(self, f: tuple, k: int):
+    def pack(self, f: tuple, k: int) -> perms.Perm:
         """The payload of (f, k)."""
-        d = self._d
-        if not d:
-            return (f, k)
-        n = self.arity
+        n, d = self.arity, self._d
         out: list = []
         for i in range(n):
             src = (i + k) % n
             out += [src * d + x for x in f[src]]
         return tuple(out)
 
-    def unpack(self, p) -> tuple:
+    def unpack(self, p: perms.Perm) -> tuple:
         """The (f, k) of a payload; the inverse of `pack`."""
-        d = self._d
-        if not d:
-            return p
         # k sends block 0 to block k; rotating the blocks back by k leaves
         # block i as i*d + f[i]
-        n, k = self.arity, p[0] // d
+        n, d = self.arity, self._d
+        k = p[0] // d
         r = (n - k) % n * d
         blocks = p[r:] + p[:r]
         f = tuple(
@@ -222,30 +252,13 @@ class WreathGroup(Group):
         return f, k
 
     def _mul(self, p, q):
-        if self._d:
-            # n*d >= 2 points, so itemgetter returns a tuple
-            return itemgetter(*q)(p)
-        f, k = p
-        f2, k2 = q
-        n = self.arity
-        bmul = self.base._mul
-        return (
-            tuple(bmul(f[i], f2[(i - k) % n]) for i in range(n)),
-            (k + k2) % n,
-        )
+        # n*d >= 2 points, so itemgetter returns a tuple
+        return itemgetter(*q)(p)
 
     def _inv(self, p):
-        if self._d:
-            return perms.invert(p)
-        f, k = p
-        n = self.arity
-        binv = self.base._inv
-        return (tuple(binv(f[(j + k) % n]) for j in range(n)), (-k) % n)
+        return perms.invert(p)
 
-    def _conjugate_set(self, payloads, y) -> frozenset:
-        if self._d:
-            return perms.conjugates(payloads, y)
-        return super()._conjugate_set(payloads, y)
+    _conjugate_set = staticmethod(perms.conjugates)
 
     def _id(self):
         return self._identity
@@ -258,27 +271,17 @@ class WreathGroup(Group):
                 yield self.pack(combo, k)
 
     def _contains_payload(self, p) -> bool:
-        if self._d:
-            # a permutation of n*d points is a payload when every f[i] of
-            # its unpacking is a base element: each block then maps onto
-            # the block k further on
-            if not (
-                isinstance(p, tuple)
-                and len(p) == self.arity * self._d
-                and all(type(x) is int for x in p)
-            ):
-                return False
-            p = self.unpack(p)
-        if not (isinstance(p, tuple) and len(p) == 2):
+        # a permutation of n*d points is a payload when every f[i] of its
+        # unpacking is a base element: each block then maps onto the block
+        # k further on, and 0 <= k < n
+        if not (
+            isinstance(p, tuple)
+            and len(p) == self.arity * self._d
+            and all(type(x) is int for x in p)
+        ):
             return False
-        f, k = p
-        return (
-            type(k) is int
-            and 0 <= k < self.arity
-            and isinstance(f, tuple)
-            and len(f) == self.arity
-            and all(self.base._contains_payload(x) for x in f)
-        )
+        f, _ = self.unpack(p)
+        return all(self.base._contains_payload(x) for x in f)
 
     def _render(self, p) -> str:
         f, k = self.unpack(p)
@@ -316,11 +319,11 @@ class WreathGroup(Group):
 
     def _refuse_listing(self, what: str, order: int) -> None:
         """Refuse to list `order` elements of this product above the wreath
-        order cap, or when their payloads hold more entries than the table
-        entry budget: n*d for a flat payload, n for an (f, k)."""
+        order cap, or when their payloads, n*d entries each, hold more
+        entries than the table entry budget."""
         if order > WREATH_ORDER_CAP:
             raise CapExceeded(f"{what} order {order} exceeds cap {WREATH_ORDER_CAP}", order)
-        entries = order * self.arity * (self._d or 1)
+        entries = order * self.arity * self._d
         if entries > TABLE_ENTRY_BUDGET:
             raise CapExceeded(
                 f"{what} order {order} needs {entries} payload entries, "
@@ -331,9 +334,7 @@ class WreathGroup(Group):
     def diag_embed(self, g: Element) -> Element:
         """The diagonal copy of a base element: constant tuple, zero shift."""
         self.base._check(g)
-        if self._d:
-            return Element(self, tuple([o + x for o in self._offsets for x in g.payload]))
-        return Element(self, self.pack((g.payload,) * self.arity, 0))
+        return Element(self, tuple([o + x for o in self._offsets for x in g.payload]))
 
 
 def wreath_cyclic(G: Group, n: int) -> WreathGroup:
@@ -475,13 +476,14 @@ def lemma7_by_class(G: Group) -> list[tuple[Element, Lemma7Result]]:
     closed form is the same set.
     """
     verified: dict = {}
+    pairs = [(h, G._inv(h)) for h in G._iter_payloads()]
     for g in G.elements():
         if g.payload in verified:
             continue
         rep = verified[g.payload] = lemma7_subgroup(G, g)
         W, C = rep.wreath, rep.commutator_part
         ginv = G._inv(g.payload)
-        for q, h in _class_conjugators(G, g).items():
+        for q, h in _class_conjugators(G, g, pairs).items():
             if q == g.payload:
                 continue
             member = Element(G, q)
@@ -499,12 +501,13 @@ def lemma7_by_class(G: Group) -> list[tuple[Element, Lemma7Result]]:
     return [(g, verified[g.payload]) for g in G.elements()]
 
 
-def _class_conjugators(G: Group, g: Element) -> dict:
+def _class_conjugators(G: Group, g: Element, pairs: list) -> dict:
     """Each member q of the class of g, mapped to the first h in G (in
-    listed order) with q = h^-1 g h."""
+    listed order) with q = h^-1 g h; `pairs` lists each h of G with its
+    inverse."""
     out: dict = {}
-    for h in G._iter_payloads():
-        out.setdefault(G._mul(G._mul(G._inv(h), g.payload), h), h)
+    for h, hinv in pairs:
+        out.setdefault(G._mul(G._mul(hinv, g.payload), h), h)
     return out
 
 

@@ -1,17 +1,21 @@
-"""Finite group engine with four interchangeable backends.
+"""Finite group engine with three interchangeable backends, and a dense
+table that checks the group laws.
 
 A Group exposes one contract (multiply, invert, identity, enumerate,
-render/parse) over four element representations:
+render/parse) over three element representations:
 
-* dense-table: elements are indices into a list whose products fill one
-  flat 16-bit Cayley table, refused before its first row is filled,
+* perm-closure: elements are permutation image tuples, each rendered and
+  parsed once per group; every named group is one, and a direct product
+  acts on the disjoint union of its factors' points,
 * coset: elements are the indices of a quotient's cosets, multiplied
   through their representatives in the parent group (see Group.quotient),
-* perm-closure: elements are permutation image tuples, each rendered and
-  parsed once per group,
-* wreath-structured: elements (base tuple, shift) are stored as one
-  permutation over a permutation base and as the pair itself over any
-  other, and no table is ever materialized (see constructions.WreathGroup).
+* wreath-structured: an element (base tuple, shift) is one permutation of
+  the arity times the base's points, and no table is ever materialized
+  (see constructions.WreathGroup).
+
+A `TableGroup` lists a group's elements and fills one flat 16-bit Cayley
+table, refused before its first row is filled; `verify_group_axioms`
+builds one to check the laws of any group.
 
 Subgroups are explicit sorted payload tuples; at desk scale set semantics
 beat generator-only laziness and keep fixtures stable. An `Element` is a
@@ -33,7 +37,7 @@ import os
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product as iproduct, repeat
+from itertools import repeat
 from operator import itemgetter
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Sequence
@@ -42,11 +46,13 @@ from . import perms
 from .errors import CapExceeded, Falsification, ParseError, PreconditionError
 
 # The limits on building groups, for every backend. A permutation closure
-# stops as it outgrows the closure cap or the entry budget, a quotient above
-# the cap is refused before its cosets are listed, and a dense table before
-# its first row is filled (the entry budget, then the cap); a wreath listing
-# is refused by its own order cap and the entry budget, and a wreath product
-# by the order cap where arity^2 * |base| passes it.
+# stops as it outgrows the closure cap or the entry budget, at about 8 B per
+# entry (one pointer each); a quotient above the cap is refused before its
+# cosets are listed, and a dense table, at 2 B per entry, before its first
+# row is filled (the entry budget, then the cap). `cyclic_group` and
+# `direct_product` refuse their orders as a table of that order is refused.
+# A wreath listing is refused by its own order cap and the entry budget, and
+# a wreath product by the order cap where arity^2 * |base| passes it.
 DEFAULT_CAP = 10_000
 # n*n entries, 32 MB as array("H"); n <= 4096 also keeps each entry in 16 bits
 TABLE_ENTRY_BUDGET = 1 << 24
@@ -490,22 +496,6 @@ class ListNamer:
         return self._index[key]
 
 
-class IntegerNamer:
-    """Cyclic group naming: the residue itself."""
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def render(self, i: int) -> str:
-        return str(i)
-
-    def parse(self, s: str) -> int:
-        try:
-            return int(s.strip()) % self.n
-        except ValueError:
-            raise ParseError(s, "expected an integer residue") from None
-
-
 class CycleNamer:
     """Cycle-notation names for a perm-closure group."""
 
@@ -520,13 +510,15 @@ class CycleNamer:
 
 
 class PairNamer:
-    """"(a|b)" names for the payload pairs of a direct product A x B."""
+    """"(a|b)" names for the payloads of a direct product A x B: a's images
+    on A's d points, then b's shifted past them."""
 
-    def __init__(self, A: Group, B: Group):
-        self.A, self.B = A, B
+    def __init__(self, A: "PermGroup", B: "PermGroup"):
+        self.A, self.B, self.d = A, B, A.degree
 
-    def render(self, pair) -> str:
-        return f"({self.A._render(pair[0])}|{self.B._render(pair[1])})"
+    def render(self, p) -> str:
+        d = self.d
+        return f"({self.A._render(p[:d])}|{self.B._render(tuple([x - d for x in p[d:]]))})"
 
     def parse(self, s: str) -> tuple:
         text = s.strip()
@@ -535,7 +527,8 @@ class PairNamer:
         head, *tail = _split_top(text[1:-1], "|")
         if not tail:
             raise ParseError(s, "missing top-level '|'")
-        return self.A._parse(head), self.B._parse("|".join(tail))
+        d = self.d
+        return self.A._parse(head) + tuple([d + x for x in self.B._parse("|".join(tail))])
 
 
 # -- index backends: dense Cayley tables and cosets -----------------------
@@ -707,9 +700,9 @@ class PermGroup(Group):
         if degree < 0:
             raise PreconditionError("degree must be nonnegative")
         self.degree = degree
-        # the walk stops past the cap, or within the entry budget's points
+        # the walk stops past the cap, or past the entry budget's points
         limit = default_cap()
-        abort_at = min(limit + 1, TABLE_ENTRY_BUDGET // max(degree, 1))
+        abort_at = min(limit, TABLE_ENTRY_BUDGET // max(degree, 1)) + 1
         gens, ordered, complete = perm_closure(generator_perms, abort_at, degree)
         if not complete:
             raise CapExceeded(
@@ -974,14 +967,11 @@ def _split_top(s: str, sep: str) -> list[str]:
     return parts
 
 
-def direct_product(A: Group, B: Group) -> TableGroup:
-    """Direct product as a dense-table group with "(a|b)" element names."""
+def direct_product(A: PermGroup, B: PermGroup) -> PermGroup:
+    """A x B on the disjoint union of their points, B's after A's, with
+    "(a|b)" element names; its order is refused as a table's would be."""
     check_table_order(A.order * B.order)
-    return TableGroup(
-        list(iproduct(A._iter_payloads(), B._iter_payloads())),
-        lambda p, q: (A._mul(p[0], q[0]), B._mul(p[1], q[1])),
-        PairNamer(A, B),
-        name=f"{A.name}x{B.name}",
-        generators=[(g, B._id()) for g in A._generator_payloads()]
-        + [(A._id(), g) for g in B._generator_payloads()],
-    )
+    d, e = A.degree, B.degree
+    gens = [g + tuple(range(d, d + e)) for g in A._generator_payloads()]
+    gens += [tuple(range(d)) + tuple([d + x for x in g]) for g in B._generator_payloads()]
+    return PermGroup(d + e, gens, namer=PairNamer(A, B), name=f"{A.name}x{B.name}")

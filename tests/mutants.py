@@ -163,14 +163,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # block i of the payload carries f[i], so a product shifts the left
+        # operand's coordinates by the right operand's k
         "wreath-mul-shifts-by-right-k",
         "src/groupsmith/constructions.py",
-        "            tuple(bmul(f[i], f2[(i - k) % n]) for i in range(n)),\n",
-        "            tuple(bmul(f[i], f2[(i - k2) % n]) for i in range(n)),\n",
+        "            out += [src * d + x for x in f[src]]\n",
+        "            out += [src * d + x for x in f[i]]\n",
         (
-            "tests/test_equations.py::test_adjoin_nth_root",
-            "tests/test_constructions.py::test_lemma8_z6_central",
-            "tests/test_properties.py::test_wreath_law",
+            "tests/test_properties.py::test_flat_kernel_matches_oracle_exhaustively",
+            "tests/test_constructions.py::test_wreath_render_parse",
+            "tests/test_equations.py::test_levin_solve_matches_scan_oracle",
         ),
     ),
     Mutant(
@@ -186,11 +188,28 @@ MUTANTS = (
     Mutant(
         "diag-without-block-offsets",
         "src/groupsmith/constructions.py",
-        "            return Element(self, tuple([o + x for o in self._offsets for x in g.payload]))\n",
-        "            return Element(self, tuple([x for o in self._offsets for x in g.payload]))\n",
+        "        return Element(self, tuple([o + x for o in self._offsets for x in g.payload]))\n",
+        "        return Element(self, tuple([x for o in self._offsets for x in g.payload]))\n",
         (
             "tests/test_properties.py::test_diag_embed_and_identity_are_packed",
             "tests/test_properties.py::test_wreath_law",
+        ),
+    ),
+    Mutant(
+        "product-names-split-at-the-second-degree",
+        "src/groupsmith/core.py",
+        "        self.A, self.B, self.d = A, B, A.degree\n",
+        "        self.A, self.B, self.d = A, B, B.degree\n",
+        ("tests/test_core.py::test_render_parse_roundtrip_all_backends",),
+    ),
+    Mutant(
+        "cyclic-names-without-the-inverse-unit",
+        "src/groupsmith/constructions.py",
+        "        self._units = [n // q * pow(n // q, -1, q) for q in orders]\n",
+        "        self._units = [n // q for q in orders]\n",
+        (
+            "tests/test_core.py::test_render_parse_roundtrip_all_backends",
+            "tests/test_properties.py::test_parse_inverts_render_on_every_backend",
         ),
     ),
     Mutant(

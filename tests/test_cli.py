@@ -202,8 +202,8 @@ def test_lemma7_check_never_builds_the_subgroup(capsys, monkeypatch):
 def test_lemma7_check_refuses_a_wrong_conjugator(capsys, monkeypatch):
     honest = constructions._class_conjugators
 
-    def wrong(G, g):
-        out = honest(G, g)
+    def wrong(G, g, pairs):
+        out = honest(G, g, pairs)
         for q in out:
             if q != g.payload:
                 out[q] = G._id()  # conjugates g to itself, not to q
@@ -574,9 +574,10 @@ def test_lemma8_quotient_under_a_broken_wreath_law_is_falsified(capsys, monkeypa
     # shifting by the right operand's k: e * p is not always p, so the
     # cosets of K miss elements of the wreath product
     def mul_shifted_by_right_k(self, p, q):
-        (f, k), (f2, k2) = p, q
+        (f, k), (f2, k2) = self.unpack(p), self.unpack(q)
         n = self.arity
-        return tuple(self.base._mul(f[i], f2[(i - k2) % n]) for i in range(n)), (k + k2) % n
+        h = tuple(self.base._mul(f[i], f2[(i - k2) % n]) for i in range(n))
+        return self.pack(h, (k + k2) % n)
 
     monkeypatch.setattr(WreathGroup, "_mul", mul_shifted_by_right_k)
     for spec in ("Z6", "Z3xS3"):

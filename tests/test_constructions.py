@@ -9,10 +9,10 @@ from groupsmith.constructions import (
     prop1_embedding,
     wreath_cyclic,
 )
-from groupsmith import perms
 from groupsmith.core import (
     TABLE_ENTRY_BUDGET,
-    CycleNamer,
+    ListNamer,
+    PermGroup,
     TableGroup,
     mutual_commutator,
     normal_closure,
@@ -36,11 +36,12 @@ def test_d7_shape(d7):
 
 def test_permutation_closure_stops_within_the_table_entry_budget():
     # D5003 has 10,006 elements, past the closure cap of 10,000; the walk
-    # stops first at the 3,353 permutations of degree 5003 that fit 2^24
+    # stops first, at the one past the 3,353 permutations of degree 5003
+    # that fit 2^24
     with pytest.raises(CapExceeded) as info:
         constructions.dihedral_group(5003)
     count = info.value.partial_count
-    assert count * 5003 <= TABLE_ENTRY_BUDGET < (count + 1) * 5003
+    assert (count - 1) * 5003 <= TABLE_ENTRY_BUDGET < count * 5003
 
 
 def test_d3_is_s3_up_to_relabeling(s3):
@@ -95,6 +96,14 @@ def test_wreath_orders(s3):
     assert wreath_cyclic(s3, 1290).arity == 1290
     with pytest.raises(CapExceeded, match=r"S3 wr Z1291: arity\^2 \* \|base\| exceeds cap 10000000"):
         wreath_cyclic(s3, 1291)
+
+
+def test_wreath_needs_a_base_that_permutes_points(z6):
+    quotient = lemma8_construct(z6, subgroup_generated(z6, [z6.parse("2")])).quotient
+    table = TableGroup(range(2), lambda a, b: a ^ b, ListNamer("01"), name="Z2-table")
+    for base in (quotient, table):
+        with pytest.raises(PreconditionError, match="needs a base that permutes points"):
+            wreath_cyclic(base, 2)
 
 
 def test_wreath_enumeration_matches_order(z6):
@@ -184,8 +193,9 @@ def test_lemma7_order_formula_everywhere(s3, d5):
 
 
 def _bare_s3():
+    """S3 with every element but the identity as a generator."""
     _, s3_perms, _ = perm_closure([(1, 0, 2), (1, 2, 0)], 7)
-    bare = TableGroup(s3_perms, perms.compose, CycleNamer(3), name="S3-bare")
+    bare = PermGroup(3, s3_perms[1:], name="S3-bare")
     assert bare.generators == tuple(bare.elements())[1:]
     return bare
 
@@ -196,15 +206,12 @@ def _z6_quotient(z6):
     return quot
 
 
-def test_lemma7_matches_independent_closure(s3, z6):
-    # S3 lists generators; a bare table lists every element but the
-    # identity; a lemma 8 quotient lists the images of the wreath's; S4
-    # (L up to order 576) and Z3xS3 (a table base) by class representative.
+def test_lemma7_matches_independent_closure(s3):
+    # S3 lists generators; a bare S3 lists every element but the identity;
+    # S4 (L up to order 576) and Z3xS3 (a product) by class representative.
     cases = [(s3, s3.parse("(1 2 3)"))]
     bare = _bare_s3()
     cases += [(bare, g) for g in bare.elements()]
-    quot = _z6_quotient(z6)
-    cases += [(quot, g) for g in quot.elements()]
     for spec in ("S4", "Z3xS3"):
         G = named_group(spec)
         cases += [(G, cls[0]) for cls in G.conjugacy_classes()]
@@ -344,11 +351,9 @@ def test_lemma8_witness_is_first_failing_member(spec, normal_gens, member, conju
 
 
 def test_lemma8_on_a_table_group_listing_no_generators(s3):
-    # a table built without generators lists every element but the
+    # a group built without chosen generators lists every element but the
     # identity; the shift alone would make K look normal in S3 wr Z2
-    _, s3_perms, _ = perm_closure([(1, 0, 2), (1, 2, 0)], 7)
-    bare = TableGroup(s3_perms, perms.compose, CycleNamer(3), name="S3-bare")
-    assert bare.generators == tuple(bare.elements())[1:]
+    bare = _bare_s3()
     W = wreath_cyclic(bare, 2)
     assert subgroup_generated(W, W.generators).order == 72
     res = lemma8_construct(bare, subgroup_generated(bare, [bare.parse("(1 2 3)")]))
@@ -356,7 +361,7 @@ def test_lemma8_on_a_table_group_listing_no_generators(s3):
     member, conjugator = res.witness
     assert (res.wreath.render(member), res.wreath.render(conjugator)) == (
         "[(1 2 3),(1 3 2);0]",
-        "[(1 2),();0]",
+        "[(2 3),();0]",  # the least generator, in sorted order
     )
 
 

@@ -5,13 +5,12 @@ from itertools import islice
 
 import pytest
 
-from groupsmith import perms
+from groupsmith import core, perms
 from groupsmith.constructions import cyclic_group, lemma8_construct, named_group, wreath_cyclic
 from groupsmith.core import (
     TABLE_ENTRY_BUDGET,
-    CycleNamer,
     Group,
-    IntegerNamer,
+    ListNamer,
     PermGroup,
     Subgroup,
     TableGroup,
@@ -236,18 +235,21 @@ def test_cross_group_mix_rejected(s3, z6):
 def _payload_cases():
     """(group, a member's payload, look-alikes equal to it that are not
     payloads) for each backend: floats and bools compare equal to ints."""
-    s3, z3 = named_group("S3"), named_group("Z3")
-    flat, pairs = wreath_cyclic(s3, 2), wreath_cyclic(z3, 2)
+    s3 = named_group("S3")
+    flat = wreath_cyclic(s3, 2)
     member = flat.pack(((1, 0, 2), (0, 1, 2)), 0)
     return {
         "perm-closure": (s3, (1, 0, 2), [(1.0, 0.0, 2.0), (True, False, 2), [1, 0, 2]]),
-        "dense-table": (z3, 1, [1.0, True]),
+        "dense-table": (_z3_table(), 1, [1.0, True]),
         "flat-wreath": (flat, member, [tuple(map(float, member)), (True, False) + member[2:]]),
-        "table-wreath": (pairs, ((1, 2), 1), [((1, 2), True), ((1.0, 2), 1)]),
     }
 
 
-@pytest.mark.parametrize("backend", ["perm-closure", "dense-table", "flat-wreath", "table-wreath"])
+def _z3_table():
+    return TableGroup(range(3), lambda a, b: (a + b) % 3, ListNamer("012"), name="Z3")
+
+
+@pytest.mark.parametrize("backend", ["perm-closure", "dense-table", "flat-wreath"])
 def test_element_takes_exact_int_payloads_only(backend):
     G, member, look_alikes = _payload_cases()[backend]
     assert G.render(G.element(member))
@@ -345,7 +347,7 @@ def test_table_order_above_16_bits_is_a_cap(monkeypatch):
     assert math.isqrt(TABLE_ENTRY_BUDGET) <= 1 << 16
     monkeypatch.setenv("GROUPSMITH_CAP", "70000")
     with pytest.raises(CapExceeded) as err:
-        TableGroup(_UnbuiltTable(65537), max, IntegerNamer(2), name="unbuilt")
+        TableGroup(_UnbuiltTable(65537), max, ListNamer("01"), name="unbuilt")
     assert err.value.partial_count == 65537
     assert "above the table entry budget 16777216" in str(err.value)
     with pytest.raises(CapExceeded):
@@ -402,16 +404,36 @@ def test_table_entry_budget_is_checked_before_the_cap(monkeypatch):
 
 
 def test_a_table_is_filled_without_nested_lists():
-    # Z400 holds 160,000 entries, 0.32 MB as array("H"); building them as
-    # nested lists first peaks at about 3.5 MB
-    tracemalloc.start()
-    try:
-        z400 = cyclic_group(400)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert z400.order == 400 and z400.parse("399").inv() == z400.parse("1")
-    assert peak < 1 << 20
+    # Z400 acts on its cycles of 16 and 25 points: 400 payloads of 41
+    # entries. A dense table of order 400 holds 160,000 entries, 0.32 MB as
+    # array("H"); building them as nested lists first peaks at about 3.5 MB
+    builders = [
+        lambda: cyclic_group(400),
+        lambda: TableGroup(
+            range(400), lambda a, b: (a + b) % 400, ListNamer(map(str, range(400))),
+            name="Z400", generators=[1],
+        ),
+    ]
+    for build in builders:
+        tracemalloc.start()
+        try:
+            z400 = build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert z400.order == 400 and z400.parse("399").inv() == z400.parse("1")
+        assert peak < 1 << 20
+
+
+def test_the_closure_fills_the_entry_budget_exactly(monkeypatch):
+    # Z4 is one 4-cycle: its 4 payloads of 4 entries fill a budget of 16
+    monkeypatch.setattr(core, "TABLE_ENTRY_BUDGET", 16)
+    assert cyclic_group(4).order == 4
+    with pytest.raises(CapExceeded, match="order 5 needs 25 entries"):
+        cyclic_group(5)
+    with pytest.raises(CapExceeded, match="closure of S4 is too large") as err:
+        PermGroup(4, [(1, 0, 2, 3), (1, 2, 3, 0)], name="S4")
+    assert err.value.partial_count == 5
 
 
 @pytest.mark.parametrize(
@@ -426,7 +448,7 @@ def test_a_table_is_filled_without_nested_lists():
 )
 def test_table_input_checks(elements, mul, message):
     with pytest.raises(PreconditionError) as err:
-        TableGroup(elements, mul, IntegerNamer(3), name="bad")
+        TableGroup(elements, mul, ListNamer("012"), name="bad")
     assert str(err.value) == message
 
 
@@ -445,16 +467,22 @@ LOOP5 = ("01234", "10342", "24013", "32401", "43120")
 def test_table_refuses_what_generator_queries_would_get_wrong(generators, message):
     with pytest.raises(PreconditionError) as err:
         TableGroup(
-            range(5), lambda a, b: int(LOOP5[a][b]), IntegerNamer(5),
+            range(5), lambda a, b: int(LOOP5[a][b]), ListNamer("01234"),
             name="loop5", generators=generators,
         )
     assert str(err.value) == message
 
 
+def _listing_every_element(G: PermGroup) -> PermGroup:
+    """G again, with every element but the identity as a generator."""
+    bare = PermGroup(G.degree, list(G._iter_payloads())[1:], name=f"{G.name}-bare")
+    assert bare.generators == tuple(bare.elements())[1:]
+    return bare
+
+
 def test_direct_product_keeps_a_factor_without_generators():
-    s3_perms = perm_closure([(1, 0, 2), (1, 2, 0)], 100)[1]
-    bare = TableGroup(s3_perms, perms.compose, CycleNamer(3), name="S3-bare")
-    product = direct_product(bare, cyclic_group(3))
+    # a factor built without chosen generators lists every element but the identity
+    product = direct_product(_listing_every_element(named_group("S3")), cyclic_group(3))
     assert not product.is_abelian()
     assert product.center().order == 3
 
@@ -684,13 +712,10 @@ AMBIENT_SPECS = ("S3", "Z6", "A4", "D7", "S4", "S4xZ2", "Z48")
 
 
 def conjugation_inputs():
-    """The ambient groups, S4 as a table built without generators (so it
-    lists every element but the identity), and D3 wr Z2."""
-    _, s4_perms, _ = perm_closure([(1, 0, 2, 3), (1, 2, 3, 0)], 25)
-    bare = TableGroup(s4_perms, perms.compose, CycleNamer(4), name="S4-bare")
-    assert bare.generators == tuple(bare.elements())[1:]
+    """The ambient groups, S4 listing every element but the identity as a
+    generator, and D3 wr Z2."""
     named = [named_group(spec) for spec in AMBIENT_SPECS]
-    return named + [bare, wreath_cyclic(named_group("D3"), 2)]
+    return named + [_listing_every_element(named[4]), wreath_cyclic(named_group("D3"), 2)]
 
 
 def test_orbit_stabilizer_for_all_subgroups():

@@ -190,7 +190,7 @@ def random_equations(G, n: int, count: int, seed: int) -> list[PositiveEquation]
     ]
 
 
-# Z3xS3 is a table base, the others permutation bases
+# Z3xS3 is a product base, the others one symmetric or dihedral group
 SCAN_CASES = [
     ("S3", 2), ("S3", 3), ("S3", 4), ("D5", 2), ("D5", 3), ("S4", 2), ("Z3xS3", 2), ("Z3xS3", 3)
 ]
@@ -258,7 +258,7 @@ def test_levin_abelian_closed_form():
                 for c in coeffs:
                     prod = prod * c
                 f = [prod.inv()] + [G.identity] * (n - 1)
-                x = W.element((tuple(e.payload for e in f), 1))
+                x = W.element(W.pack(tuple(e.payload for e in f), 1))
                 assert evaluate(eq, W, W.diag_embed, x) == W.identity
                 solved = levin_solve(eq, G)
                 Ws = solved.group

@@ -77,7 +77,7 @@ def wreaths(specs) -> st.SearchStrategy:
     return st.sampled_from(specs).map(lambda spec_n: wreath(*spec_n))
 
 
-# S3 and D5 are permutation bases, Z6 and Z3xS3 table bases
+# S3 and D5 on their points, Z6 on cycles of 2 and 3, Z3xS3 a product
 WREATHS = wreaths([(spec, n) for spec in ("S3", "D5", "Z6", "Z3xS3") for n in (2, 3)])
 
 
@@ -97,7 +97,7 @@ def test_wreath_law(drawn):
     assert root**n == W.diag_embed(g)
 
 
-# -- flat payloads over permutation bases ------------------------------------------
+# -- flat payloads --------------------------------------------------------------------
 
 
 def coordinate_pairs(W):
@@ -188,14 +188,6 @@ def test_diag_embed_and_identity_are_packed(spec):
         assert W.diag_embed(g).payload == W.pack((g.payload,) * 3, 0)
 
 
-def test_table_base_wreath_conjugates_by_products(monkeypatch):
-    W = wreath("Z3xS3", 2)
-    pays = list(W._iter_payloads())[::97]
-    expected = [Group._conjugate_set(W, pays, y) for y in pays]
-    monkeypatch.setattr(perms, "conjugates", None)  # the flat kernel must not run
-    assert [W._conjugate_set(pays, y) for y in pays] == expected
-
-
 def test_flat_payloads_outside_the_wreath_are_rejected(a4):
     W = wreath_cyclic(a4, 2)
     e = a4._id()
@@ -216,9 +208,9 @@ def test_flat_payloads_outside_the_wreath_are_rejected(a4):
 
 @cache
 def round_trip_groups() -> tuple:
-    """One group per backend and namer: cycle, dihedral, integer, product,
-    coset and closure-table names, and wreath products over both bases;
-    built when a test first asks for them."""
+    """One group per backend and namer: cycle, dihedral, residue, product,
+    coset and closure-table names, and wreath products over a symmetric
+    and a product base; built when a test first asks for them."""
     z6 = named_group("Z6")
     quotient = lemma8_construct(z6, odd_abelian_normal_candidates(z6)[0]).quotient
     return (

@@ -4,7 +4,7 @@ report on purpose declares it by editing PINNED."""
 
 import report_digest
 
-PINNED = "48 commands, sha256 7fccd33ebf11d5c2a2113694bc7d9aae70088b0723505949e9eea84981bd2f7e"
+PINNED = "48 commands, sha256 f6f12f21f31e34767490f8095b7c3bcaa794f6bc271633cdcbfdabe9d0eac52f"
 
 
 def test_report_digest_is_pinned(capsys):
