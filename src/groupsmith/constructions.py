@@ -9,16 +9,19 @@ every other module:
 Under this law the element ((g, 1, ..., 1), 1) raised to the n-th power is
 the diagonal image of g, which is the root every construction below relies
 on.
+
+`WreathGroup` takes its permutation kernels from `PermGroup`'s payload base
+and keeps only its (f, k) structure and its own flat product. The results
+of the constructions are `NamedTuple`s; `_replace` derives a changed copy.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate, product as iproduct
 from operator import itemgetter
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from . import perms
 from .core import (
@@ -29,6 +32,7 @@ from .core import (
     Subgroup,
     TABLE_ENTRY_BUDGET,
     WREATH_ORDER_CAP,
+    _PermPayloadGroup,
     _split_top,
     check_table_order,
     closure_payloads,
@@ -189,13 +193,14 @@ def named_group(spec: str) -> Group:
 # -- wreath products ---------------------------------------------------------
 
 
-class WreathGroup(Group):
+class WreathGroup(_PermPayloadGroup):
     """Wreath product of a permutation base with the cyclic shift of n
     coordinates.
 
     Elements are (f, k) with f a tuple of n base elements and k a shift mod
-    n; the order is n * |base|^n. The base must act on d >= 1 points, and
-    the payload of (f, k) is the permutation of n*d points, n blocks of d,
+    n; the order is n * |base|^n. The base must act on d >= 1 points (a
+    `PermGroup`, or another wreath product), and the payload of (f, k) is
+    the permutation of n*d points, n blocks of d,
     that sends i*d + j to ((i+k) % n)*d + f[(i+k) % n][j]. This is a
     homomorphism under `perms.compose`, so a product is one `itemgetter`
     call of degree n*d; `pack` and `unpack` convert between (f, k) and the
@@ -211,19 +216,20 @@ class WreathGroup(Group):
     def __init__(self, base: Group, arity: int):
         if arity < 2:
             raise PreconditionError(f"wreath arity must be at least 2, got {arity}")
-        super().__init__(f"{base.name} wr Z{arity}")
-        self._d = d = getattr(base, "degree", 0)  # the block size
+        name = f"{base.name} wr Z{arity}"
+        d = getattr(base, "degree", 0)  # the block size
         if not d:
-            raise PreconditionError(f"{self.name} needs a base that permutes points")
+            raise PreconditionError(f"{name} needs a base that permutes points")
         if arity * arity * base.order > WREATH_ORDER_CAP:
-            raise CapExceeded(f"{self.name}: arity^2 * |base| exceeds cap {WREATH_ORDER_CAP}")
+            raise CapExceeded(f"{name}: arity^2 * |base| exceeds cap {WREATH_ORDER_CAP}")
+        super().__init__(name, arity * d)
         self.base = base
         self.arity = arity
+        self._d = d
         self._order = arity * base.order**arity
         self._base_id = base._id()
         # where each block of a payload starts
-        self._offsets = range(0, arity * d, d)
-        self._identity = self.pack((self._base_id,) * arity, 0)
+        self._offsets = range(0, self.degree, d)
 
     @property
     def order(self) -> int:
@@ -255,14 +261,6 @@ class WreathGroup(Group):
         # n*d >= 2 points, so itemgetter returns a tuple
         return itemgetter(*q)(p)
 
-    def _inv(self, p):
-        return perms.invert(p)
-
-    _conjugate_set = staticmethod(perms.conjugates)
-
-    def _id(self):
-        return self._identity
-
     def _iter_payloads(self) -> Iterator:
         self._refuse_listing("wreath", self._order)
         base_pays = list(self.base._iter_payloads())
@@ -276,7 +274,7 @@ class WreathGroup(Group):
         # k further on, and 0 <= k < n
         if not (
             isinstance(p, tuple)
-            and len(p) == self.arity * self._d
+            and len(p) == self.degree
             and all(type(x) is int for x in p)
         ):
             return False
@@ -323,7 +321,7 @@ class WreathGroup(Group):
         entries than the table entry budget."""
         if order > WREATH_ORDER_CAP:
             raise CapExceeded(f"{what} order {order} exceeds cap {WREATH_ORDER_CAP}", order)
-        entries = order * self.arity * self._d
+        entries = order * self.degree
         if entries > TABLE_ENTRY_BUDGET:
             raise CapExceeded(
                 f"{what} order {order} needs {entries} payload entries, "
@@ -363,21 +361,23 @@ def levin_root(W: WreathGroup, g: Element) -> Element:
 # -- economical constructions -------------------------------------------------
 
 
-@dataclass
-class Lemma7Result:
+class _Lemma7Fields(NamedTuple):
+    wreath: WreathGroup
+    labels: tuple  # (c, k): c a payload of the base group, k the shift
+    root: Element
+    commutator_part: Subgroup  # [<<g>>, G] inside the base group
+    embed: Callable[[Element], Element]
+
+
+class Lemma7Result(_Lemma7Fields):
     """The subgroup L of G wr Z2 generated by the diagonal copy D of G and
     the canonical square root of g, held as its left cosets of D.
 
     The coset of (f0, f1; k) is labelled (f0*f1^-1, k). `labels` are the
     labels of L/D, each verified against the closed form, so that
-    |L| = |G| * len(labels). `subgroup` builds L itself on first access.
+    |L| = |G| * len(labels). `subgroup` builds L itself on first access
+    and caches it in the instance dict: the class declares no `__slots__`.
     """
-
-    wreath: WreathGroup
-    labels: tuple  # (c, k): c a payload of the base group, k the shift
-    root: Element
-    commutator_part: Subgroup  # [<<g>>, G] inside the base group
-    embed: Callable[[Element], Element] = field(repr=False)
 
     @property
     def order(self) -> int:
@@ -497,7 +497,7 @@ def lemma7_by_class(G: Group) -> list[tuple[Element, Lemma7Result]]:
                 raise Falsification(
                     f"{G.render(member)} is not in {G.render(g)}*C for C = [<<g>>, G] in {G.name}"
                 )
-            verified[q] = replace(rep, root=root)
+            verified[q] = rep._replace(root=root)
     return [(g, verified[g.payload]) for g in G.elements()]
 
 
@@ -511,8 +511,7 @@ def _class_conjugators(G: Group, g: Element, pairs: list) -> dict:
     return out
 
 
-@dataclass
-class Lemma8Result:
+class Lemma8Result(NamedTuple):
     """Inversion subgroup K = {((x, x^-1), 0) : x in N} and, when K turns
     out to be normal in the wreath product, the quotient data."""
 
@@ -521,8 +520,8 @@ class Lemma8Result:
     normal: bool
     witness: tuple[Element, Element] | None  # (member of K, conjugator)
     quotient: CosetGroup | None
-    project: Callable[[Element], Element] | None = field(repr=False, default=None)
-    embed: Callable[[Element], Element] | None = field(repr=False, default=None)
+    project: Callable[[Element], Element] | None = None
+    embed: Callable[[Element], Element] | None = None
     embed_injective: bool | None = None
 
     def root_image(self, g: Element) -> Element:
@@ -583,8 +582,7 @@ def lemma8_construct(G: Group, N: Subgroup) -> Lemma8Result:
     )
 
 
-@dataclass
-class Prop1Result:
+class Prop1Result(NamedTuple):
     """Overgroup in which g is a square, with the strategy that produced it.
 
     Strategies, first success wins: "lemma7" (proper subgroup of the wreath
@@ -597,7 +595,7 @@ class Prop1Result:
     overgroup_order: int
     meets_bound: bool
     root: Element
-    embed: Callable[[Element], Element] = field(repr=False)
+    embed: Callable[[Element], Element]
     lemma7: Lemma7Result | None = None
     lemma8: Lemma8Result | None = None
     wreath: WreathGroup | None = None

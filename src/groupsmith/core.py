@@ -22,25 +22,26 @@ beat generator-only laziness and keep fixtures stable. An `Element` is a
 view, built when a caller reads one; no group holds its own.
 
 Conjugation has one path, `Group._conjugate_set`, which maps a payload set
-through one conjugator with a per-backend kernel (`perms.conjugates` for
-permutation payloads, two products per member elsewhere); right
-multiplication by a fixed payload, `Group._times`, is one too (an
-`itemgetter` over permutations, `_mul` elsewhere). Every orbit (the
+through one conjugator with a per-backend kernel; right multiplication by
+a fixed payload, `Group._times`, is one too. Both permutation backends
+take these kernels (`perms.conjugates`, an `itemgetter`), the inverse, the
+degree and the identity, built once, from one base, `_PermPayloadGroup`;
+elsewhere they are two products per member and `_mul`. Every orbit (the
 class of an element, the conjugates of a subgroup) is the breadth-first
 walk of `closure_payloads` under a generating set. A walk lists its points
-in discovery order; only what is reported is sorted.
+in discovery order; only what is reported is sorted. Records, such as
+`AxiomReport`, are `NamedTuple`s.
 """
 
 from __future__ import annotations
 
 import os
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from operator import itemgetter
 from types import SimpleNamespace
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import perms
 from .errors import CapExceeded, Falsification, ParseError, PreconditionError
@@ -679,10 +680,32 @@ class CosetGroup(_IndexedGroup):
         return self._namer.parse(s)
 
 
-# -- permutation closure backend -------------------------------------------
+# -- permutation payloads: the closure backend and wreath products --------
 
 
-class PermGroup(Group):
+class _PermPayloadGroup(Group):
+    """Payloads are permutations of the points 0..degree-1: the identity,
+    built once, and the inverse, conjugate-set and right-multiplier
+    kernels of `perms`."""
+
+    def __init__(self, name: str, degree: int):
+        super().__init__(name)
+        self.degree = degree
+        self._identity = perms.identity_perm(degree)
+
+    def _id(self):
+        return self._identity
+
+    def _inv(self, p):
+        return perms.invert(p)
+
+    _conjugate_set = staticmethod(perms.conjugates)
+
+    def _times(self, q):
+        return itemgetter(*q) if len(q) > 1 else super()._times(q)
+
+
+class PermGroup(_PermPayloadGroup):
     """Group of permutations closed under composition, computed eagerly;
     it renders each element, and parses each input string, once."""
 
@@ -696,10 +719,9 @@ class PermGroup(Group):
         namer=None,
         name: str = "perm-group",
     ):
-        super().__init__(name)
         if degree < 0:
             raise PreconditionError("degree must be nonnegative")
-        self.degree = degree
+        super().__init__(name, degree)
         # the walk stops past the cap, or past the entry budget's points
         limit = default_cap()
         abort_at = min(limit, TABLE_ENTRY_BUDGET // max(degree, 1)) + 1
@@ -723,17 +745,6 @@ class PermGroup(Group):
 
     def _mul(self, p, q):
         return perms.compose(p, q)
-
-    def _inv(self, p):
-        return perms.invert(p)
-
-    _conjugate_set = staticmethod(perms.conjugates)
-
-    def _times(self, q):
-        return itemgetter(*q) if len(q) > 1 else super()._times(q)
-
-    def _id(self):
-        return perms.identity_perm(self.degree)
 
     def _iter_payloads(self) -> Iterator[perms.Perm]:
         return iter(self._sorted_payloads)
@@ -911,8 +922,7 @@ def odd_abelian_normal_candidates(G: Group) -> list[Subgroup]:
 # -- axiom verification ------------------------------------------------------
 
 
-@dataclass
-class AxiomReport:
+class AxiomReport(NamedTuple):
     group_name: str
     order: int
     detail: str = ""
@@ -949,21 +959,17 @@ def verify_group_axioms(G: Group) -> AxiomReport:
 
 
 def _split_top(s: str, sep: str) -> list[str]:
-    """Split at every `sep` outside (...) and [...] brackets."""
-    parts = []
+    """Split at every `sep` outside (...) and [...] brackets: the pieces of
+    `s.split(sep)`, each joined back onto the one before while the running
+    count of opening minus closing brackets is not zero."""
+    parts: list[str] = []
     depth = 0
-    current = []
-    for ch in s:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(current))
-            current = []
+    for piece in s.split(sep):
+        if depth:
+            parts[-1] += sep + piece
         else:
-            current.append(ch)
-    parts.append("".join(current))
+            parts.append(piece)
+        depth += piece.count("(") + piece.count("[") - piece.count(")") - piece.count("]")
     return parts
 
 

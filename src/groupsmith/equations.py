@@ -16,27 +16,30 @@ mirror position, so each part is u u^-1 = e.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .constructions import WreathGroup, levin_root, wreath_cyclic
 from .core import Element, Group
 from .errors import Falsification, ParseError, PreconditionError
 
 
-@dataclass(frozen=True)
-class PositiveEquation:
-    """Coefficient sequence (g1, ..., gn) for g1*x*g2*x*...*gn*x = 1."""
-
+class _Coefficients(NamedTuple):
     coefficients: tuple[Element, ...]
 
-    def __post_init__(self):
-        if not self.coefficients:
+
+class PositiveEquation(_Coefficients):
+    """Coefficient sequence (g1, ..., gn) for g1*x*g2*x*...*gn*x = 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, coefficients: tuple[Element, ...]):
+        if not coefficients:
             raise PreconditionError("a positive equation needs at least one coefficient")
-        g0 = self.coefficients[0]
-        for g in self.coefficients:
+        g0 = coefficients[0]
+        for g in coefficients:
             if g.group is not g0.group:
                 raise PreconditionError("all coefficients must share one group")
+        return super().__new__(cls, coefficients)
 
     @property
     def degree(self) -> int:
@@ -73,7 +76,11 @@ def evaluate(
     embed: Callable[[Element], Element],
     x: Element,
 ) -> Element:
-    """embed(g1) * x * embed(g2) * x * ... * embed(gn) * x, computed in H."""
+    """embed(g1) * x * embed(g2) * x * ... * embed(gn) * x, computed in H.
+
+    Every product is one `H._mul`, not a right multiplier (`Group._times`):
+    this is the filter oracle that `solve_in_group`'s multipliers are
+    tested against, so it must not share their kernel."""
     H._check(x)
     mul, xp = H._mul, x.payload
     acc = H._id()
@@ -131,8 +138,7 @@ def levin_solve(eq: PositiveEquation, G: Group) -> Element:
     return x
 
 
-@dataclass
-class AdjoinRootResult:
+class AdjoinRootResult(NamedTuple):
     wreath: WreathGroup
     embed: Callable[[Element], Element]
     root: Element

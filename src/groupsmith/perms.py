@@ -68,20 +68,6 @@ def conjugates(payloads: Iterable[Perm], y: Perm) -> frozenset:
     return frozenset([tuple([yinv[h[j]] for j in y]) for h in payloads])
 
 
-def perm_power(p: Perm, k: int) -> Perm:
-    m = len(p)
-    if k < 0:
-        return perm_power(invert(p), -k)
-    out = identity_perm(m)
-    base = p
-    while k:
-        if k & 1:
-            out = compose(base, out)
-        base = compose(base, base)
-        k >>= 1
-    return out
-
-
 def cycles(p: Perm) -> list[tuple[int, ...]]:
     """Cycle decomposition, fixed points omitted, each cycle starting at
     its least point, cycles ordered by least point."""

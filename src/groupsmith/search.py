@@ -25,7 +25,6 @@ counts it once per member.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import prod
 from typing import Callable, Iterator, NamedTuple
 
@@ -207,8 +206,7 @@ def _conjugation(c: perms.Perm) -> Callable[[perms.Perm], perms.Perm]:
     return lambda x: perms.compose(perms.compose(c, x), c_inv)
 
 
-@dataclass
-class SearchReport:
+class SearchReport(NamedTuple):
     p: int
     m: int
     cap: int
@@ -256,7 +254,7 @@ def min_overgroup_search(p: int, m: int, cap: int = 1000) -> SearchReport:
     if cap < 1:
         raise PreconditionError(f"cap must be positive, got {cap}")
     r, g = embed_dihedral(p, m)
-    rotations = {perms.perm_power(r, k) for k in range(p)}
+    rotations = set(closure_payloads(perms.identity_perm(m), [r], perms.compose)[0])
     moves = [perms.invert]
     for c in _symmetries(p, m):
         moves.append(_conjugation(c))

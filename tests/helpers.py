@@ -4,8 +4,9 @@ Everything here is deliberately written against different algorithms than
 the production code: pairwise-product fixed points instead of generator
 BFS, all-pairs products and all triples instead of generator actions,
 counting formulas instead of enumeration, inversion counts instead of
-cycle types, and scans over every group element where production code
-acts by generators only.
+cycle types, scans over every group element where production code
+acts by generators only, and a walk over every character where
+production code splits and rejoins.
 """
 
 from collections import Counter
@@ -44,6 +45,27 @@ def perm_table(generator_perms) -> TableGroup:
         name=f"closure-{len(ordered)}",
         generators=gens,
     )
+
+
+def split_top_by_walk(s: str, sep: str) -> list[str]:
+    """Split at every `sep` outside (...) and [...] brackets, one character
+    at a time, tracking the bracket depth; `core._split_top` must agree,
+    on unbalanced input too."""
+    parts = []
+    depth = 0
+    current = []
+    for ch in s:
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            depth -= 1
+        if ch == sep and depth == 0:
+            parts.append("".join(current))
+            current = []
+        else:
+            current.append(ch)
+    parts.append("".join(current))
+    return parts
 
 
 def wreath_mul_by_coordinates(base: Group, n: int, x: tuple, y: tuple) -> tuple:

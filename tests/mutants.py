@@ -213,6 +213,24 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "split-top-ignores-square-brackets",
+        "src/groupsmith/core.py",
+        '        depth += piece.count("(") + piece.count("[") - piece.count(")") - piece.count("]")\n',
+        '        depth += piece.count("(") - piece.count(")")\n',
+        ("tests/test_properties.py::test_split_top_matches_the_character_walk",),
+    ),
+    Mutant(
+        # the payloads keep n*d points, but the identity has d
+        "wreath-degree-of-one-block",
+        "src/groupsmith/constructions.py",
+        "        super().__init__(name, arity * d)\n",
+        "        super().__init__(name, d)\n",
+        (
+            "tests/test_properties.py::test_diag_embed_and_identity_are_packed",
+            "tests/test_constructions.py::test_levin_root_squares_exhaustively",
+        ),
+    ),
+    Mutant(
         "times-on-the-left",
         "src/groupsmith/core.py",
         "        return itemgetter(*q) if len(q) > 1 else super()._times(q)\n",

@@ -21,7 +21,8 @@ RECORDS = {"SearchReport"}
 
 
 def _parameters(obj) -> set[str]:
-    target = obj.__init__ if inspect.isclass(obj) else obj
+    # a NamedTuple record takes its fields through __new__
+    target = obj.__init__ if inspect.isclass(obj) and not issubclass(obj, tuple) else obj
     return set(inspect.signature(target).parameters)
 
 

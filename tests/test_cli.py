@@ -236,9 +236,7 @@ def test_lemma7_check_refuses_a_member_outside_the_coset(capsys, monkeypatch):
     honest = constructions.lemma7_subgroup
 
     def trivial_c(G, g):
-        res = honest(G, g)
-        res.commutator_part = subgroup_generated(G, [])
-        return res
+        return honest(G, g)._replace(commutator_part=subgroup_generated(G, []))
 
     monkeypatch.setattr(constructions, "lemma7_subgroup", trivial_c)
     code, _, err = run(capsys, "lemma7-check", "--group", "S3")

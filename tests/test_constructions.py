@@ -106,6 +106,15 @@ def test_wreath_needs_a_base_that_permutes_points(z6):
             wreath_cyclic(base, 2)
 
 
+def test_a_wreath_product_is_a_wreath_base():
+    inner = wreath_cyclic(named_group("Z2"), 2)  # D4 on 4 points
+    W = wreath_cyclic(inner, 2)
+    assert (W.degree, W.order) == (8, 128)
+    assert verify_group_axioms(W).ok
+    g = inner.parse("[1,0;1]")
+    assert levin_root(W, g) ** 2 == W.diag_embed(g)
+
+
 def test_wreath_enumeration_matches_order(z6):
     W = wreath_cyclic(named_group("Z2"), 3)
     elems = list(W.elements())

@@ -24,14 +24,6 @@ def test_invert_roundtrip():
         assert perms.compose(perms.invert(p), p) == perms.identity_perm(m)
 
 
-def test_perm_power():
-    c = (1, 2, 3, 0)
-    assert perms.perm_power(c, 0) == (0, 1, 2, 3)
-    assert perms.perm_power(c, 2) == perms.compose(c, c)
-    assert perms.perm_power(c, -1) == perms.invert(c)
-    assert perms.perm_power(c, 4) == (0, 1, 2, 3)
-
-
 def test_cycles_and_type():
     p = (1, 0, 3, 4, 2, 5)
     assert perms.cycles(p) == [(0, 1), (2, 3, 4)]

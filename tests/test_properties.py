@@ -1,12 +1,13 @@
 """Property tests for the element kernels: permutation composition and
 conjugation, the wreath multiplication law, the flat wreath payloads over
-permutation bases and the parse/render round trip."""
+permutation bases, the parse/render round trip and the top-level split
+that the parsers use."""
 
 from functools import cache
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from groupsmith import perms
 from groupsmith.constructions import WreathGroup, lemma8_construct, named_group, wreath_cyclic
@@ -15,12 +16,13 @@ from groupsmith.core import (
     Group,
     PermGroup,
     TableGroup,
+    _split_top,
     normal_closure,
     odd_abelian_normal_candidates,
 )
 from groupsmith.errors import PreconditionError
 
-from helpers import perm_table, wreath_mul_by_coordinates
+from helpers import perm_table, split_top_by_walk, wreath_mul_by_coordinates
 
 
 def perm_triples(max_degree: int = 12):
@@ -32,6 +34,7 @@ def perm_triples(max_degree: int = 12):
 
 @settings(max_examples=200, deadline=None)
 @given(perm_triples())
+@example(((0,), (0,), (0,)))  # degree 1, where itemgetter would return a scalar
 def test_compose_is_the_definition_and_associative(abc):
     a, b, c = abc
     assert perms.compose(a, b) == tuple(a[b[i]] for i in range(len(a)))
@@ -237,3 +240,11 @@ def test_round_trip_groups_cover_every_backend():
     assert backends == {
         cls.backend for cls in (CosetGroup, PermGroup, TableGroup, WreathGroup)
     }
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="()[];,|x "), st.sampled_from(";,|"))
+@example("[x;x]", ";")
+@example(")x;(x", ";")
+def test_split_top_matches_the_character_walk(s, sep):
+    assert _split_top(s, sep) == split_top_by_walk(s, sep)

@@ -45,10 +45,18 @@ def test_natural_embedding_tiles_blocks():
     assert closure_order_capped([r, s], 100) == (6, True)
 
 
+def _powers(r, p):
+    """r^0, ..., r^(p-1), each one composition past the one before."""
+    out = [perms.identity_perm(len(r))]
+    for _ in range(p - 1):
+        out.append(perms.compose(r, out[-1]))
+    return out
+
+
 def _reflections(p, m):
     """The p reflections s*r^i of the embedded D_p, i = 0..p-1."""
     r, s = embed_dihedral(p, m)
-    return [perms.compose(s, perms.perm_power(r, i)) for i in range(p)]
+    return [perms.compose(s, q) for q in _powers(r, p)]
 
 
 def test_reflection_list(d7):
@@ -59,7 +67,8 @@ def test_reflection_list(d7):
     for t in reflections:
         assert perms.compose(t, t) == perms.identity_perm(7)
     # s*r^i = r^-i*s: listing them from the other side gives the same list
-    assert reflections == [perms.compose(perms.perm_power(r, -i), s) for i in range(7)]
+    powers = _powers(r, 7)
+    assert reflections == [perms.compose(powers[-i], s) for i in range(7)]
 
 
 def test_embedding_preconditions():
