@@ -6,7 +6,10 @@ that a claim of byte-identical reports takes one command to check:
 The list is every seed-1 job of `bench/jobs.py`, plus the extra commands
 below. Each command runs through `cli.main`; a report counts without its
 `timing_ms`, and a command that fails counts, and is printed, by its exit
-code. Run it on two checkouts and compare the last lines.
+code. The first digest is over the parsed reports, dumped with sorted keys;
+the second is over each command's raw JSON stdout with the value of
+`timing_ms` zeroed, so it also sees key order and indentation. Run it on
+two checkouts and compare the last two lines.
 """
 
 import contextlib
@@ -14,6 +17,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -47,25 +51,35 @@ def commands() -> list[tuple[str, ...]]:
     return jobs + EXTRAS
 
 
-def entry(argv: tuple[str, ...]) -> str:
-    """The deterministic part of one command's outcome."""
+# the report's last line but one: its top-level timing
+_TIMING = re.compile(r'^  "timing_ms": \d+$', re.M)
+
+
+def entry(argv: tuple[str, ...]) -> tuple[str, str]:
+    """The deterministic part of one command's outcome: the parsed report
+    dumped with sorted keys, and its raw stdout with the timing zeroed."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv) + ["--format", "json"])
     if code != 0:
         print(f"exit {code}: {' '.join(argv)}")
-        return f"exit {code}"
-    report = json.loads(out.getvalue())
+        return f"exit {code}", f"exit {code}"
+    raw = out.getvalue()
+    report = json.loads(raw)
     report.pop("timing_ms")
-    return json.dumps(report, sort_keys=True)
+    return json.dumps(report, sort_keys=True), _TIMING.sub('  "timing_ms": 0', raw)
 
 
 def main_digest() -> int:
-    h = hashlib.sha256()
+    parsed, raw = hashlib.sha256(), hashlib.sha256()
     cmds = commands()
     for argv in cmds:
-        h.update(" ".join(argv).encode() + b"\0" + entry(argv).encode() + b"\n")
-    print(f"{len(cmds)} commands, sha256 {h.hexdigest()}")
+        key = " ".join(argv).encode() + b"\0"
+        report, stdout = entry(argv)
+        parsed.update(key + report.encode() + b"\n")
+        raw.update(key + stdout.encode() + b"\n")
+    print(f"{len(cmds)} commands, sha256 {parsed.hexdigest()}")
+    print(f"{len(cmds)} commands, raw json sha256 {raw.hexdigest()}")
     return 0
 
 
