@@ -15,6 +15,7 @@ import json
 import random
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .constructions import (
@@ -382,6 +383,34 @@ def _params_of(args: argparse.Namespace) -> dict:
     }
 
 
+def _json_text(value, pad: str = "\n") -> str:
+    """`json.dumps(value, indent=2)`, byte for byte, for dicts with str
+    keys, without the pure-Python encoder that `indent` selects; `pad` is
+    the newline and indent of the line `value` starts on."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = [_quote(k) + ": " + _json_text(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in value]) + pad + "]"
+    return json.dumps(value)
+
+
 def _emit_text(report: dict, out) -> None:
     print(f"groupsmith {report['tool_version']} :: {report['command']}", file=out)
     for k, v in report["params"].items():
@@ -461,7 +490,7 @@ def main(argv=None) -> int:
         "timing_ms": int((time.perf_counter() - started) * 1000),
     }
     if args.format == "json":
-        print(json.dumps(report, indent=2))
+        print(_json_text(report))
     elif args.format == "csv":
         header, rows = CSV_TABLES[args.command]
         print(header, *rows(result), sep="\n")

@@ -10,9 +10,13 @@ Under this law the element ((g, 1, ..., 1), 1) raised to the n-th power is
 the diagonal image of g, which is the root every construction below relies
 on.
 
-`WreathGroup` takes its permutation kernels from `PermGroup`'s payload base
-and keeps only its (f, k) structure and its own flat product. The results
-of the constructions are `NamedTuple`s; `_replace` derives a changed copy.
+`WreathGroup` takes its permutation kernels, and its once-per-payload names
+and parses, from `PermGroup`'s payload base and keeps only its (f, k)
+structure, its own flat product and its diagonal payloads, each built once.
+`wreath_cyclic` hands out the live product of a base and arity, which the
+base holds weakly, so every construction over one G and n in a command
+shares one product. The results of the constructions are `NamedTuple`s;
+`_replace` derives a changed copy.
 """
 
 from __future__ import annotations
@@ -230,6 +234,7 @@ class WreathGroup(_PermPayloadGroup):
         self._base_id = base._id()
         # where each block of a payload starts
         self._offsets = range(0, self.degree, d)
+        self._diag: dict = {}  # base payload -> its diagonal payload
 
     @property
     def order(self) -> int:
@@ -281,12 +286,12 @@ class WreathGroup(_PermPayloadGroup):
         f, _ = self.unpack(p)
         return all(self.base._contains_payload(x) for x in f)
 
-    def _render(self, p) -> str:
+    def _name(self, p) -> str:
         f, k = self.unpack(p)
         inner = ",".join(self.base._render(x) for x in f)
         return f"[{inner};{k}]"
 
-    def _parse(self, s: str):
+    def _member(self, s: str):
         text = s.strip()
         if not (text.startswith("[") and text.endswith("]")):
             raise ParseError(s, "wreath elements look like [f0,...,f_{n-1};k]")
@@ -332,12 +337,20 @@ class WreathGroup(_PermPayloadGroup):
     def diag_embed(self, g: Element) -> Element:
         """The diagonal copy of a base element: constant tuple, zero shift."""
         self.base._check(g)
-        return Element(self, tuple([o + x for o in self._offsets for x in g.payload]))
+        p = self._diag.get(g.payload)
+        if p is None:
+            p = self._diag[g.payload] = tuple([o + x for o in self._offsets for x in g.payload])
+        return Element(self, p)
 
 
 def wreath_cyclic(G: Group, n: int) -> WreathGroup:
-    """G wr Z_n with the shift convention documented at module top."""
-    return WreathGroup(G, n)
+    """G wr Z_n with the shift convention documented at module top: the
+    live one, while G holds one of arity n (G holds them weakly)."""
+    live = getattr(G, "_wreaths", {})  # a base that permutes no points is refused below
+    W = live.get(n)
+    if W is None:
+        W = live[n] = WreathGroup(G, n)
+    return W
 
 
 def levin_root(W: WreathGroup, g: Element) -> Element:

@@ -4,14 +4,17 @@ table that checks the group laws.
 A Group exposes one contract (multiply, invert, identity, enumerate,
 render/parse) over three element representations:
 
-* perm-closure: elements are permutation image tuples, each rendered and
-  parsed once per group; every named group is one, and a direct product
-  acts on the disjoint union of its factors' points,
+* perm-closure: elements are permutation image tuples; every named group
+  is one, and a direct product acts on the disjoint union of its factors'
+  points,
 * coset: elements are the indices of a quotient's cosets, multiplied
   through their representatives in the parent group (see Group.quotient),
 * wreath-structured: an element (base tuple, shift) is one permutation of
   the arity times the base's points, and no table is ever materialized
   (see constructions.WreathGroup).
+
+Both permutation backends render each element, and parse each input
+string, once per group.
 
 A `TableGroup` lists a group's elements and fills one flat 16-bit Cayley
 table, refused before its first row is filled; `verify_group_axioms`
@@ -42,6 +45,7 @@ from itertools import repeat
 from operator import itemgetter
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from weakref import WeakValueDictionary
 
 from . import perms
 from .errors import CapExceeded, Falsification, ParseError, PreconditionError
@@ -686,12 +690,19 @@ class CosetGroup(_IndexedGroup):
 class _PermPayloadGroup(Group):
     """Payloads are permutations of the points 0..degree-1: the identity,
     built once, and the inverse, conjugate-set and right-multiplier
-    kernels of `perms`."""
+    kernels of `perms`. Each payload is rendered, and each input string
+    parsed, once: a subclass names a payload in `_name` and reads a member
+    in `_member`, which raises on a string that names none."""
 
     def __init__(self, name: str, degree: int):
         super().__init__(name)
         self.degree = degree
         self._identity = perms.identity_perm(degree)
+        # per group, never shared: D7 and S7 name one 7-cycle differently
+        self._names: dict = {}  # payload -> name
+        self._read: dict = {}  # input string -> member payload
+        # arity -> the live G wr Z_arity; weak, so no reference cycle forms
+        self._wreaths = WeakValueDictionary()
 
     def _id(self):
         return self._identity
@@ -704,10 +715,22 @@ class _PermPayloadGroup(Group):
     def _times(self, q):
         return itemgetter(*q) if len(q) > 1 else super()._times(q)
 
+    def _render(self, p) -> str:
+        name = self._names.get(p)
+        if name is None:
+            name = self._names[p] = self._name(p)
+        return name
+
+    def _parse(self, s: str):
+        # a failed parse raises before it is stored, so it raises again
+        p = self._read.get(s)
+        if p is None:
+            p = self._read[s] = self._member(s)
+        return p
+
 
 class PermGroup(_PermPayloadGroup):
-    """Group of permutations closed under composition, computed eagerly;
-    it renders each element, and parses each input string, once."""
+    """Group of permutations closed under composition, computed eagerly."""
 
     backend = "perm-closure"
 
@@ -735,9 +758,6 @@ class PermGroup(_PermPayloadGroup):
         self._pset = frozenset(ordered)
         self._gens = gens
         self._namer = namer if namer is not None else CycleNamer(degree)
-        # per group, never shared: D7 and S7 name one 7-cycle differently
-        self._names: dict = {}  # payload -> name
-        self._read: dict = {}  # input string -> member payload
 
     @property
     def order(self) -> int:
@@ -753,19 +773,13 @@ class PermGroup(_PermPayloadGroup):
         # exact ints: a tuple of floats or bools can equal a member
         return type(p) is tuple and all(type(x) is int for x in p) and p in self._pset
 
-    def _render(self, p) -> str:
-        name = self._names.get(p)
-        if name is None:
-            name = self._names[p] = self._namer.render(p)
-        return name
+    def _name(self, p) -> str:
+        return self._namer.render(p)
 
-    def _parse(self, s: str):
-        p = self._read.get(s)
-        if p is None:
-            p = self._namer.parse(s)
-            if p not in self._pset:
-                raise ParseError(s, f"not an element of {self.name}")
-            self._read[s] = p
+    def _member(self, s: str):
+        p = self._namer.parse(s)
+        if p not in self._pset:
+            raise ParseError(s, f"not an element of {self.name}")
         return p
 
     def _generator_payloads(self) -> tuple:

@@ -130,7 +130,7 @@ def levin_solve(eq: PositiveEquation, G: Group) -> Element:
         embed = H.diag_embed
         s = solve_in_group(eq, G)
         if s is not None:
-            x = Element(H, H.pack((s.payload,) * n, 0))
+            x = H.diag_embed(s)
         else:
             x = Element(H, H.pack(tuple(G._inv(g.payload) for g in eq.coefficients), 1))
     if evaluate(eq, H, embed, x) != H.identity:

@@ -188,12 +188,30 @@ MUTANTS = (
     Mutant(
         "diag-without-block-offsets",
         "src/groupsmith/constructions.py",
-        "        return Element(self, tuple([o + x for o in self._offsets for x in g.payload]))\n",
-        "        return Element(self, tuple([x for o in self._offsets for x in g.payload]))\n",
+        "            p = self._diag[g.payload] = tuple([o + x for o in self._offsets for x in g.payload])\n",
+        "            p = self._diag[g.payload] = tuple([x for o in self._offsets for x in g.payload])\n",
         (
             "tests/test_properties.py::test_diag_embed_and_identity_are_packed",
             "tests/test_properties.py::test_wreath_law",
         ),
+    ),
+    Mutant(
+        "wreath-memo-ignores-arity",
+        "src/groupsmith/constructions.py",
+        "    W = live.get(n)\n",
+        "    W = next(iter(live.values()), None)\n",
+        (
+            "tests/test_constructions.py::test_wreath_cyclic_shares_the_live_product",
+            "tests/test_cli.py::test_jobs_leave_no_group_in_cyclic_garbage",
+        ),
+    ),
+    Mutant(
+        # a tuple falls through to json.dumps, which writes it on one line
+        "json-text-tuples-compact",
+        "src/groupsmith/cli.py",
+        "    if isinstance(value, (list, tuple)):\n",
+        "    if isinstance(value, list):\n",
+        ("tests/test_cli.py::test_json_text_is_json_dumps_indent_2",),
     ),
     Mutant(
         "product-names-split-at-the-second-degree",

@@ -8,6 +8,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import groupsmith
 from groupsmith import cli, constructions, equations
@@ -519,6 +520,7 @@ def test_jobs_leave_no_group_in_cyclic_garbage(capsys):
         ["prop1-embed", "--group", "Z3xS3", "--element", "(1|(1 2 3))"],
         ["theorem1-verify", "--p", "7"],
         ["solve-positive", "--group", "S3", "--random", "3"],
+        ["solve-positive", "--group", "S3", "--equation", "(1 2)*x*()*x*()*x*", "--random", "3"],
     ]
     was_enabled, flags = gc.isenabled(), gc.get_debug()
     gc.collect()
@@ -538,6 +540,35 @@ def test_jobs_leave_no_group_in_cyclic_garbage(capsys):
             gc.enable()
     capsys.readouterr()
     assert not leaked
+
+
+# strings drawn from every code point, with quotes, backslashes, control
+# and non-ASCII characters made common
+_json_strings = st.text(
+    st.characters(exclude_categories=()) | st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\U0001f600')
+)
+_json_values = st.recursive(
+    st.one_of(
+        _json_strings,
+        st.integers(min_value=-(2**70), max_value=2**70),
+        st.booleans(),
+        st.none(),
+        st.sampled_from([-0.0, 1e300, float("nan"), float("inf"), float("-inf")]),
+    ),
+    lambda inner: st.one_of(
+        st.dictionaries(_json_strings, inner),
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+@example({"a": ("x", 2**63, (), []), "b": {}, "c": [None, True, {"d": -1}]})
+def test_json_text_is_json_dumps_indent_2(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
 
 
 def test_solve_positive_in_a_wreath_product_past_the_cap(capsys):

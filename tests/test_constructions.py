@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from groupsmith import constructions
@@ -166,6 +169,44 @@ def test_wreath_render_parse(s3):
     s = W.render(x)
     assert s == "[(1 2),();1]"
     assert W.parse(s) == x
+
+
+def test_wreath_cyclic_shares_the_live_product(monkeypatch, s3):
+    built = []
+
+    class Counted(constructions.WreathGroup):
+        def __init__(self, base, arity):
+            built.append(arity)
+            super().__init__(base, arity)
+
+    monkeypatch.setattr(constructions, "WreathGroup", Counted)
+    was_enabled = gc.isenabled()
+    gc.disable()  # the product must be freed by reference counting alone
+    try:
+        W = wreath_cyclic(s3, 2)
+        assert wreath_cyclic(s3, 2) is W
+        W3 = wreath_cyclic(s3, 3)
+        assert W3 is not W and (W.arity, W3.arity) == (2, 3)
+        assert built == [2, 3]
+        dead = weakref.ref(W)
+        del W
+        assert dead() is None
+        assert wreath_cyclic(s3, 2).arity == 2
+        assert built == [2, 3, 2]
+        assert wreath_cyclic(s3, 3) is W3
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_wreath_parse_remembers_no_failure(s3):
+    W = wreath_cyclic(s3, 2)
+    assert W.parse("[(1 2),();1]") is not None
+    for _ in range(2):
+        for bad in ("[(1 2);0]", "[(1 4),();0]", "[(),();2]", "(1 2)"):
+            with pytest.raises(ParseError):
+                W.parse(bad)
+    assert list(W._read) == ["[(1 2),();1]"]
 
 
 # -- the closed-form subgroup -----------------------------------------------------
