@@ -411,34 +411,36 @@ def _json_text(value, pad: str = "\n") -> str:
     return json.dumps(value)
 
 
-def _emit_text(report: dict, out) -> None:
-    print(f"groupsmith {report['tool_version']} :: {report['command']}", file=out)
+def _text_report(report: dict) -> str:
+    """The report for reading: one line per param, result entry and assertion."""
+    lines = [f"groupsmith {report['tool_version']} :: {report['command']}"]
     for k, v in report["params"].items():
-        print(f"  param {k} = {v}", file=out)
+        lines.append(f"  param {k} = {v}")
 
     def walk(value, indent):
         pad = " " * indent
         if isinstance(value, dict):
             for k, v in value.items():
                 if isinstance(v, (dict, list)):
-                    print(f"{pad}{k}:", file=out)
+                    lines.append(f"{pad}{k}:")
                     walk(v, indent + 2)
                 else:
-                    print(f"{pad}{k}: {v}", file=out)
+                    lines.append(f"{pad}{k}: {v}")
         elif isinstance(value, list):
             for v in value:
                 if isinstance(v, (dict, list)):
                     walk(v, indent)
                 else:
-                    print(f"{pad}- {v}", file=out)
+                    lines.append(f"{pad}- {v}")
 
-    print("result:", file=out)
+    lines.append("result:")
     walk(report["result"], 2)
     for a in report["assertions"]:
         mark = {"pass": "ok", "fail": "FAIL", "skip": "--"}.get(a["status"], "?")
         witness = f"  ({a['witness']})" if "witness" in a else ""
-        print(f"  [{mark}] {a['name']}{witness}", file=out)
-    print(f"timing_ms: {report['timing_ms']}", file=out)
+        lines.append(f"  [{mark}] {a['name']}{witness}")
+    lines.append(f"timing_ms: {report['timing_ms']}")
+    return "\n".join(lines)
 
 
 # the commands with csv output: each one's header and the rows of its result
@@ -466,8 +468,23 @@ def main(argv=None) -> int:
         )
         return 2
     started = time.perf_counter()
-    try:
+    try:  # the whole report is built here, so a failure to render it exits 4 unprinted
         result, assertions = HANDLERS[args.command](args)
+        report = {
+            "tool_version": __version__,
+            "command": args.command,
+            "params": _params_of(args),
+            "result": result,
+            "assertions": assertions,
+            "timing_ms": int((time.perf_counter() - started) * 1000),
+        }
+        if args.format == "json":
+            text = _json_text(report)
+        elif args.format == "csv":
+            header, rows = CSV_TABLES[args.command]
+            text = "\n".join([header, *rows(result)])
+        else:
+            text = _text_report(report)
     except Falsification as exc:
         print(f"groupsmith: falsified: {exc}", file=sys.stderr)
         return 1
@@ -481,21 +498,7 @@ def main(argv=None) -> int:
         detail = " ".join(str(exc).split())
         print(f"groupsmith: internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
         return 4
-    report = {
-        "tool_version": __version__,
-        "command": args.command,
-        "params": _params_of(args),
-        "result": result,
-        "assertions": assertions,
-        "timing_ms": int((time.perf_counter() - started) * 1000),
-    }
-    if args.format == "json":
-        print(_json_text(report))
-    elif args.format == "csv":
-        header, rows = CSV_TABLES[args.command]
-        print(header, *rows(result), sep="\n")
-    else:
-        _emit_text(report, sys.stdout)
+    print(text)
     return 0
 
 

@@ -482,21 +482,20 @@ def lemma7_by_class(G: Group) -> list[tuple[Element, Lemma7Result]]:
     walking one representative per conjugacy class.
 
     The first member g of each class is walked and compared with its closed
-    form by `lemma7_subgroup`. Every other member g' = h^-1 g h shares its
-    verified labels once two checks pass: its root equals
-    diag(h)^-1 * root(g) * diag(h), and diag(h) lies in L(g), so its
-    generated closure is L(g); and g^-1 g' lies in C, so g'C = gC and its
-    closed form is the same set.
+    form by `lemma7_subgroup`. Every other member g' = h^-1 g h, with h
+    from `Group._class_walk`, shares its verified labels once two checks
+    pass: its root equals diag(h)^-1 * root(g) * diag(h), and diag(h) lies
+    in L(g), so its generated closure is L(g); and g^-1 g' lies in C, so
+    g'C = gC and its closed form is the same set.
     """
     verified: dict = {}
-    pairs = [(h, G._inv(h)) for h in G._iter_payloads()]
     for g in G.elements():
         if g.payload in verified:
             continue
         rep = verified[g.payload] = lemma7_subgroup(G, g)
         W, C = rep.wreath, rep.commutator_part
         ginv = G._inv(g.payload)
-        for q, h in _class_conjugators(G, g, pairs).items():
+        for q, h in G._class_walk(g.payload).items():
             if q == g.payload:
                 continue
             member = Element(G, q)
@@ -512,16 +511,6 @@ def lemma7_by_class(G: Group) -> list[tuple[Element, Lemma7Result]]:
                 )
             verified[q] = rep._replace(root=root)
     return [(g, verified[g.payload]) for g in G.elements()]
-
-
-def _class_conjugators(G: Group, g: Element, pairs: list) -> dict:
-    """Each member q of the class of g, mapped to the first h in G (in
-    listed order) with q = h^-1 g h; `pairs` lists each h of G with its
-    inverse."""
-    out: dict = {}
-    for h, hinv in pairs:
-        out.setdefault(G._mul(G._mul(hinv, g.payload), h), h)
-    return out
 
 
 class Lemma8Result(NamedTuple):

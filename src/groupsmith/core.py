@@ -43,7 +43,6 @@ from array import array
 from functools import cached_property
 from itertools import repeat
 from operator import itemgetter
-from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from weakref import WeakValueDictionary
 
@@ -274,14 +273,24 @@ class Group:
             self, (p for p in self._iter_payloads() if all(mul(p, g) == mul(g, p) for g in gens))
         )
 
-    def _class_payloads(self, p) -> list:
-        """The conjugacy class of payload p, walked breadth first under the
-        generating set; the inverse of a generator is one of its powers,
-        so the walk reaches the whole class."""
-        mul = self._mul
-        pairs = [(self._inv(y), y) for y in self._generator_payloads()]
-        orbit, _ = closure_payloads(p, pairs, lambda q, pair: mul(mul(pair[0], q), pair[1]))
-        return orbit
+    def _class_walk(self, p) -> dict:
+        """The conjugacy class of payload p, walked breadth first under
+        conjugation q -> a^-1 q a by each generating payload a; the inverse
+        of a generator is one of its powers, so the walk reaches the whole
+        class. Maps each member q, in discovery order, to a conjugator h
+        with q = h^-1 p h: p to the identity, and a member first reached
+        from q by a to q's conjugator times a."""
+        mul, found = self._mul, {p: self._id()}
+
+        def conjugate(q, pair):
+            a, b = pair
+            r = mul(mul(b, q), a)
+            if r not in found:
+                found[r] = mul(found[q], a)
+            return r
+
+        closure_payloads(p, [(a, self._inv(a)) for a in self._generator_payloads()], conjugate)
+        return found
 
     def _times(self, q) -> Callable:
         """p -> p*q, for a payload q."""
@@ -298,7 +307,7 @@ class Group:
         classes = []
         for p in self._iter_payloads():
             if p not in seen:
-                orbit = self._class_payloads(p)
+                orbit = self._class_walk(p)
                 seen.update(orbit)
                 classes.append(tuple(Element(self, q) for q in sorted(orbit)))
         return classes
@@ -956,10 +965,8 @@ def verify_group_axioms(G: Group) -> AxiomReport:
     its first product.
     """
     pays = list(G._iter_payloads())
-    check_table_order(len(pays))
-    namer = SimpleNamespace(render=G._render, parse=G._parse)
     try:
-        T = TableGroup(pays, G._mul, namer, name=G.name, generators=G._generator_payloads())
+        T = TableGroup(pays, G._mul, None, name=G.name, generators=G._generator_payloads())
     except PreconditionError as exc:
         return AxiomReport(G.name, len(pays), str(exc))
     wrong = [p for i, p in enumerate(pays) if G._inv(p) != pays[T._inv(i)]]

@@ -350,8 +350,6 @@ def lemma5_lemma6_checks(graph: ConjugateGraph) -> Lemma56Result:
                 f"green degree {deg} != (v-1)*u = {(v - 1) * u}; graph is inconsistent"
             )
         checks.append("green-degree-matches-components")
-        if deg == p and p != (v - 1) * u:
-            raise Falsification(f"p = {p} != (v-1)*u = {(v - 1) * u}")
         if deg == p:
             checks.append("p-equals-v1-times-u")
 

@@ -25,7 +25,7 @@ class PreconditionError(GroupsmithError, ValueError):
     """An operation was called outside its stated domain.
 
     Covers cross-group operand mixes, quotients by non-normal subgroups,
-    even-order elements passed to the odd-root shortcut, and similar misuse.
+    and similar misuse.
     """
 
 

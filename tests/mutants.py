@@ -320,6 +320,16 @@ MUTANTS = (
         "            if False:\n",
         ("tests/test_cli.py::test_lemma7_check_refuses_a_member_outside_the_coset",),
     ),
+    Mutant(
+        "class-walk-conjugator-on-the-wrong-side",
+        "src/groupsmith/core.py",
+        "                found[r] = mul(found[q], a)\n",
+        "                found[r] = mul(a, found[q])\n",
+        (
+            "tests/test_core.py::test_class_walk_maps_each_member_to_a_conjugator",
+            "tests/test_cli.py::test_lemma7_check_matches_the_per_element_oracle",
+        ),
+    ),
 )
 
 

@@ -201,17 +201,17 @@ def test_lemma7_check_never_builds_the_subgroup(capsys, monkeypatch):
 
 
 def test_lemma7_check_refuses_a_wrong_conjugator(capsys, monkeypatch):
-    honest = constructions._class_conjugators
+    honest = Group._class_walk
 
-    def wrong(G, g, pairs):
-        out = honest(G, g, pairs)
+    def wrong(G, p):
+        out = honest(G, p)
         for q in out:
-            if q != g.payload:
-                out[q] = G._id()  # conjugates g to itself, not to q
+            if q != p:
+                out[q] = G._id()  # conjugates p to itself, not to q
                 break
         return out
 
-    monkeypatch.setattr(constructions, "_class_conjugators", wrong)
+    monkeypatch.setattr(Group, "_class_walk", wrong)
     code, _, err = run(capsys, "lemma7-check", "--group", "S3")
     assert code == 1
     assert "is not the root of" in err
@@ -655,6 +655,14 @@ def test_unexpected_error_exits_4(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err == "groupsmith: internal error: RuntimeError: synthetic bug\n"
+
+
+def test_unrenderable_report_exits_4_and_prints_nothing(capsys, monkeypatch):
+    monkeypatch.setitem(cli.HANDLERS, "construct", lambda args: ({"x": object()}, []))
+    code, out, err = run(capsys, "construct", "--group", "S3", "--format", "json")
+    assert code == 4
+    assert out == ""
+    assert err == "groupsmith: internal error: TypeError: Object of type object is not JSON serializable\n"
 
 
 def test_json_reports_are_stable(capsys):

@@ -697,6 +697,27 @@ def test_conjugacy_classes(s3, d7):
         assert all(list(c) == sorted(c) for c in classes)
 
 
+def test_class_walk_maps_each_member_to_a_conjugator():
+    S4 = named_group("S4")
+    V4 = subgroup_generated(S4, [S4.parse("(1 2)(3 4)"), S4.parse("(1 3)(2 4)")])
+    groups = [
+        S4,
+        named_group("Z12"),
+        perm_table(S4._generator_payloads()),
+        S4.quotient(V4)[0],
+        wreath_cyclic(named_group("S3"), 2),
+    ]
+    for G in groups:
+        mul = G._mul
+        for cls in conjugacy_classes_by_scan(G):
+            for p in cls:
+                walk = G._class_walk(p)
+                assert set(walk) == cls
+                assert next(iter(walk)) == p
+                for q, h in walk.items():
+                    assert mul(mul(G._inv(h), p), h) == q
+
+
 def test_conjugate_subgroup_and_normalizer(s3):
     h = subgroup_generated(s3, [s3.parse("(1 2)")])
     x = s3.parse("(1 2 3)")
