@@ -25,6 +25,7 @@ from .constructions import (
     lemma8_construct,
     named_group,
     prop1_embedding,
+    wreath_cyclic,
 )
 from .core import (
     Element,
@@ -198,6 +199,8 @@ def cmd_solve_positive(args):
     if args.random:
         if args.degree < 1:
             raise PreconditionError("--degree must be at least 1")
+        if args.degree > 1:  # the wreath cap refuses the degree before any draw
+            wreath_cyclic(G, args.degree)
         rng = random.Random(args.seed)
         pool = list(G.elements())
         for _ in range(args.random):

@@ -129,10 +129,20 @@ def cyclic_group(n: int) -> PermGroup:
     return PermGroup(namer.degree, gens, namer=namer, name=f"Z{n}")
 
 
+def _refuse_generators(name: str, entries: int) -> None:
+    """Refuse, before any is built, generators above the table entry budget."""
+    if entries > TABLE_ENTRY_BUDGET:
+        raise CapExceeded(
+            f"{name} needs {entries} generator entries, "
+            f"above the table entry budget {TABLE_ENTRY_BUDGET}"
+        )
+
+
 def dihedral_group(p: int) -> PermGroup:
     """D_p of order 2p on p points: r the p-cycle, s the reflection fixing 0."""
     if p < 3:
         raise PreconditionError(f"dihedral groups need p >= 3, got {p}")
+    _refuse_generators(f"D{p}", 2 * p)
     r = tuple((i + 1) % p for i in range(p))
     s = tuple((-i) % p for i in range(p))
     return PermGroup(p, [r, s], namer=DihedralNamer(p), name=f"D{p}")
@@ -141,22 +151,18 @@ def dihedral_group(p: int) -> PermGroup:
 def symmetric_group(m: int) -> PermGroup:
     if m < 1:
         raise PreconditionError(f"symmetric groups need m >= 1, got {m}")
-    gens: list[perms.Perm] = []
-    if m >= 2:
-        gens.append(tuple([1, 0] + list(range(2, m))))
-    if m >= 3:
-        gens.append(tuple(list(range(1, m)) + [0]))
+    _refuse_generators(f"S{m}", 2 * m)
+    # a transposition and an m-cycle, one and the same for m = 2
+    gens = [(1, 0, *range(2, m)), (*range(1, m), 0)] if m >= 2 else []
     return PermGroup(m, gens, name=f"S{m}")
 
 
 def alternating_group(m: int) -> PermGroup:
     if m < 1:
         raise PreconditionError(f"alternating groups need m >= 1, got {m}")
-    gens = []
-    for i in range(m - 2):
-        images = list(range(m))
-        images[i], images[i + 1], images[i + 2] = images[i + 1], images[i + 2], images[i]
-        gens.append(tuple(images))
+    _refuse_generators(f"A{m}", (m - 2) * m)
+    # the 3-cycles (i i+1 i+2)
+    gens = [(*range(i), i + 1, i + 2, i, *range(i + 3, m)) for i in range(m - 2)]
     return PermGroup(m, gens, name=f"A{m}")
 
 
@@ -456,7 +462,7 @@ def _lemma7_moves(G: Group, g: Element) -> list[Callable]:
     diag(a), for each generating payload a of G, sends (c, k) to
     (a*c*a^-1, k); the root ((g, e); 1) sends it to (g*c^-1, k+1)."""
     mul, inv = G._mul, G._inv
-    moves = [lambda c, k, a=a, b=inv(a): (mul(mul(a, c), b), k) for a in G._generator_payloads()]
+    moves = [lambda c, k, by=G._conjugator(inv(a)): (by(c), k) for a in G._generator_payloads()]
     return moves + [lambda c, k: (mul(g.payload, inv(c)), 1 - k)]
 
 
@@ -468,12 +474,11 @@ def _commutator_part(G: Group, g: Element) -> Subgroup:
     is each conjugate of g, which is g mod M, hence <<g>> is central mod M
     and [<<g>>, G] <= M. Conversely each [g, x] lies in [<<g>>, G], which
     is normal, so M <= [<<g>>, G]. `mutual_commutator` is the all-pairs
-    oracle for this.
+    oracle for this. Each [g, x] is g^-1 times the conjugate of g by x.
     """
-    mul, inv = G._mul, G._inv
-    p, pinv = g.payload, inv(g.payload)
+    p, pinv = g.payload, G._inv(g.payload)
     return normal_closure(
-        G, [Element(G, mul(mul(pinv, inv(x)), mul(p, x))) for x in G._generator_payloads()]
+        G, [Element(G, G._mul(pinv, G._conjugator(x)(p))) for x in G._generator_payloads()]
     )
 
 

@@ -24,15 +24,15 @@ Subgroups are explicit sorted payload tuples; at desk scale set semantics
 beat generator-only laziness and keep fixtures stable. An `Element` is a
 view, built when a caller reads one; no group holds its own.
 
-Conjugation has one path, `Group._conjugate_set`, which maps a payload set
-through one conjugator with a per-backend kernel; right multiplication by
-a fixed payload, `Group._times`, is one too. Both permutation backends
-take these kernels (`perms.conjugates`, an `itemgetter`), the inverse, the
-degree and the identity, built once, from one base, `_PermPayloadGroup`;
-elsewhere they are two products per member and `_mul`. Every orbit (the
-class of an element, the conjugates of a subgroup) is the breadth-first
-walk of `closure_payloads` under a generating set. A walk lists its points
-in discovery order; only what is reported is sorted. Records, such as
+Every conjugation goes through one kernel per backend, `Group._conjugator`
+(`_conjugate_set` maps a set through one); right multiplication by a fixed
+payload, `Group._times`, is one too. Both permutation backends take these
+kernels (`perms.conjugator`, an `itemgetter`), the inverse, the degree and
+the identity, built once, from one base, `_PermPayloadGroup`; elsewhere
+they are two products of `_mul`. Every orbit (the class of an element,
+the conjugates of a subgroup) is the breadth-first walk of
+`closure_payloads` under a generating set. A walk lists its points in
+discovery order; only what is reported is sorted. Records, such as
 `AxiomReport`, are `NamedTuple`s.
 """
 
@@ -244,8 +244,7 @@ class Group:
     def conjugate(self, a: Element, y: Element) -> Element:
         self._check(a)
         self._check(y)
-        yp = y.payload
-        return Element(self, self._mul(self._mul(self._inv(yp), a.payload), yp))
+        return Element(self, self._conjugator(y.payload)(a.payload))
 
     def render(self, a: Element) -> str:
         self._check(a)
@@ -282,24 +281,27 @@ class Group:
         from q by a to q's conjugator times a."""
         mul, found = self._mul, {p: self._id()}
 
-        def conjugate(q, pair):
-            a, b = pair
-            r = mul(mul(b, q), a)
+        def walk(q, move):
+            a, by_a = move
+            r = by_a(q)
             if r not in found:
                 found[r] = mul(found[q], a)
             return r
 
-        closure_payloads(p, [(a, self._inv(a)) for a in self._generator_payloads()], conjugate)
+        closure_payloads(p, [(a, self._conjugator(a)) for a in self._generator_payloads()], walk)
         return found
 
     def _times(self, q) -> Callable:
         """p -> p*q, for a payload q."""
         return lambda p: self._mul(p, q)
 
+    def _conjugator(self, y) -> Callable:
+        """h -> y^-1 h y, for a payload y: two products, y inverted once."""
+        return lambda h, mul=self._mul, yinv=self._inv(y): mul(mul(yinv, h), y)
+
     def _conjugate_set(self, payloads, y) -> frozenset:
         """{y^-1 h y : h in payloads}, for a payload y."""
-        mul, yinv = self._mul, self._inv(y)
-        return frozenset(mul(mul(yinv, h), y) for h in payloads)
+        return frozenset(map(self._conjugator(y), payloads))
 
     def conjugacy_classes(self) -> list[tuple[Element, ...]]:
         """The classes in order of their first listed member, each sorted."""
@@ -323,14 +325,11 @@ class Group:
         """
         if H.parent is not self:
             raise PreconditionError("subgroup belongs to a different group")
-        if conjugators is None:
-            ys = self._generator_payloads()
-        else:
-            ys = [y.payload for y in conjugators]
-        pairs = [(self._inv(y), y) for y in ys]
+        ys = self._generator_payloads() if conjugators is None else [y.payload for y in conjugators]
+        pairs = [(y, self._conjugator(y)) for y in ys]
         for h in H.payloads:
-            for yinv, y in pairs:
-                if self._mul(self._mul(yinv, h), y) not in H.payload_set:
+            for y, by_y in pairs:
+                if by_y(h) not in H.payload_set:
                     return Element(self, y), Element(self, h)
         return None
 
@@ -698,10 +697,10 @@ class CosetGroup(_IndexedGroup):
 
 class _PermPayloadGroup(Group):
     """Payloads are permutations of the points 0..degree-1: the identity,
-    built once, and the inverse, conjugate-set and right-multiplier
-    kernels of `perms`. Each payload is rendered, and each input string
-    parsed, once: a subclass names a payload in `_name` and reads a member
-    in `_member`, which raises on a string that names none."""
+    built once, and the inverse, conjugator and right-multiplier kernels
+    of `perms`. Each payload is rendered, and each input string parsed,
+    once: a subclass names a payload in `_name` and reads a member in
+    `_member`, which raises on a string that names none."""
 
     def __init__(self, name: str, degree: int):
         super().__init__(name)
@@ -719,7 +718,7 @@ class _PermPayloadGroup(Group):
     def _inv(self, p):
         return perms.invert(p)
 
-    _conjugate_set = staticmethod(perms.conjugates)
+    _conjugator = staticmethod(perms.conjugator)
 
     def _times(self, q):
         return itemgetter(*q) if len(q) > 1 else super()._times(q)
@@ -862,8 +861,7 @@ def normal_closure(G: Group, S: Iterable[Element]) -> Subgroup:
     every conjugate: c*(y^-1 s y) = y^-1 (y c y^-1 * s) y. As G is finite,
     X contains <<S>>, and every move stays inside <<S>>.
     """
-    mul = G._mul
-    moves = [lambda x, a=a, b=G._inv(a): mul(mul(b, x), a) for a in G._generator_payloads()]
+    moves = [G._conjugator(a) for a in G._generator_payloads()]
     pays = {}
     for e in S:
         G._check(e)

@@ -218,10 +218,9 @@ class ConjugateGraph(NamedTuple):
         parent._check(y)
         if y.payload not in self.ambient.payload_set:
             raise PreconditionError("conjugator lies outside the ambient group")
-        out = []
-        for i, pair in enumerate(self.names):
-            a, b = parent._conjugate_set(pair, y.payload)
-            found = self.holders[a] & self.holders[b]
+        out, by_y, holders = [], parent._conjugator(y.payload), self.holders
+        for i, (a, b) in enumerate(self.names):
+            found = holders[by_y(a)] & holders[by_y(b)]
             if len(found) != 1:
                 raise Falsification(
                     f"conjugation by {parent.render(y)} sends the naming pair of "

@@ -4,9 +4,9 @@ These are the plumbing shared by the permutation-backed groups and the
 ambient symmetric-group searches, with the primality test that both the
 dihedral replay and the search apply to p. The product convention is
 function composition: (a * b)(i) = a(b(i)). A product is one
-`operator.itemgetter` call in C from degree 2 up, as is each member's
-conjugate; below degree 2, where itemgetter returns a scalar or cannot be
-built, it is a list comprehension. `invert` stays a loop, which beat
+`operator.itemgetter` call in C from degree 2 up, as is a `conjugator`'s
+y^-1 h y; below degree 2, where itemgetter returns a scalar or cannot be
+built, each is a list comprehension. `invert` stays a loop, which beat
 rewrites by `sorted`, a dict or `list.index` at every degree from 3 to 188.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from itertools import permutations
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import ParseError, PreconditionError
 
@@ -59,13 +59,14 @@ def invert(p: Perm) -> Perm:
     return tuple(inv)
 
 
-def conjugates(payloads: Iterable[Perm], y: Perm) -> frozenset:
-    """{y^-1 h y : h in payloads}, each one pass: i -> y^-1(h(y(i)))."""
+def conjugator(y: Perm) -> Callable[[Perm], Perm]:
+    """h -> y^-1 h y in one pass, i -> y^-1(h(y(i))), with y inverted and
+    its itemgetter built once."""
     yinv = invert(y)
     if len(y) > 1:
         at_y = itemgetter(*y)
-        return frozenset([itemgetter(*at_y(h))(yinv) for h in payloads])
-    return frozenset([tuple([yinv[h[j]] for j in y]) for h in payloads])
+        return lambda h: itemgetter(*at_y(h))(yinv)
+    return lambda h: tuple([yinv[h[j]] for j in y])
 
 
 def cycles(p: Perm) -> list[tuple[int, ...]]:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import Counter
 from math import prod
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import perms
 from .core import closure_payloads
@@ -200,12 +200,6 @@ def _symmetries(p: int, m: int) -> list[perms.Perm]:
     return sorted(set(moves))
 
 
-def _conjugation(c: perms.Perm) -> Callable[[perms.Perm], perms.Perm]:
-    """x -> c x c^-1."""
-    c_inv = perms.invert(c)
-    return lambda x: perms.compose(perms.compose(c, x), c_inv)
-
-
 class SearchReport(NamedTuple):
     p: int
     m: int
@@ -257,7 +251,7 @@ def min_overgroup_search(p: int, m: int, cap: int = 1000) -> SearchReport:
     rotations = set(closure_payloads(perms.identity_perm(m), [r], perms.compose)[0])
     moves = [perms.invert]
     for c in _symmetries(p, m):
-        moves.append(_conjugation(c))
+        moves.append(perms.conjugator(perms.invert(c)))  # x -> c x c^-1
         if perms.compose(c, g) != perms.compose(g, c) or moves[-1](r) not in rotations:
             raise Falsification(
                 f"{perms.render_cycles(c)} does not commute with s and normalize <r>"

@@ -153,9 +153,9 @@ MUTANTS = (
         "conjugates-by-inverse",
         "src/groupsmith/perms.py",
         "        at_y = itemgetter(*y)\n"
-        "        return frozenset([itemgetter(*at_y(h))(yinv) for h in payloads])\n",
+        "        return lambda h: itemgetter(*at_y(h))(yinv)\n",
         "        at_y = itemgetter(*yinv)\n"
-        "        return frozenset([itemgetter(*at_y(h))(y) for h in payloads])\n",
+        "        return lambda h: itemgetter(*at_y(h))(y)\n",
         (
             "tests/test_properties.py::test_conjugates_is_the_two_product_conjugate",
             "tests/test_properties.py::test_conjugation_kernel_matches_the_generic_path",
@@ -285,8 +285,8 @@ MUTANTS = (
     Mutant(
         "vertex-named-by-one-member",
         "src/groupsmith/dihedral.py",
-        "            found = self.holders[a] & self.holders[b]\n",
-        "            found = self.holders[a]\n",
+        "            found = holders[by_y(a)] & holders[by_y(b)]\n",
+        "            found = holders[by_y(a)]\n",
         (
             "tests/test_dihedral.py::test_generator_checks_match_scan_oracles",
             "tests/test_dihedral.py::test_vertex_perm_matches_set_oracle_on_the_generators",
@@ -328,6 +328,18 @@ MUTANTS = (
         (
             "tests/test_core.py::test_class_walk_maps_each_member_to_a_conjugator",
             "tests/test_cli.py::test_lemma7_check_matches_the_per_element_oracle",
+        ),
+    ),
+    Mutant(
+        # y h y^-1 in place of y^-1 h y, in the kernel every table and coset
+        # group conjugates with
+        "generic-conjugator-on-the-wrong-side",
+        "src/groupsmith/core.py",
+        "        return lambda h, mul=self._mul, yinv=self._inv(y): mul(mul(yinv, h), y)\n",
+        "        return lambda h, mul=self._mul, yinv=self._inv(y): mul(mul(y, h), yinv)\n",
+        (
+            "tests/test_properties.py::test_conjugation_kernel_matches_the_generic_path",
+            "tests/test_core.py::test_class_walk_maps_each_member_to_a_conjugator",
         ),
     ),
 )

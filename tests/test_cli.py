@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -597,6 +598,39 @@ def test_wreath_arity_past_the_cap_exits_3_at_once(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 3 and time.perf_counter() - start < 5
     assert "arity^2 * |base| exceeds cap 10000000" in err
+
+
+def run_in_1gib(*argv) -> tuple[int, str]:
+    """Exit code and stderr of the CLI in a fresh process limited to 1 GiB
+    of address space and 30 s, so that building past the limits ends in a
+    MemoryError (exit 4) or a timeout, not in several GB of memory."""
+    src = str(Path(groupsmith.__file__).parents[1])
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "groupsmith.cli", *argv], env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=limit, capture_output=True, text=True, timeout=30,
+    )
+    return done.returncode, done.stderr
+
+
+@pytest.mark.parametrize("spec", ["S200000000", "D100000007", "A20000"])
+def test_named_group_generators_past_the_entry_budget_exit_3(spec):
+    # 2m, 2p and (m-2)*m generator entries, refused before any is built
+    code, err = run_in_1gib("construct", "--group", spec)
+    assert code == 3, err
+    assert "generator entries, above the table entry budget 16777216" in err
+
+
+def test_solve_positive_refuses_the_degree_before_drawing():
+    # drawing the 10^8 coefficients first took about half a minute
+    code, err = run_in_1gib(
+        "solve-positive", "--group", "S3", "--random", "1", "--degree", "100000000"
+    )
+    assert code == 3, err
+    assert "S3 wr Z100000000: arity^2 * |base| exceeds cap 10000000" in err
 
 
 def test_lemma8_quotient_under_a_broken_wreath_law_is_falsified(capsys, monkeypatch):
