@@ -3,8 +3,8 @@
 Every subcommand emits one report: text for reading, json for tooling
 (schema: tool_version, command, params, result, assertions, timing_ms),
 csv where a histogram or table is the natural payload. Exit codes: 0 ok,
-1 falsified mathematical assertion, 2 usage error, 3 resource cap,
-4 internal error.
+also when the reader closes stdout early, 1 falsified mathematical
+assertion, 2 usage error, 3 resource cap, 4 internal error.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 import time
@@ -30,6 +31,7 @@ from .constructions import (
 from .core import (
     Element,
     Subgroup,
+    default_cap,
     odd_abelian_normal_candidates,
     subgroup_generated,
     verify_group_axioms,
@@ -201,34 +203,41 @@ def cmd_solve_positive(args):
             raise PreconditionError("--degree must be at least 1")
         if args.degree > 1:  # the wreath cap refuses the degree before any draw
             wreath_cyclic(G, args.degree)
+        drawn, cap = args.random * args.degree, default_cap()
+        if drawn > cap:
+            raise CapExceeded(
+                f"{args.random} random equations of degree {args.degree} "
+                f"draw {drawn} coefficients, above cap {cap}"
+            )
         rng = random.Random(args.seed)
         pool = list(G.elements())
         for _ in range(args.random):
-            coeffs = tuple(pool[rng.randrange(len(pool))] for _ in range(args.degree))
-            equations.append(PositiveEquation(coeffs))
+            equations.append(PositiveEquation(tuple(rng.choice(pool) for _ in range(args.degree))))
     if not equations:
         raise PreconditionError("give --equation and/or --random N")
     rows = []
-    assertions = []
-    for i, eq in enumerate(equations):
-        # levin_solve evaluates its answer and raises Falsification if it fails
-        x = levin_solve(eq, G)
-        H = x.group
-        in_group = x
-        if H is not G:
-            # a shift-0 solution is the in-group one on every coordinate
-            f, k = H.unpack(x.payload)
-            in_group = G.element(f[0]) if k == 0 else None
-        rows.append(
-            {
+    solved: dict = {}  # equation -> its row, so that a repeated equation is solved once
+    for eq in equations:
+        row = solved.get(eq)
+        if row is None:
+            # levin_solve evaluates its answer and raises Falsification if it fails
+            x = levin_solve(eq, G)
+            H = x.group
+            in_group = x
+            if H is not G:
+                # a wreath solution of shift 0 is the in-group one on every
+                # block of d points; its shift is where it sends point 0
+                d = G.degree
+                in_group = Element(G, x.payload[:d]) if x.payload[0] // d == 0 else None
+            row = solved[eq] = {
                 "equation": eq.render(),
                 "solved_in": H.name,
                 "solution": H.render(x),
                 "verified": True,
                 "in_group_solution": G.render(in_group) if in_group is not None else None,
             }
-        )
-        assertions.append({"name": f"solution-verified-{i}", "status": "pass"})
+        rows.append(row)
+    assertions = [{"name": f"solution-verified-{i}", "status": "pass"} for i in range(len(rows))]
     result = {"group": G.name, "count": len(rows), "solutions": rows}
     return result, assertions
 
@@ -501,7 +510,14 @@ def main(argv=None) -> int:
         detail = " ".join(str(exc).split())
         print(f"groupsmith: internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
         return 4
-    print(text)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left; the report was complete and verified
+        # the interpreter flushes stdout again at exit: let it write nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 

@@ -29,8 +29,10 @@ Every conjugation goes through one kernel per backend, `Group._conjugator`
 payload, `Group._times`, is one too. Both permutation backends take these
 kernels (`perms.conjugator`, an `itemgetter`), the inverse, the degree and
 the identity, built once, from one base, `_PermPayloadGroup`; elsewhere
-they are two products of `_mul`. Every orbit (the class of an element,
-the conjugates of a subgroup) is the breadth-first walk of
+they are two products of `_mul`. A group lists the right multiplier of
+each of its payloads once, on first use, and holds it
+(`Group._multipliers`). Every orbit (the class of an element, the
+conjugates of a subgroup) is the breadth-first walk of
 `closure_payloads` under a generating set. A walk lists its points in
 discovery order; only what is reported is sorted. Records, such as
 `AxiomReport`, are `NamedTuple`s.
@@ -294,6 +296,11 @@ class Group:
     def _times(self, q) -> Callable:
         """p -> p*q, for a payload q."""
         return lambda p: self._mul(p, q)
+
+    # payload -> its right multiplier `_times`, in canonical order, built once
+    @cached_property
+    def _multipliers(self) -> dict:
+        return {p: self._times(p) for p in self._iter_payloads()}
 
     def _conjugator(self, y) -> Callable:
         """h -> y^-1 h y, for a payload y: two products, y inverted once."""

@@ -96,9 +96,11 @@ def test_solve_positive_evaluates_each_solution_once(capsys, monkeypatch):
         capsys, "solve-positive", "--group", "S4", "--random", "100",
         "--degree", "2", "--seed", "1",
     )
-    assert report["result"]["count"] == 100
-    assert all(row["verified"] is True for row in report["result"]["solutions"])
-    assert len(calls) == 100
+    rows = report["result"]["solutions"]
+    assert report["result"]["count"] == len(rows) == 100
+    assert all(row["verified"] is True for row in rows)
+    # a repeated equation is solved, and its solution evaluated, once
+    assert len(calls) == len({row["equation"] for row in rows}) == 88
 
 
 @pytest.mark.parametrize(
@@ -631,6 +633,30 @@ def test_solve_positive_refuses_the_degree_before_drawing():
     )
     assert code == 3, err
     assert "S3 wr Z100000000: arity^2 * |base| exceeds cap 10000000" in err
+
+
+def test_solve_positive_refuses_the_count_before_drawing():
+    # 2 * 10^8 equations of degree 2 ran out of memory after 22.6 s
+    code, err = run_in_1gib("solve-positive", "--group", "S3", "--random", "200000000")
+    assert code == 3, err
+    assert "of degree 2 draw 400000000 coefficients, above cap 10000" in err
+
+
+def test_a_closed_stdout_ends_the_command_with_exit_0():
+    # the report, over 64 KiB, outgrows the pipe's buffer, so the reader
+    # leaves while the command still writes
+    src = str(Path(groupsmith.__file__).parents[1])
+    argv = ["solve-positive", "--group", "S3", "--random", "1000", "--format", "json"]
+    start = time.perf_counter()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "groupsmith.cli", *argv], env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=30) == 0, err
+    assert err == b"" and time.perf_counter() - start < 1
 
 
 def test_lemma8_quotient_under_a_broken_wreath_law_is_falsified(capsys, monkeypatch):
