@@ -183,14 +183,15 @@ def named_group(spec: str) -> Group:
     The group built for a stripped spec under one closure cap is kept and
     handed out again, so the elements of two calls combine; a refused spec
     is not kept. The oldest groups are let go while those kept hold more
-    payload entries (order * degree) than the table entry budget."""
-    text = spec.strip()
-    key = text, default_cap()
+    payload entries (order * degree) than the table entry budget, or are
+    more groups than the closure cap."""
+    text, cap = spec.strip(), default_cap()
+    key = text, cap
     G = _named_groups.get(key)
     if G is None:
         G = _named_groups[key] = _build_named(spec, text)
         held = sum(H.order * H.degree for H in _named_groups.values())
-        while held > TABLE_ENTRY_BUDGET:
+        while held > TABLE_ENTRY_BUDGET or len(_named_groups) > cap:
             H = _named_groups.pop(next(iter(_named_groups)))
             held -= H.order * H.degree
     return G

@@ -334,7 +334,7 @@ MUTANTS = (
         # a group built under one closure cap handed out under another
         "named-group-cache-ignores-cap",
         "src/groupsmith/constructions.py",
-        "    key = text, default_cap()\n",
+        "    key = text, cap\n",
         "    key = text\n",
         ("tests/test_constructions.py::test_named_group_is_one_group_per_spec_and_cap",),
     ),

@@ -654,8 +654,8 @@ def test_a_closed_stdout_ends_the_command_with_exit_0():
     )
     assert proc.stdout.readline() == b"{\n"
     proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=30) == 0, err
+    _, err = proc.communicate(timeout=30)
+    assert proc.returncode == 0, err
     assert err == b"" and time.perf_counter() - start < 1
 
 

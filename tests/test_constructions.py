@@ -84,6 +84,16 @@ def test_named_groups_kept_hold_at_most_the_entry_budget(monkeypatch):
     assert s3_again is not s3 and list(kept.values()) == [s3_again]
 
 
+def test_named_groups_kept_are_at_most_the_closure_cap(monkeypatch):
+    # each spec text is its own key, however small its group
+    monkeypatch.setenv("GROUPSMITH_CAP", "3")
+    specs = ["Z1", "Z01", "Z001", "Z0001", "Z2"]
+    groups = [named_group(spec) for spec in specs]
+    kept = constructions._named_groups
+    assert list(kept) == [(spec, 3) for spec in specs[2:]]
+    assert list(kept.values()) == groups[2:]
+
+
 def test_d3_is_s3_up_to_relabeling(s3):
     d3 = named_group("D3")
     assert d3.order == s3.order == 6
