@@ -13,12 +13,10 @@ on.
 `WreathGroup` takes its permutation kernels, and its once-per-payload names
 and parses, from `PermGroup`'s payload base and keeps only its (f, k)
 structure, its own flat product and its diagonal payloads, each built once.
-`named_group` keeps the group it built for each spec and closure cap, so
-the commands of one process share it, and `wreath_cyclic` hands out the
-live product of a base and arity, which the base holds weakly, so every
-construction over one G and n in a command shares one product. The
-results of the constructions are `NamedTuple`s; `_replace` derives a
-changed copy.
+`wreath_cyclic` hands out the live product of a base and arity, which the
+base holds weakly, so every construction over one G and n in a command
+shares one product. The results of the constructions are `NamedTuple`s;
+`_replace` derives a changed copy.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ from .core import (
     _split_top,
     check_table_order,
     closure_payloads,
-    default_cap,
     direct_product,
     normal_closure,
     odd_abelian_normal_candidates,
@@ -172,32 +169,10 @@ def alternating_group(m: int) -> PermGroup:
 _FAMILY = re.compile(r"^([ZDSA])(\d+)$")
 
 
-# (stripped spec, closure cap) -> the group built for it, oldest first
-_named_groups: dict = {}
-
-
 def named_group(spec: str) -> Group:
     """Build a group from a spec string: Z<n> | D<p> | S<m> | A<m>,
-    combined with x for direct products.
-
-    The group built for a stripped spec under one closure cap is kept and
-    handed out again, so the elements of two calls combine; a refused spec
-    is not kept. The oldest groups are let go while those kept hold more
-    payload entries (order * degree) than the table entry budget, or are
-    more groups than the closure cap."""
-    text, cap = spec.strip(), default_cap()
-    key = text, cap
-    G = _named_groups.get(key)
-    if G is None:
-        G = _named_groups[key] = _build_named(spec, text)
-        held = sum(H.order * H.degree for H in _named_groups.values())
-        while held > TABLE_ENTRY_BUDGET or len(_named_groups) > cap:
-            H = _named_groups.pop(next(iter(_named_groups)))
-            held -= H.order * H.degree
-    return G
-
-
-def _build_named(spec: str, text: str) -> PermGroup:
+    combined with x for direct products."""
+    text = spec.strip()
     if not text:
         raise ParseError(spec, "empty group spec")
     parts = text.split("x")

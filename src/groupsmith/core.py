@@ -29,8 +29,8 @@ Every conjugation goes through one kernel per backend, `Group._conjugator`
 payload, `Group._times`, is one too. Both permutation backends take these
 kernels (`perms.conjugator`, an `itemgetter`), the inverse, the degree and
 the identity, built once, from one base, `_PermPayloadGroup`; elsewhere
-they are two products of `_mul`. A group lists the right multiplier of
-each of its payloads once, on first use, and holds it
+they are two products of `_mul`. A group builds the right multiplier of
+each of its payloads once, when a scan first reaches it, and holds it
 (`Group._multipliers`). Every orbit (the class of an element, the
 conjugates of a subgroup) is the breadth-first walk of
 `closure_payloads` under a generating set. A walk lists its points in
@@ -297,10 +297,11 @@ class Group:
         """p -> p*q, for a payload q."""
         return lambda p: self._mul(p, q)
 
-    # payload -> its right multiplier `_times`, in canonical order, built once
+    # the right multiplier `_times` of each payload in canonical order, as far
+    # as a scan (`solve_in_group`) has reached; each is built once
     @cached_property
-    def _multipliers(self) -> dict:
-        return {p: self._times(p) for p in self._iter_payloads()}
+    def _multipliers(self) -> list:
+        return []
 
     def _conjugator(self, y) -> Callable:
         """h -> y^-1 h y, for a payload y: two products, y inverted once."""

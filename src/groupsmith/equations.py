@@ -94,15 +94,19 @@ def evaluate(
 def solve_in_group(eq: PositiveEquation, G: Group) -> Element | None:
     """First x in G's canonical enumeration solving the equation, if any.
 
-    Each product is one call of a right multiplier (`Group._times`), the
-    one G holds for each payload (`Group._multipliers`)."""
+    Each product is one call of a right multiplier (`Group._times`), built
+    once per coefficient, and once per candidate, when a scan first reaches
+    it; G holds the candidates' (`Group._multipliers`)."""
     if eq.group is not G:
         raise PreconditionError("coefficients do not live in the given group")
-    by = G._multipliers
     first, *rest = [g.payload for g in eq.coefficients]
-    by_rest = [by[c] for c in rest]
+    times, built = G._times, G._multipliers
+    by_rest = [times(c) for c in rest]
     idp = G._id()
-    for p, by_p in by.items():
+    for i, p in enumerate(G._iter_payloads()):
+        if i == len(built):
+            built.append(times(p))
+        by_p = built[i]
         acc = by_p(first)
         for by_c in by_rest:
             acc = by_p(by_c(acc))

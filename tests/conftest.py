@@ -1,17 +1,6 @@
 import pytest
 
-from groupsmith import constructions
 from groupsmith.constructions import named_group
-
-
-@pytest.fixture(autouse=True)
-def no_named_group_kept():
-    """Every test starts and ends with no named group kept by
-    `named_group`, so a test that patches one group instance leaves no
-    state behind for the next."""
-    constructions._named_groups.clear()
-    yield
-    constructions._named_groups.clear()
 
 
 @pytest.fixture(scope="session")

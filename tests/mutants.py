@@ -331,14 +331,6 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        # a group built under one closure cap handed out under another
-        "named-group-cache-ignores-cap",
-        "src/groupsmith/constructions.py",
-        "    key = text, cap\n",
-        "    key = text\n",
-        ("tests/test_constructions.py::test_named_group_is_one_group_per_spec_and_cap",),
-    ),
-    Mutant(
         # y h y^-1 in place of y^-1 h y, in the kernel every table and coset
         # group conjugates with
         "generic-conjugator-on-the-wrong-side",

@@ -647,7 +647,6 @@ def test_a_closed_stdout_ends_the_command_with_exit_0():
     # leaves while the command still writes
     src = str(Path(groupsmith.__file__).parents[1])
     argv = ["solve-positive", "--group", "S3", "--random", "1000", "--format", "json"]
-    start = time.perf_counter()
     proc = subprocess.Popen(
         [sys.executable, "-m", "groupsmith.cli", *argv], env={**os.environ, "PYTHONPATH": src},
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -656,7 +655,7 @@ def test_a_closed_stdout_ends_the_command_with_exit_0():
     proc.stdout.close()
     _, err = proc.communicate(timeout=30)
     assert proc.returncode == 0, err
-    assert err == b"" and time.perf_counter() - start < 1
+    assert err == b""
 
 
 def test_lemma8_quotient_under_a_broken_wreath_law_is_falsified(capsys, monkeypatch):

@@ -3,7 +3,7 @@ import weakref
 
 import pytest
 
-from groupsmith import constructions, core
+from groupsmith import constructions
 from groupsmith.constructions import (
     lemma7_subgroup,
     lemma8_construct,
@@ -45,53 +45,6 @@ def test_permutation_closure_stops_within_the_table_entry_budget():
         constructions.dihedral_group(5003)
     count = info.value.partial_count
     assert (count - 1) * 5003 <= TABLE_ENTRY_BUDGET < count * 5003
-
-
-def test_named_group_is_one_group_per_spec_and_cap(monkeypatch):
-    G = named_group("S3")
-    assert named_group(" S3 ") is G
-    assert (named_group("S3").parse("(1 2)") * G.parse("(1 3)")).order() == 3
-    monkeypatch.setenv("GROUPSMITH_CAP", "6")
-    assert named_group("S3") is not G  # built again under another cap
-    monkeypatch.setenv("GROUPSMITH_CAP", "3")
-    # kept under the default cap, refused under this one, and on every call
-    for _ in range(2):
-        with pytest.raises(CapExceeded, match="closure of S3 is too large"):
-            named_group("S3")
-    monkeypatch.delenv("GROUPSMITH_CAP")
-    assert named_group("S3") is G
-    assert set(constructions._named_groups) == {("S3", 10_000), ("S3", 6)}
-
-
-def test_named_group_keeps_no_refused_spec():
-    for _ in range(2):
-        with pytest.raises(ParseError, match="unsupported family 'Q5'"):
-            named_group("Q5")
-    assert not constructions._named_groups
-
-
-def test_named_groups_kept_hold_at_most_the_entry_budget(monkeypatch):
-    # S3, Z4 and Z5 hold 6*3, 4*4 and 5*5 payload entries
-    for module in (core, constructions):
-        monkeypatch.setattr(module, "TABLE_ENTRY_BUDGET", 40)
-    kept = constructions._named_groups
-    held = lambda: sum(G.order * G.degree for G in kept.values())
-    s3, z4 = named_group("S3"), named_group("Z4")
-    assert list(kept.values()) == [s3, z4] and held() == 34
-    z5 = named_group("Z5")  # 59 entries: the two oldest go
-    assert list(kept.values()) == [z5] and held() == 25
-    s3_again = named_group("S3")  # 43 entries: Z5 goes
-    assert s3_again is not s3 and list(kept.values()) == [s3_again]
-
-
-def test_named_groups_kept_are_at_most_the_closure_cap(monkeypatch):
-    # each spec text is its own key, however small its group
-    monkeypatch.setenv("GROUPSMITH_CAP", "3")
-    specs = ["Z1", "Z01", "Z001", "Z0001", "Z2"]
-    groups = [named_group(spec) for spec in specs]
-    kept = constructions._named_groups
-    assert list(kept) == [(spec, 3) for spec in specs[2:]]
-    assert list(kept.values()) == groups[2:]
 
 
 def test_d3_is_s3_up_to_relabeling(s3):

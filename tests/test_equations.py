@@ -87,6 +87,23 @@ def test_solve_in_group_examples(d7):
     assert solve_in_group(eq_id, d7) == d7.identity
 
 
+def test_solve_in_group_builds_each_candidate_multiplier_once(monkeypatch):
+    G = named_group("S4")
+    built = []
+    times = G._times
+    monkeypatch.setattr(G, "_times", lambda q: built.append(q) or times(q))
+    pays = list(G._iter_payloads())
+    a, b, c = G.parse("(1 2)"), G.parse("(1 2 3 4)"), G.parse("(1 2 3)")
+    assert solve_in_group(PositiveEquation((a, a)), G) == G.identity
+    assert built == [a.payload, pays[0]]  # the second coefficient, one candidate
+    assert solve_in_group(PositiveEquation((a, c)), G) is None
+    # the coefficient, then each candidate that no scan had reached
+    assert built[2:] == [c.payload] + pays[1:]
+    built.clear()
+    assert solve_in_group(PositiveEquation((a, b)), G) is not None
+    assert built == [b.payload]  # the candidates' multipliers are G's already
+
+
 def test_solve_in_group_matches_filter_oracle():
     rng = random.Random(11)
     for spec in ("S3", "Z6", "D5", "A4", "Z4xZ2"):
