@@ -25,7 +25,7 @@ import re
 from functools import cached_property
 from itertools import accumulate, product as iproduct
 from operator import itemgetter
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import perms
 from .core import (
@@ -39,6 +39,7 @@ from .core import (
     _PermPayloadGroup,
     _split_top,
     check_table_order,
+    closure_limit,
     closure_payloads,
     direct_product,
     normal_closure,
@@ -129,20 +130,23 @@ def cyclic_group(n: int) -> PermGroup:
     return PermGroup(namer.degree, gens, namer=namer, name=f"Z{n}")
 
 
-def _refuse_generators(name: str, entries: int) -> None:
-    """Refuse, before any is built, generators above the table entry budget."""
-    if entries > TABLE_ENTRY_BUDGET:
-        raise CapExceeded(
-            f"{name} needs {entries} generator entries, "
-            f"above the table entry budget {TABLE_ENTRY_BUDGET}"
-        )
+def _refuse_order(name: str, degree: int, factors: Iterable[int]) -> None:
+    """Refuse, before any generator is built, a named group whose order,
+    the product of `factors`, passes `closure_limit(degree)`, where its
+    walk would stop. The product stops at the first factor past the limit
+    (2^24 at most), so m! is never taken in full."""
+    limit, order = closure_limit(degree), 1
+    for f in factors:
+        order *= f
+        if order > limit:
+            raise CapExceeded(f"{name} has order at least {order}, above {limit} at degree {degree}", order)
 
 
 def dihedral_group(p: int) -> PermGroup:
     """D_p of order 2p on p points: r the p-cycle, s the reflection fixing 0."""
     if p < 3:
         raise PreconditionError(f"dihedral groups need p >= 3, got {p}")
-    _refuse_generators(f"D{p}", 2 * p)
+    _refuse_order(f"D{p}", p, (2, p))
     r = tuple((i + 1) % p for i in range(p))
     s = tuple((-i) % p for i in range(p))
     return PermGroup(p, [r, s], namer=DihedralNamer(p), name=f"D{p}")
@@ -151,7 +155,7 @@ def dihedral_group(p: int) -> PermGroup:
 def symmetric_group(m: int) -> PermGroup:
     if m < 1:
         raise PreconditionError(f"symmetric groups need m >= 1, got {m}")
-    _refuse_generators(f"S{m}", 2 * m)
+    _refuse_order(f"S{m}", m, range(2, m + 1))
     # a transposition and an m-cycle, one and the same for m = 2
     gens = [(1, 0, *range(2, m)), (*range(1, m), 0)] if m >= 2 else []
     return PermGroup(m, gens, name=f"S{m}")
@@ -160,7 +164,7 @@ def symmetric_group(m: int) -> PermGroup:
 def alternating_group(m: int) -> PermGroup:
     if m < 1:
         raise PreconditionError(f"alternating groups need m >= 1, got {m}")
-    _refuse_generators(f"A{m}", (m - 2) * m)
+    _refuse_order(f"A{m}", m, range(3, m + 1))  # m!/2, and 1 for m <= 2
     # the 3-cycles (i i+1 i+2)
     gens = [(*range(i), i + 1, i + 2, i, *range(i + 3, m)) for i in range(m - 2)]
     return PermGroup(m, gens, name=f"A{m}")

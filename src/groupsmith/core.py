@@ -29,13 +29,12 @@ Every conjugation goes through one kernel per backend, `Group._conjugator`
 payload, `Group._times`, is one too. Both permutation backends take these
 kernels (`perms.conjugator`, an `itemgetter`), the inverse, the degree and
 the identity, built once, from one base, `_PermPayloadGroup`; elsewhere
-they are two products of `_mul`. A group builds the right multiplier of
-each of its payloads once, when a scan first reaches it, and holds it
-(`Group._multipliers`). Every orbit (the class of an element, the
-conjugates of a subgroup) is the breadth-first walk of
-`closure_payloads` under a generating set. A walk lists its points in
-discovery order; only what is reported is sorted. Records, such as
-`AxiomReport`, are `NamedTuple`s.
+they are two products of `_mul`. A scan builds the right multiplier of
+each payload it reaches and drops it; no group holds them. Every orbit
+(the class of an element, the conjugates of a subgroup) is the
+breadth-first walk of `closure_payloads` under a generating set. A walk
+lists its points in discovery order; only what is reported is sorted.
+Records, such as `AxiomReport`, are `NamedTuple`s.
 """
 
 from __future__ import annotations
@@ -52,11 +51,13 @@ from . import perms
 from .errors import CapExceeded, Falsification, ParseError, PreconditionError
 
 # The limits on building groups, for every backend. A permutation closure
-# stops as it outgrows the closure cap or the entry budget, at about 8 B per
-# entry (one pointer each); a quotient above the cap is refused before its
-# cosets are listed, and a dense table, at 2 B per entry, before its first
-# row is filled (the entry budget, then the cap). `cyclic_group` and
-# `direct_product` refuse their orders as a table of that order is refused.
+# stops as it outgrows `closure_limit`, the closure cap or the entry budget
+# at about 8 B per entry (one pointer each), and the named families refuse
+# a closed-form order above it before they build a generator; a quotient
+# above the cap is refused before its cosets are listed, and a dense table,
+# at 2 B per entry, before its first row is filled (the entry budget, then
+# the cap). `cyclic_group` and `direct_product` refuse their orders as a
+# table of that order is refused.
 # A wreath listing is refused by its own order cap and the entry budget, and
 # a wreath product by the order cap where arity^2 * |base| passes it.
 DEFAULT_CAP = 10_000
@@ -77,6 +78,12 @@ def default_cap() -> int:
     if value < 1:
         raise PreconditionError(f"GROUPSMITH_CAP must be positive, got {value}")
     return value
+
+
+def closure_limit(degree: int) -> int:
+    """The most permutations of this degree a group may list: the closure
+    cap, and no more than the entry budget's points."""
+    return min(default_cap(), TABLE_ENTRY_BUDGET // max(degree, 1))
 
 
 def check_table_order(n: int) -> None:
@@ -296,12 +303,6 @@ class Group:
     def _times(self, q) -> Callable:
         """p -> p*q, for a payload q."""
         return lambda p: self._mul(p, q)
-
-    # the right multiplier `_times` of each payload in canonical order, as far
-    # as a scan (`solve_in_group`) has reached; each is built once
-    @cached_property
-    def _multipliers(self) -> list:
-        return []
 
     def _conjugator(self, y) -> Callable:
         """h -> y^-1 h y, for a payload y: two products, y inverted once."""
@@ -761,13 +762,11 @@ class PermGroup(_PermPayloadGroup):
         if degree < 0:
             raise PreconditionError("degree must be nonnegative")
         super().__init__(name, degree)
-        # the walk stops past the cap, or past the entry budget's points
-        limit = default_cap()
-        abort_at = min(limit, TABLE_ENTRY_BUDGET // max(degree, 1)) + 1
-        gens, ordered, complete = perm_closure(generator_perms, abort_at, degree)
+        gens, ordered, complete = perm_closure(generator_perms, closure_limit(degree) + 1, degree)
         if not complete:
             raise CapExceeded(
-                f"closure of {name} is too large (cap {limit}, or {TABLE_ENTRY_BUDGET} points)",
+                f"closure of {name} is too large "
+                f"(cap {default_cap()}, or {TABLE_ENTRY_BUDGET} points)",
                 len(ordered),
             )
         self._sorted_payloads = tuple(sorted(ordered))

@@ -60,7 +60,14 @@ class DihedralShape(NamedTuple):
 
 def dihedral_shape(G: Subgroup) -> DihedralShape:
     """Check that a subgroup is dihedral of order 2p, p an odd prime, and
-    split it into rotations and reflections."""
+    split it into rotations and reflections.
+
+    Only the element orders are checked, and they suffice once every
+    element has order 1, 2 or p. A Sylow p-subgroup has index 2, so it is
+    normal, the only one, and holds every element of order 1 or p: those
+    are its p elements, the rotations, and the other p are the
+    reflections. A reflection s, of order 2, conjugates a rotation r to r^k
+    with k^2 = 1 mod p; k = 1 would give rs order 2p, so s inverts r."""
     parent = G.parent
     if G.order % 2 != 0:
         raise PreconditionError(f"order {G.order} is odd, not dihedral")
@@ -72,26 +79,14 @@ def dihedral_shape(G: Subgroup) -> DihedralShape:
     for e in G:
         k = parent.element_order(e)
         if k in (1, p):
-            rot.append(e)
+            rot.append(e.payload)
         elif k == 2:
             refl.append(e)
         else:
             raise PreconditionError(
                 f"element {parent.render(e)} has order {k}, impossible in D_{p}"
             )
-    if len(rot) != p or len(refl) != p:
-        raise PreconditionError(
-            f"expected {p} rotations and {p} reflections, found {len(rot)}/{len(refl)}"
-        )
-    rotations = Subgroup(parent, rot)
-    # the checked subgroup of rotations has prime order p, so any non-identity
-    # rotation r generates it, and a reflection inverting r inverts every power
-    r = next(e for e in rot if e != parent.identity)
-    for s in refl:
-        if r.conj(s) != r.inv():
-            raise PreconditionError(
-                f"{parent.render(s)} does not invert {parent.render(r)}: not dihedral"
-            )
+    rotations = Subgroup.of_payloads(parent, rot)
     return DihedralShape(subgroup=G, p=p, rotations=rotations, reflections=tuple(refl))
 
 

@@ -95,18 +95,15 @@ def solve_in_group(eq: PositiveEquation, G: Group) -> Element | None:
     """First x in G's canonical enumeration solving the equation, if any.
 
     Each product is one call of a right multiplier (`Group._times`), built
-    once per coefficient, and once per candidate, when a scan first reaches
-    it; G holds the candidates' (`Group._multipliers`)."""
+    once per coefficient and once per candidate, and dropped with the scan."""
     if eq.group is not G:
         raise PreconditionError("coefficients do not live in the given group")
     first, *rest = [g.payload for g in eq.coefficients]
-    times, built = G._times, G._multipliers
+    times = G._times
     by_rest = [times(c) for c in rest]
     idp = G._id()
-    for i, p in enumerate(G._iter_payloads()):
-        if i == len(built):
-            built.append(times(p))
-        by_p = built[i]
+    for p in G._iter_payloads():
+        by_p = times(p)
         acc = by_p(first)
         for by_c in by_rest:
             acc = by_p(by_c(acc))

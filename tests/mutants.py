@@ -67,6 +67,25 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # D_p's order taken as p, not 2p: D3001 then walks to its limit
+        "dihedral-order-p-not-2p",
+        "src/groupsmith/constructions.py",
+        '    _refuse_order(f"D{p}", p, (2, p))\n',
+        '    _refuse_order(f"D{p}", p, (p,))\n',
+        (
+            "tests/test_cli.py::test_named_groups_past_the_walk_limit_exit_3_in_128_mib",
+            "tests/test_constructions.py::test_named_families_refuse_by_their_closed_form_order",
+        ),
+    ),
+    Mutant(
+        # A_m's order taken as m!, not m!/2
+        "alternating-order-of-symmetric",
+        "src/groupsmith/constructions.py",
+        '    _refuse_order(f"A{m}", m, range(3, m + 1))  # m!/2, and 1 for m <= 2\n',
+        '    _refuse_order(f"A{m}", m, range(2, m + 1))  # m!/2, and 1 for m <= 2\n',
+        ("tests/test_constructions.py::test_named_families_refuse_by_their_closed_form_order",),
+    ),
+    Mutant(
         "closure-abort-past-the-bound",
         "src/groupsmith/core.py",
         "                if abort_at is not None and len(ordered) >= abort_at:\n",

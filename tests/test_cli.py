@@ -602,14 +602,15 @@ def test_wreath_arity_past_the_cap_exits_3_at_once(capsys, argv):
     assert "arity^2 * |base| exceeds cap 10000000" in err
 
 
-def run_in_1gib(*argv) -> tuple[int, str]:
+def run_in_1gib(*argv, address_space: int = 1 << 30) -> tuple[int, str]:
     """Exit code and stderr of the CLI in a fresh process limited to 1 GiB
-    of address space and 30 s, so that building past the limits ends in a
-    MemoryError (exit 4) or a timeout, not in several GB of memory."""
+    of address space (or `address_space` bytes) and 30 s, so that building
+    past the limits ends in a MemoryError (exit 4) or a timeout, not in
+    several GB of memory."""
     src = str(Path(groupsmith.__file__).parents[1])
 
     def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
 
     done = subprocess.run(
         [sys.executable, "-m", "groupsmith.cli", *argv], env={**os.environ, "PYTHONPATH": src},
@@ -618,12 +619,34 @@ def run_in_1gib(*argv) -> tuple[int, str]:
     return done.returncode, done.stderr
 
 
+# the order's partial product where it first passes the walk's limit,
+# min(cap, 2^24 // degree), and that limit
+REFUSED = {
+    "S200000000": (2, 0),
+    "D100000007": (2, 0),
+    "A20000": (2520, 838),
+    "A3000": (20160, 5592),
+    "D3001": (6002, 5590),
+    "S5000000": (6, 3),
+}
+
+
 @pytest.mark.parametrize("spec", ["S200000000", "D100000007", "A20000"])
 def test_named_group_generators_past_the_entry_budget_exit_3(spec):
-    # 2m, 2p and (m-2)*m generator entries, refused before any is built
+    # 2m, 2p and (m-2)*m generator entries would pass 2^24; the order
+    # passes 2^24 // degree first, and is refused before any is built
     code, err = run_in_1gib("construct", "--group", spec)
     assert code == 3, err
-    assert "generator entries, above the table entry budget 16777216" in err
+    assert "{} has order at least {}, above {} at degree".format(spec, *REFUSED[spec]) in err
+
+
+@pytest.mark.parametrize("spec", ["A3000", "D3001", "S5000000"])
+def test_named_groups_past_the_walk_limit_exit_3_in_128_mib(spec):
+    # built, the generators of A3000 and S5000000 and the walk of D3001 to
+    # 2^24 // 3001 permutations peaked at 143-932 MB
+    code, err = run_in_1gib("construct", "--group", spec, address_space=128 << 20)
+    assert code == 3, err
+    assert "{} has order at least {}, above {} at degree".format(spec, *REFUSED[spec]) in err
 
 
 def test_solve_positive_refuses_the_degree_before_drawing():

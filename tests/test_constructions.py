@@ -38,13 +38,34 @@ def test_d7_shape(d7):
 
 
 def test_permutation_closure_stops_within_the_table_entry_budget():
-    # D5003 has 10,006 elements, past the closure cap of 10,000; the walk
-    # stops first, at the one past the 3,353 permutations of degree 5003
-    # that fit 2^24
-    with pytest.raises(CapExceeded) as info:
-        constructions.dihedral_group(5003)
+    # D5003's generators close to 10,006 elements, past the closure cap of
+    # 10,000; the walk stops first, at the one past the 3,353 permutations
+    # of degree 5003 that fit 2^24
+    r = tuple((i + 1) % 5003 for i in range(5003))
+    s = tuple((-i) % 5003 for i in range(5003))
+    with pytest.raises(CapExceeded, match="closure of D5003 is too large") as info:
+        PermGroup(5003, [r, s], name="D5003")
     count = info.value.partial_count
     assert (count - 1) * 5003 <= TABLE_ENTRY_BUDGET < count * 5003
+
+
+@pytest.mark.parametrize("spec, order", [("D7", 14), ("S7", 5040), ("A7", 2520), ("A3", 3)])
+def test_named_families_refuse_by_their_closed_form_order(monkeypatch, spec, order):
+    # a cap equal to the order builds the group; one below it refuses the
+    # order before any generator is built, where the walk would stop
+    monkeypatch.setenv("GROUPSMITH_CAP", str(order))
+    assert named_group(spec).order == order
+    monkeypatch.setenv("GROUPSMITH_CAP", str(order - 1))
+    monkeypatch.setattr(constructions, "PermGroup", None)
+    with pytest.raises(CapExceeded, match=f"{spec} has order at least {order}, above {order - 1}") as info:
+        named_group(spec)
+    assert info.value.partial_count == order
+
+
+def test_trivial_named_groups_pass_a_cap_of_1(monkeypatch):
+    # the empty products: A1, A2 and S1 have order 1
+    monkeypatch.setenv("GROUPSMITH_CAP", "1")
+    assert named_group("A1").order == named_group("A2").order == named_group("S1").order == 1
 
 
 def test_d3_is_s3_up_to_relabeling(s3):

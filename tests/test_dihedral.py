@@ -85,7 +85,7 @@ def test_dihedral_shape(d7):
 
 def test_dihedral_shape_rejects_non_dihedral(s3, z6):
     with pytest.raises(PreconditionError):
-        dihedral_shape(z6.whole())  # abelian, no reflections invert rotations
+        dihedral_shape(z6.whole())  # its generator has order 6
     with pytest.raises(PreconditionError):
         dihedral_shape(subgroup_generated(s3, [s3.parse("(1 2 3)")]))  # odd order
 

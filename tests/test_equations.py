@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -87,21 +88,20 @@ def test_solve_in_group_examples(d7):
     assert solve_in_group(eq_id, d7) == d7.identity
 
 
-def test_solve_in_group_builds_each_candidate_multiplier_once(monkeypatch):
-    G = named_group("S4")
-    built = []
-    times = G._times
-    monkeypatch.setattr(G, "_times", lambda q: built.append(q) or times(q))
-    pays = list(G._iter_payloads())
-    a, b, c = G.parse("(1 2)"), G.parse("(1 2 3 4)"), G.parse("(1 2 3)")
-    assert solve_in_group(PositiveEquation((a, a)), G) == G.identity
-    assert built == [a.payload, pays[0]]  # the second coefficient, one candidate
-    assert solve_in_group(PositiveEquation((a, c)), G) is None
-    # the coefficient, then each candidate that no scan had reached
-    assert built[2:] == [c.payload] + pays[1:]
-    built.clear()
-    assert solve_in_group(PositiveEquation((a, b)), G) is not None
-    assert built == [b.payload]  # the candidates' multipliers are G's already
+def test_a_failed_scan_leaves_no_multipliers_held():
+    # x^2 = diag((1 2)) has no solution in S4 wr Z3: a shifted x squares to
+    # a shifted element, and (1 2) is odd, so not a square in S4; the scan
+    # reaches all 41,472 candidates, whose multipliers G held (over 8 MB)
+    W = wreath_cyclic(named_group("S4"), 3)
+    d = W.diag_embed(W.base.parse("(1 2)"))
+    eq = PositiveEquation((d, W.identity))
+    tracemalloc.start()
+    try:
+        assert solve_in_group(eq, W) is None
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20
 
 
 def test_solve_in_group_matches_filter_oracle():
